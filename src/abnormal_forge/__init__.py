@@ -10,6 +10,8 @@ provably skewed. Every block ships a certificate checkable from the
 digit stream alone.
 """
 
+__version__ = "0.1.0"
+
 from .cf import (Convergent, CylinderInterval, approx_bound, cf_to_rational,
                  convergent_sign, convergent_stream, cylinder_interval,
                  gauss_measure, log2_fixed, rational_to_cf)
@@ -32,5 +34,3 @@ from .radix import (BaseDigits, DigitStats, RunStats, base_expansion,
 from .seed import (FileDigitSource, ListDigitSource, RngDigitSource,
                    SplitMix64, conditional_digit, digit_from_unit,
                    gauss_kuzmin_digit)
-
-__version__ = "0.1.0"

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import nt
+from ._dectext import brief
 from .cf import convergent_stream, log2_fixed
 from .errors import InputFormatError, ResourceBudgetExceeded, SearchExhausted
 from .radix import NON_TERMINATING, base_expansion
@@ -469,6 +470,13 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     base = cert.base
     mode = Mode.parse(cert.mode)
 
+    # block_boundary(N, i) >= 2**i, so a larger index cannot fit the
+    # stream; stop before 1 << (i - 1) allocates a number that large.
+    if i < 1 or i - 1 >= len(digits).bit_length():
+        add("block_layout", False,
+            f"block {brief(i)} cannot end inside a {len(digits)}-digit stream")
+        return VerificationReport(index=i, checks=tuple(checks),
+                                  tail_bound_met=False)
     size_num = n_i - 4 * (i - 1)
     size_den = 1 << (i - 1)
     block_size = size_num // size_den if size_num % size_den == 0 else 0
@@ -476,6 +484,9 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
         block_size >= 2 and block_size % 2 == 0
         and block_boundary(block_size, i) == n_i,
         f"boundary {n_i} implies block size {block_size or '?'}")
+    scheduled = base_schedule(i)
+    add("scheduled_base", base == scheduled,
+        f"block {i} is scheduled for base {scheduled}")
 
     if len(digits) < n_i + 4:
         add("stream_length", False,
@@ -486,7 +497,7 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
 
     inserted = tuple(digits[n_i:n_i + 4])
     add("inserted_digits", inserted == cert.inserted,
-        f"stream carries {_brief(inserted)}")
+        f"stream carries {brief(inserted)}")
 
     walk = convergent_stream(digits[:n_i + 4])
     p_at = {}
@@ -503,7 +514,7 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     ell1, ell2, ell3, tail = cert.inserted
 
     add("denominators_before", (qn_prev, qn) == cert.denoms_before,
-        f"stream gives ({_brief(qn_prev)}, {_brief(qn)})")
+        f"stream gives ({brief(qn_prev)}, {brief(qn)})")
     add("denominators_after", (q1, q2, q3) == cert.denoms_after,
         "recomputed from the recurrence")
     add("recurrence",
@@ -519,9 +530,9 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     add("residue_class", q2 % q1 == qn % q1,
         "prime sits in the class q_n mod q_next")
     try:
-        add("prime", nt.is_prime(q2) and q2 == cert.prime, _brief(q2))
+        add("prime", nt.is_prime(q2) and q2 == cert.prime, brief(q2))
         add("primitive_root", nt.is_primitive_root(base, q2),
-            f"{base} generates mod {_brief(q2)}")
+            f"{base} generates mod {brief(q2)}")
     except (ResourceBudgetExceeded, ValueError) as exc:
         add("primitive_root", False, f"could not certify: {exc}")
 
@@ -608,17 +619,6 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
 
     return VerificationReport(index=i, checks=tuple(checks),
                               tail_bound_met=tail_met)
-
-
-def _brief(value) -> str:
-    if isinstance(value, tuple):
-        return "(" + ", ".join(_brief(v) for v in value) + ")"
-    if isinstance(value, int) and value.bit_length() > 128:
-        return f"<{value.bit_length()}-bit integer>"
-    text = str(value)
-    if len(text) > 40:
-        return f"{text[:12]}...{text[-12:]}"
-    return text
 
 
 @dataclass(frozen=True)

@@ -7,39 +7,40 @@ arbitrary-precision integer carried as a decimal string, so nothing is
 rounded or truncated. Both begin with a run header that echoes enough
 configuration to reproduce the run bit-exactly (set SOURCE_DATE_EPOCH
 to pin the timestamp for byte-identical reruns).
+
+Decimal text: every integer value of both formats is written and read
+through one pair of converters, ``_dectext.int_to_text`` and
+``_dectext.text_to_int``. Short values stay on plain ``str()`` and
+``int()``, inline in the digit-file loops, so files of a million short
+lines cost what they did: the writer renders values below 2**10000 with
+``str()``, and the reader hands a line to ``text_to_int`` only when
+``int()`` refuses it, as it does past the interpreter's 4300-digit
+limit. Larger values avoid CPython's quadratic conversions: writing
+rebuilds the int as a ``decimal.Decimal`` from its bit halves,
+``hi * 2**w + lo``, and renders that in linear time; reading splits an
+all-digit string in halves joined as ``(hi * 5**k << k) + lo``. The
+bytes written are exactly those of ``str()``, and any text that is not
+plain ASCII digits (signs, underscores, whitespace, non-ASCII digits)
+goes through ``int()``, so every file reads as it did before.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import Sequence
 
+from . import __version__ as TOOL_VERSION
+from ._dectext import (TEXT_FAST_LIMIT, int_to_text, text_to_int,
+                       unlimited_int_strings)
 from .construction import BlockCertificate
 from .errors import InputFormatError
 from .seed import parse_digit_file
 
 FORMAT_VERSION = "1"
 TOOL_NAME = "abnormal-forge"
-TOOL_VERSION = "0.1.0"
-
-
-@contextmanager
-def unlimited_int_strings():
-    """Temporarily lift the int<->str digit limit for huge certificate values."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    if get is None:
-        yield
-        return
-    old = get()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+_LINES_PER_WRITE = 4096
 
 
 def _timestamp() -> str:
@@ -64,14 +65,16 @@ def write_digit_file(path, digits: Sequence[int], header: dict | None = None) ->
         fh.write(f"# {TOOL_NAME} digit file v{FORMAT_VERSION}\n")
         if header is not None:
             fh.write(f"# header: {json.dumps(header, sort_keys=True)}\n")
-        for d in digits:
-            fh.write(f"{d}\n")
+        for start in range(0, len(digits), _LINES_PER_WRITE):
+            chunk = digits[start:start + _LINES_PER_WRITE]
+            fh.write("".join([f"{d}\n" if d < TEXT_FAST_LIMIT
+                              else f"{int_to_text(d)}\n" for d in chunk]))
 
 
 def read_digit_file(path) -> tuple[list[int], dict | None]:
     """Digits plus the parsed header comment, if one is present."""
     header = None
-    with unlimited_int_strings(), open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     for raw in lines:
         line = raw.strip()
@@ -81,39 +84,40 @@ def read_digit_file(path) -> tuple[list[int], dict | None]:
             except json.JSONDecodeError:
                 raise InputFormatError("malformed header comment") from None
             break
-    with unlimited_int_strings():
-        digits = parse_digit_file(iter(lines))
-    return digits, header
+    return parse_digit_file(iter(lines)), header
 
 
 def _cert_to_json(cert: BlockCertificate) -> dict:
     return {
         "index": cert.index,
-        "base": str(cert.base),
+        "base": int_to_text(cert.base),
         "block_end": cert.block_end,
-        "inserted": [str(v) for v in cert.inserted],
-        "denoms_before": [str(v) for v in cert.denoms_before],
-        "denoms_after": [str(v) for v in cert.denoms_after],
-        "prime": str(cert.prime),
-        "exponent": str(cert.exponent),
-        "digit_bound": str(cert.digit_bound),
+        "inserted": [int_to_text(v) for v in cert.inserted],
+        "denoms_before": [int_to_text(v) for v in cert.denoms_before],
+        "denoms_after": [int_to_text(v) for v in cert.denoms_after],
+        "prime": int_to_text(cert.prime),
+        "exponent": int_to_text(cert.exponent),
+        "digit_bound": int_to_text(cert.digit_bound),
         "mode": cert.mode,
     }
 
 
 def _cert_from_json(record: dict) -> BlockCertificate:
     try:
-        inserted = tuple(int(v) for v in record["inserted"])
-        before = tuple(int(v) for v in record["denoms_before"])
-        after = tuple(int(v) for v in record["denoms_after"])
+        inserted = tuple(text_to_int(v) for v in record["inserted"])
+        before = tuple(text_to_int(v) for v in record["denoms_before"])
+        after = tuple(text_to_int(v) for v in record["denoms_after"])
         if len(inserted) != 4 or len(before) != 2 or len(after) != 3:
             raise InputFormatError("certificate arrays have the wrong arity")
         return BlockCertificate(
-            index=int(record["index"]), base=int(record["base"]),
-            block_end=int(record["block_end"]), inserted=inserted,
+            index=text_to_int(record["index"]),
+            base=text_to_int(record["base"]),
+            block_end=text_to_int(record["block_end"]), inserted=inserted,
             denoms_before=before, denoms_after=after,
-            prime=int(record["prime"]), exponent=int(record["exponent"]),
-            digit_bound=int(record["digit_bound"]), mode=record["mode"])
+            prime=text_to_int(record["prime"]),
+            exponent=text_to_int(record["exponent"]),
+            digit_bound=text_to_int(record["digit_bound"]),
+            mode=record["mode"])
     except (KeyError, ValueError, TypeError) as exc:
         raise InputFormatError(f"bad certificate record: {exc}") from None
 

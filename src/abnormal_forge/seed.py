@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
+from ._dectext import brief, text_to_int, unlimited_int_strings
 from .cf import log2_fixed
 from .errors import InputFormatError
 
@@ -206,7 +207,11 @@ def parse_digit_file(lines: Iterator[str]) -> list[int]:
 
     Blank lines and ``#`` comments are skipped. Malformed or
     non-positive entries raise :class:`InputFormatError` with the
-    offending 1-based line number.
+    offending 1-based line number and a shortened copy of the line.
+    A line that ``int()`` refuses (such as a tail digit past the
+    interpreter's int<->str digit limit) is parsed again with the limit
+    lifted, long digit strings by halves in subquadratic time; short
+    lines pay nothing for that.
     """
     digits = []
     for lineno, raw in enumerate(lines, start=1):
@@ -216,12 +221,22 @@ def parse_digit_file(lines: Iterator[str]) -> list[int]:
         try:
             value = int(line)
         except ValueError:
-            raise InputFormatError(f"not an integer: {line!r}", line=lineno) from None
+            value = _parse_refused_line(line, lineno)
         if value < 1:
             raise InputFormatError(
-                f"partial quotients must be >= 1, got {value}", line=lineno)
+                f"partial quotients must be >= 1, got {brief(value)}",
+                line=lineno)
         digits.append(value)
     return digits
+
+
+def _parse_refused_line(line: str, lineno: int) -> int:
+    try:
+        with unlimited_int_strings():
+            return text_to_int(line)
+    except ValueError:
+        raise InputFormatError(f"not an integer: {brief(line)!r}",
+                               line=lineno) from None
 
 
 class FileDigitSource:

@@ -269,6 +269,26 @@ def test_verify_toy_certificate_reports_tail_unmet():
     assert tail_checks["tail_bound"].required is False
 
 
+def test_verify_rejects_unscheduled_base(worked_number):
+    # 2**15 = 8**5 and 8 generates mod 59, so every arithmetic check of
+    # the worked block also holds for base 8; block 1 is scheduled base 2.
+    bad = dataclasses.replace(worked_number.certificates[0], base=8,
+                              exponent=5, digit_bound=5)
+    report = verify_certificate(bad, worked_number.digits_through_blocks)
+    assert not report.passed
+    assert {c.name for c in report.failures} == {"scheduled_base"}
+
+
+@pytest.mark.parametrize("index", [0, -3, 5, 10**12])
+def test_verify_rejects_index_beyond_stream_at_once(worked_number, index):
+    # block_boundary(N, i) >= 2**i: an index past the stream's bit length
+    # fails the layout before any 2**(i - 1) is formed.
+    bad = dataclasses.replace(worked_number.certificates[0], index=index)
+    report = verify_certificate(bad, worked_number.digits_through_blocks)
+    assert not report.passed
+    assert [c.name for c in report.checks] == ["block_layout"]
+
+
 def test_verify_requires_enough_digits(worked_number):
     report = verify_certificate(worked_number.certificates[0],
                                 worked_number.digits_through_blocks[:6])

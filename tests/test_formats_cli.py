@@ -1,14 +1,25 @@
+import gc
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from abnormal_forge import (BlockCertificate, ConstructionConfig, Mode,
+                            RngDigitSource, construct)
+from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS,
+                                     int_to_text, text_to_int,
+                                     unlimited_int_strings)
 from abnormal_forge.cli import main
 from abnormal_forge.errors import InputFormatError
-from abnormal_forge.formats import (read_certificate_file, read_digit_file,
+from abnormal_forge.formats import (_cert_from_json, _cert_to_json,
+                                    read_certificate_file, read_digit_file,
                                     run_header, write_certificate_file,
                                     write_digit_file)
+from abnormal_forge.seed import parse_digit_file
 
 from conftest import WORKED_SEED
 
@@ -63,6 +74,177 @@ def test_certificate_round_trip_past_str_limit(tmp_path, worked_number):
     write_certificate_file(path, [cert], run_header({}, {}))
     back, _ = read_certificate_file(path)
     assert back[0].inserted[3] == (1 << 100_000) + 1
+
+
+# Bit sizes and string lengths on both sides of the fast-path thresholds.
+_BITS = st.one_of(st.integers(0, 80),
+                  st.integers(TEXT_FAST_BITS - 80, TEXT_FAST_BITS + 80),
+                  st.integers(0, 60_000))
+_CHARS = st.one_of(st.integers(1, 40),
+                   st.integers(INT_FAST_CHARS - 40, INT_FAST_CHARS + 40),
+                   st.integers(1, 20_000))
+
+
+@st.composite
+def _big_ints(draw):
+    bits = draw(_BITS)
+    return random.Random(draw(st.integers(0, 2**32))).getrandbits(bits)
+
+
+@st.composite
+def _digit_strings(draw):
+    length = draw(_CHARS)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    body = "".join(rng.choice("0123456789") for _ in range(length))
+    return "0" * draw(st.integers(0, 3)) + body
+
+
+@settings(max_examples=60, deadline=None)
+@given(_big_ints())
+@example(0)
+@example(10**3010 - 1)
+@example(10**3010)
+@example(10**3011)
+@example(10**6000 - 1)
+@example((1 << TEXT_FAST_BITS) - 1)
+@example(1 << TEXT_FAST_BITS)
+def test_int_to_text_is_str(n):
+    with unlimited_int_strings():
+        expected = str(n)
+        assert int_to_text(n) == expected
+        assert int_to_text(-n) == str(-n)
+        assert text_to_int(expected) == n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_digit_strings())
+@example("0" * (INT_FAST_CHARS + 500))
+@example("0" * 7 + "1" * INT_FAST_CHARS)
+@example("1" + "0" * 6000)
+@example("9" * 6000)
+def test_text_to_int_is_int(text):
+    with unlimited_int_strings():
+        assert text_to_int(text) == int(text)
+
+
+def _int_outcome(text):
+    with unlimited_int_strings():
+        try:
+            return int(text)
+        except ValueError:
+            return ValueError
+
+
+_WORKED_CERT = BlockCertificate(
+    index=1, base=2, block_end=4, inserted=(1, 2, 555, (1 << 225) + 1),
+    denoms_before=(10, 13), denoms_after=(23, 59, 32768), prime=59,
+    exponent=15, digit_bound=15, mode="paper")
+_PIECES = ("0", "7", "9", "+", "-", "_", " ", "\n", "\u0663", "x", "\u00b2")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_PIECES),
+                          st.integers(1, INT_FAST_CHARS + 200)), max_size=4))
+@example([("+", 1), ("5", 1)])
+@example([("+", 1), ("9", 5000)])
+@example([("1", 1), ("_", 1), ("0", 3)])
+@example([("1_", 2500), ("1", 1)])
+@example([(" ", 1), ("9", 5000), (" ", 1)])
+@example([("\u0663", 5000)])
+@example([("9", 4000), ("x", 1)])
+def test_noncanonical_text_parses_as_int_does(parts):
+    text = "".join(piece * count for piece, count in parts)
+    expected = _int_outcome(text)
+    with unlimited_int_strings():
+        try:
+            got = text_to_int(text)
+        except ValueError:
+            got = ValueError
+    assert got == expected
+    # The digit-file reader strips each line and rejects values below 1.
+    stripped = text.strip()
+    line_value = _int_outcome(stripped)
+    if stripped and not stripped.startswith("#"):
+        if line_value is ValueError or line_value < 1:
+            with pytest.raises(InputFormatError):
+                parse_digit_file(iter([text]))
+        else:
+            assert parse_digit_file(iter([text])) == [line_value]
+    # The certificate reader, which lifts the digit limit as
+    # read_certificate_file does, turns a failed value into
+    # InputFormatError.
+    record = _cert_to_json(_WORKED_CERT)
+    record["prime"] = text
+    with unlimited_int_strings():
+        if expected is ValueError:
+            with pytest.raises(InputFormatError):
+                _cert_from_json(record)
+        else:
+            assert _cert_from_json(record).prime == expected
+
+
+def test_text_of_more_than_a_million_digits():
+    # Past the default Decimal context's exponent limit of 999999; the two
+    # converters share no code, so the round trip checks each.
+    value = (1 << 3_400_000) + 12_345
+    text = int_to_text(value)
+    assert len(text) == 1_023_502 and text.endswith("21721")
+    assert text_to_int(text) == value
+
+
+def test_conversions_leave_no_reference_cycles():
+    value = (1 << 200_000) + 12_345
+    gc.collect()
+    gc.disable()
+    try:
+        text = int_to_text(value)
+        assert text_to_int(text) == value
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cli_paper_files_match_str_rendering(tmp_path, monkeypatch, capsys):
+    # Sampler seed 1 gives a 18226-bit tail (5487 decimal digits): above
+    # both fast-path thresholds and past the 4300-digit int() limit.
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    digits_path, cert_path = tmp_path / "p.cf", tmp_path / "p.json"
+    assert main(["construct", "--seed-rng", "1", "--block-size", "4",
+                 "--blocks", "1", "--mode", "paper",
+                 "--out-digits", str(digits_path),
+                 "--out-cert", str(cert_path)]) == 0
+    config = ConstructionConfig(block_size=4, blocks=1,
+                                mode=Mode.parse("paper"))
+    number = construct(config, RngDigitSource(1))
+    cert = number.certificates[0]
+    assert cert.inserted[3].bit_length() > TEXT_FAST_BITS
+
+    written = digits_path.read_text(encoding="utf-8")
+    head = "".join(written.splitlines(keepends=True)[:2])
+    payload = json.loads(cert_path.read_text(encoding="utf-8"))
+    with unlimited_int_strings():
+        body = "".join(f"{d}\n" for d in number.digits_through_blocks)
+        block = {"index": cert.index, "base": str(cert.base),
+                 "block_end": cert.block_end,
+                 "inserted": [str(v) for v in cert.inserted],
+                 "denoms_before": [str(v) for v in cert.denoms_before],
+                 "denoms_after": [str(v) for v in cert.denoms_after],
+                 "prime": str(cert.prime), "exponent": str(cert.exponent),
+                 "digit_bound": str(cert.digit_bound), "mode": cert.mode}
+    assert written == head + body
+    expected_cert = json.dumps(dict(payload, blocks=[block]), indent=2,
+                               sort_keys=True) + "\n"
+    assert cert_path.read_text(encoding="utf-8") == expected_cert
+
+    # The written digit file is also a valid seed file.
+    capsys.readouterr()
+    assert main(["construct", "--seed-file", str(digits_path),
+                 "--block-size", "4", "--blocks", "1", "--mode", "toy",
+                 "--total-digits", "12",
+                 "--out-digits", str(tmp_path / "again.cf"),
+                 "--out-cert", str(tmp_path / "again.json")]) == 0
+    assert main(["verify", "--cert", str(cert_path),
+                 "--digits", str(digits_path)]) == 0
 
 
 def test_certificate_reader_rejects_garbage(tmp_path):

@@ -138,6 +138,27 @@ def test_file_source(tmp_path):
     assert descriptor["kind"] == "file" and len(descriptor["sha256"]) == 64
 
 
+def test_file_source_reads_lines_past_the_str_limit(tmp_path):
+    # Digit files written by construct carry tail digits of thousands of
+    # decimal digits, past the interpreter's 4300-digit int() limit.
+    long_digit = 10**5000 + 7
+    path = tmp_path / "long.cf"
+    path.write_text("1\n1" + "0" * 4999 + "7\n2\n", encoding="utf-8")
+    assert FileDigitSource(path).next_digits(3) == [1, long_digit, 2]
+
+
+def test_parse_digit_file_errors_shorten_long_lines():
+    with pytest.raises(InputFormatError) as info:
+        parse_digit_file(iter(["1", "9" * 5000 + "x"]))
+    assert info.value.line == 2
+    assert "'999999999999...99999999999x'" in str(info.value)
+    assert len(str(info.value)) < 100
+    with pytest.raises(InputFormatError) as info:
+        parse_digit_file(iter(["-" + "9" * 5000]))
+    assert "-bit integer>" in str(info.value)
+    assert len(str(info.value)) < 100
+
+
 def test_list_source():
     src = ListDigitSource([1, 2, 3])
     assert src.next_digits(2) == [1, 2]
