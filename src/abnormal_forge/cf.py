@@ -91,21 +91,21 @@ class CylinderInterval:
 def cylinder_interval(digits: Sequence[int]) -> CylinderInterval:
     """Interval spanned by all continuations of a finite digit string.
 
-    The endpoints are the value of the string itself and the value with
-    the last digit increased by one; the width always equals
-    1/(q_n (q_n + q_{n-1})), which is asserted as a self-check.
+    The endpoints are the value of the string itself, p_n/q_n, and the
+    value with the last digit increased by one,
+    (p_n + p_{n-1})/(q_n + q_{n-1}). Raising a digit at an odd depth
+    lowers the value, so the bumped endpoint is the lower one exactly
+    when n is odd. By p_n q_{n-1} - p_{n-1} q_n = (-1)**(n-1), the width
+    is 1/(q_n (q_n + q_{n-1})).
     """
     if not digits:
         raise ValueError("cylinder of the empty string is the whole space")
-    a = cf_to_rational(digits)
-    bumped = list(digits)
-    bumped[-1] += 1
-    b = cf_to_rational(bumped)
-    lo, hi = (a, b) if a < b else (b, a)
-    q_prev, q_cur = 0, 1
-    for d in digits:
-        q_prev, q_cur = q_cur, d * q_cur + q_prev
-    assert hi - lo == Fraction(1, q_cur * (q_cur + q_prev))
+    p_prev, q_prev, p, q = 1, 0, 0, 1
+    for conv in convergent_stream(digits):
+        p_prev, q_prev, p, q = p, q, conv.p, conv.q
+    own = Fraction(p, q)
+    bumped = Fraction(p + p_prev, q + q_prev)
+    lo, hi = (bumped, own) if len(digits) % 2 else (own, bumped)
     return CylinderInterval(lo=lo, hi=hi, depth=len(digits))
 
 

@@ -31,7 +31,7 @@ from . import nt
 from ._dectext import brief
 from .cf import convergent_stream, log2_fixed
 from .errors import InputFormatError, ResourceBudgetExceeded, SearchExhausted
-from .radix import NON_TERMINATING, base_expansion
+from .radix import NON_TERMINATING, base_expansion, digits_of_int
 
 MODE_PAPER = "paper"
 MODE_RELAXED = "relaxed"
@@ -84,9 +84,11 @@ class Mode:
 class SearchBudget:
     """Effort and memory caps for the per-block searches.
 
-    ``tail_bits`` caps the size of a materialized tail digit;
-    ``bsgs_entries`` caps the discrete-log table; ``factor_effort``
-    bounds rho iterations when factoring group orders.
+    ``tail_bits`` caps every materialized power of the base (the
+    power-hit denominator and the tail digit), checked from an estimate
+    of its bit length before the power is formed; ``bsgs_entries`` caps
+    the discrete-log table; ``factor_effort`` bounds rho iterations when
+    factoring group orders.
     """
 
     artin_limit: int = 100_000
@@ -178,17 +180,8 @@ def pure_power_exponent(n: int, base: int) -> int | None:
         raise ValueError(f"base must be >= 2, got {base}")
     if n < 1:
         return None
-    if n == 1:
-        return 0
-    if base == 2:
-        e = n.bit_length() - 1
-        return e if n == 1 << e else None
-    scaled_log_base = log2_fixed(base, 1, 64)
-    estimate = ((n.bit_length() - 1) << 64) // scaled_log_base
-    for e in range(max(estimate - 1, 1), estimate + 3):
-        if base**e == n:
-            return e
-    return None
+    e = ilog_floor(n, base)  # base**e <= n < base**(e + 1)
+    return e if nt.pow_exceeds(base, e, n - 1) else None
 
 
 def digit_count_bound(q3: int, base: int) -> int:
@@ -208,8 +201,6 @@ def ilog_floor(x: int, base: int) -> int:
     """Largest t >= 0 with base**t <= x, for x >= 1."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if base == 2:
-        return x.bit_length() - 1
     scaled_log_base = log2_fixed(base, 1, 64)
     t = ((x.bit_length() - 1) << 64) // scaled_log_base
     while nt.pow_exceeds(base, t, x):  # base**t > x: too far
@@ -217,6 +208,20 @@ def ilog_floor(x: int, base: int) -> int:
     while not nt.pow_exceeds(base, t + 1, x):  # base**(t+1) <= x: can grow
         t += 1
     return t
+
+
+def _bounded_power(base: int, exponent: int, max_bits: int, what: str,
+                   advice: str = "") -> int:
+    """base**exponent, refused before it is formed if it passes ``max_bits``.
+
+    The size estimate is exponent * log2(base) in 32-bit fixed point.
+    """
+    approx_bits = (exponent * log2_fixed(base, 1, 32)) >> 32
+    if approx_bits > max_bits:
+        raise ResourceBudgetExceeded(
+            f"{what} needs ~{approx_bits} bits which exceeds the "
+            f"{max_bits}-bit budget{advice}")
+    return 1 << exponent if base == 2 else base**exponent
 
 
 def tail_digit(bound_exponent: int, base: int, mode: Mode, *,
@@ -240,14 +245,9 @@ def tail_digit(bound_exponent: int, base: int, mode: Mode, *,
     else:
         scaled = mode.scale * bound_exponent
         exponent = -(-scaled.numerator // scaled.denominator)
-    approx_bits = (exponent * log2_fixed(base, 1, 32)) >> 32
-    if approx_bits > max_bits:
-        raise ResourceBudgetExceeded(
-            f"tail digit needs ~{approx_bits} bits which exceeds the "
-            f"{max_bits}-bit budget; rerun in relaxed:<scale> or toy mode")
-    if base == 2:
-        return (1 << exponent) + 1 + offset
-    return base**exponent + 1 + offset
+    power = _bounded_power(base, exponent, max_bits, "tail digit",
+                           "; rerun in relaxed:<scale> or toy mode")
+    return power + 1 + offset
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,9 @@ def plan_block(q_prev: int, q_cur: int, base: int,
     prime-rich: q1's coprimality is exactly what the finiteness
     screening needs). Step 3: the discrete log of q1 mod q2, lifted
     until the power clears 2*q2; the recurrence then forces
-    ell3 = (base**k - q1)/q2 exactly.
+    ell3 = (base**k - q1)/q2 exactly. The power is refused with
+    :class:`ResourceBudgetExceeded` before it is formed when its size
+    estimate passes ``budget.tail_bits``.
     """
     if math.gcd(q_prev, q_cur) != 1:
         raise ValueError("consecutive denominators must be coprime")
@@ -285,9 +287,9 @@ def plan_block(q_prev: int, q_cur: int, base: int,
 
     ell1 = nt.coprimizing_multiplier(q_cur, q_prev, base * (q_cur - 1))
     q1 = ell1 * q_cur + q_prev
-    assert math.gcd(q1, base) == 1 and math.gcd(q1, q_cur - 1) == 1
-
-    assert nt.corollary_hypotheses(base, q1, q_cur)
+    if not nt.corollary_hypotheses(base, q1, q_cur):
+        raise RuntimeError(f"q1 = {brief(q1)} is not coprime to the base "
+                           "and to q_cur - 1")
     hit = nt.find_artin_prime(base, q1, q_cur % q1, budget.artin_limit,
                               effort=budget.factor_effort)
     ell2, q2 = hit.ell, hit.prime
@@ -295,12 +297,11 @@ def plan_block(q_prev: int, q_cur: int, base: int,
     k0 = nt.discrete_log(base, q1 % q2, q2,
                          max_table_entries=budget.bsgs_entries)
     k = nt.lift_exponent(base, q2, k0, 2 * q2)
-    q3 = base**k if base != 2 else 1 << k
+    q3 = _bounded_power(base, k, budget.tail_bits, f"power {base}**{k}")
     ell3, remainder = divmod(q3 - q1, q2)
-    assert remainder == 0, "power hit must divide exactly; dlog is broken"
-    assert ell3 >= 1
-    assert q3 == ell3 * q2 + q1
-    assert pure_power_exponent(q3, base) == k
+    if remainder or ell3 < 1:
+        raise RuntimeError(f"{base}**{k} - q1 is not a positive multiple of "
+                           f"the prime {q2}; the discrete log is broken")
     return BlockPlan(ell1=ell1, ell2=ell2, ell3=ell3, exponent=k,
                      q1=q1, q2=q2, q3=q3,
                      candidates_tested=hit.candidates_tested)
@@ -393,7 +394,10 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
             for d in seed_block(source, i, config.block_size):
                 emit(d)
             boundary = block_boundary(config.block_size, i)
-            assert len(digits) == boundary, (len(digits), boundary)
+            if len(digits) != boundary:
+                raise InputFormatError(
+                    f"seed source gave {len(digits)} digits where block {i} "
+                    f"ends at {boundary}")
             plan = plan_block(q_prev, q_cur, base, config.budget)
             bound = digit_count_bound(plan.q3, base)
             tail = tail_digit(bound, base, config.mode,
@@ -406,7 +410,9 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
         for d in (plan.ell1, plan.ell2, plan.ell3, tail):
             insertion_positions.append(len(digits) + 1)
             emit(d)
-        assert q_cur == tail * plan.q3 + plan.q2  # recurrence through the tail
+        if q_cur != tail * plan.q3 + plan.q2:
+            raise RuntimeError(f"block {i}: the emitted digits do not "
+                               "reproduce the planned denominators")
         certificates.append(BlockCertificate(
             index=i, base=base, block_end=boundary,
             inserted=(plan.ell1, plan.ell2, plan.ell3, tail),
@@ -441,13 +447,6 @@ class VerificationReport:
         return tuple(c for c in self.checks if c.required and c.passed is False)
 
 
-def _tail_exceeds(tail: int, base: int, exponent: int) -> bool:
-    """Exact test tail > base**exponent."""
-    if tail < 1:
-        return False
-    return not nt.pow_exceeds(base, exponent, tail - 1)
-
-
 def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
                        sample_window: int = 10_000) -> VerificationReport:
     """Recheck every certificate claim from the digit stream alone.
@@ -458,6 +457,18 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     tail digit, and agreement of the stream's base digits (pinched
     between cylinder endpoints) with the convergent's repeating-tail
     expansion. ``sample_window`` caps the digit comparison length.
+
+    The evidence uses integers only. With p3/q3 the convergent after
+    the third insertion and p4/q4 the one after the tail, let
+    det = p3*q4 - p4*q3 (+-1 by p_n q_{n-1} - p_{n-1} q_n = (-1)**(n-1)).
+    Every continuation lies between the cylinder endpoints p/q with
+    q in {q4, q4 + q3}, and each satisfies p*q3 - p3*q = -det, so
+    p3/q3 - p/q = det/(q3*q). Hence both endpoints sit below the
+    convergent iff det > 0, and both gaps are at most 1/(tail*q3**2)
+    iff det*tail*q3 <= q. The first s base digits of an endpoint are
+    floor(B*p/q) = c + (e*q - det*B) // (q3*q) with B = base**s and
+    c, e = divmod(p3*B, q3); this is exact for any det and q3, and each
+    division has a small quotient, so the cost is linear in tail bits.
     """
     checks: list[CheckResult] = []
 
@@ -499,15 +510,10 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     add("inserted_digits", inserted == cert.inserted,
         f"stream carries {brief(inserted)}")
 
-    walk = convergent_stream(digits[:n_i + 4])
-    p_at = {}
-    q_at = {}
-    q_at[0] = 1
-    p_at[0] = 0
-    for conv in walk:
-        if conv.index in (n_i - 1, n_i, n_i + 1, n_i + 2, n_i + 3, n_i + 4):
-            p_at[conv.index] = conv.p
-            q_at[conv.index] = conv.q
+    p_at, q_at = {0: 0}, {0: 1}
+    for conv in convergent_stream(digits[:n_i + 4]):
+        if conv.index >= n_i - 1:
+            p_at[conv.index], q_at[conv.index] = conv.p, conv.q
     qn_prev, qn = q_at[n_i - 1], q_at[n_i]
     q1, q2, q3, q4 = (q_at[n_i + 1], q_at[n_i + 2],
                       q_at[n_i + 3], q_at[n_i + 4])
@@ -544,32 +550,32 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     add("digit_bound", cert.digit_bound == k,
         "digit bound equals the power exponent")
 
-    tail_met = _tail_exceeds(tail, base, k * k)
+    tail_met = not nt.pow_exceeds(base, k * k, tail - 1)
     add("tail_bound", tail_met,
         f"tail {'exceeds' if tail_met else 'does not exceed'} "
         f"{base}**{k * k}",
         required=(mode.kind == MODE_PAPER))
 
-    # Abnormality evidence: the convergent after the third insertion.
-    r = Fraction(p_at[n_i + 3], q3)
-    endpoint_a = Fraction(p_at[n_i + 4], q4)
-    endpoint_b = Fraction(p_at[n_i + 4] + p_at[n_i + 3], q4 + q3)
-    lo, hi = min(endpoint_a, endpoint_b), max(endpoint_a, endpoint_b)
-
-    add("sign_parity", (n_i + 3) % 2 == 1 and hi < r,
+    # Abnormality evidence: the convergent p3/q3 after the third
+    # insertion and the cylinder the tail pins around it.
+    p3, p4 = p_at[n_i + 3], p_at[n_i + 4]
+    det = p3 * q4 - p4 * q3
+    add("sign_parity", (n_i + 3) % 2 == 1 and det > 0,
         "odd index, so the stream sits below its convergent")
 
-    gap_cap = Fraction(1, tail * q3 * q3)
-    add("gap_bound", r - lo <= gap_cap and r - hi <= gap_cap,
+    tail_q3 = tail * q3
+    add("gap_bound", det * tail_q3 <= q4 and det * tail_q3 <= q4 + q3,
         "cylinder lies within 1/(tail * q**2) of the convergent")
 
-    resolution_ok = _tail_exceeds(tail * q3 * q3, base, k * k)
+    scale = tail_q3 * q3
+    resolution_ok = not nt.pow_exceeds(base, k * k, scale - 1)
     add("gap_resolution", resolution_ok,
         f"gap bound {'is' if resolution_ok else 'is not'} below "
         f"{base}**-{k * k}",
         required=(mode.kind == MODE_PAPER))
 
     window = sample_window
+    r = Fraction(p3, q3)
     tail_span = min(k * k, window)
     if tail_span > k:
         r_digits = base_expansion(r, base, tail_span,
@@ -579,22 +585,25 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
             f"digits {k + 1}..{tail_span} of the convergent all equal "
             f"{base - 1}")
     else:
-        r_digits = base_expansion(r, base, max(k, 1),
-                                  NON_TERMINATING).digits
         add("radix_tail_structure", None,
             "window too small to sample past the terminating digits",
             required=False)
 
-    guaranteed = ilog_floor(tail * q3 * q3, base)
-    span = min(window, guaranteed)
-    lo_digits = base_expansion(lo, base, span).digits
-    hi_digits = base_expansion(hi, base, span).digits
+    span = min(window, ilog_floor(scale, base))
+    if span < 1:
+        raise ValueError(f"no base-{base} place is pinned: window {window}, "
+                         f"tail * q**2 = {brief(scale)}")
+    power = base**span
+    c, e = divmod(p3 * power, q3)
+    end_a, end_b = (digits_of_int(c + (e * q - det * power) // (q3 * q),
+                                  base, span)
+                    for q in (q4, q4 + q3))
     agreed = 0
-    for a, b in zip(lo_digits, hi_digits):
+    for a, b in zip(end_a, end_b):
         if a != b:
             break
         agreed += 1
-    y_digits = lo_digits[:agreed]
+    y_digits = end_a[:agreed]
     r_window = base_expansion(r, base, max(agreed, 1),
                               NON_TERMINATING).digits[:agreed]
     matched = 0

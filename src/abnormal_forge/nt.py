@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InfeasibleError, ResourceBudgetExceeded, SearchExhausted
 
@@ -423,22 +423,16 @@ def crt_min_solution(constraints: Sequence[tuple[int, ResidueSpec]], *,
     if combos > combination_limit:
         raise ResourceBudgetExceeded(
             f"{combos} residue combinations exceed the enumeration limit")
-    best: int | None = None
     total = math.prod(moduli)
 
-    def combine(idx: int, x: int, m: int) -> None:
-        nonlocal best
+    def solutions(idx: int, x: int, m: int) -> Iterator[int]:
         if idx == len(constraints):
-            value = x if x > 0 else total
-            if best is None or value < best:
-                best = value
+            yield x if x > 0 else total
             return
         for r in admitted[idx]:
-            combine(idx + 1, *_crt_pair(x, m, r, moduli[idx]))
+            yield from solutions(idx + 1, *_crt_pair(x, m, r, moduli[idx]))
 
-    combine(0, 0, 1)
-    assert best is not None
-    return best
+    return min(solutions(0, 0, 1))
 
 
 def coprimizing_multiplier(q: int, q_prev: int, avoid: int, *,
@@ -478,7 +472,9 @@ class LenstraVerdict:
     discriminant: int
 
     def __post_init__(self):
-        assert self.finite == (self.condition is not None)
+        if self.finite != (self.condition is not None):
+            raise ValueError("a finite verdict needs a condition and an "
+                             "infinite one none")
 
 
 def lenstra_finiteness(g: int, f: int, a: int) -> LenstraVerdict:
@@ -665,16 +661,18 @@ def discrete_log(g: int, h: int, p: int, *,
 def pow_exceeds(g: int, exponent: int, bound: int) -> bool:
     """Exact test g**exponent > bound without materializing huge powers.
 
-    Bit-length bounds settle most cases; the ambiguous band falls back
-    to exact arithmetic (only reachable when g**exponent is within a
-    factor ~2 of bound, hence of comparable size).
+    A power of two g = 2**s is decided by bit lengths alone: 2**(s*e)
+    exceeds bound exactly when s*e >= bound.bit_length(). For other g,
+    bit-length bounds settle most cases and the ambiguous band falls
+    back to exact arithmetic (only reachable when g**exponent is within
+    a factor ~2 of bound, hence of comparable size).
     """
     if g < 2:
         raise ValueError("g must be >= 2")
-    if exponent == 0:
-        return bound < 1
     gl = g.bit_length()
     bl = bound.bit_length() if bound > 0 else 0
+    if g & (g - 1) == 0:
+        return (gl - 1) * exponent >= bl
     if (gl - 1) * exponent >= bl:
         return True  # g**e >= 2**((gl-1)*e) >= 2**bl > bound
     if gl * exponent <= bl - 1:

@@ -27,7 +27,7 @@ class BaseDigits:
     convention: str
 
 
-def _digits_of_int(value: int, base: int, places: int) -> tuple[int, ...]:
+def digits_of_int(value: int, base: int, places: int) -> tuple[int, ...]:
     """``places`` base-``base`` digits of value, most significant first."""
     if base == 2:
         bits = bin(value)[2:] if value else ""
@@ -65,7 +65,7 @@ def base_expansion(x: Fraction, base: int, places: int,
         prefix = -(-scaled // x.denominator) - 1  # ceil(x * b**places) - 1
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    return BaseDigits(base=base, digits=_digits_of_int(prefix, base, places),
+    return BaseDigits(base=base, digits=digits_of_int(prefix, base, places),
                       convention=convention)
 
 

@@ -33,6 +33,7 @@ the exact integer comparisons decide every digit.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -81,41 +82,22 @@ def _interval_measure64(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> i
     return log2_fixed(num, den, 64)
 
 
-_marginal: dict[int, int] = {}
-_state_measure: dict[int, int] = {}
-_conditional: dict[tuple[int, int], int] = {}
-_CACHE_LIMIT = 1 << 20
-
-
+@functools.lru_cache(maxsize=1 << 20)
 def _threshold(m: int) -> int:
     """Marginal CDF boundary T(m): 2**64 * log2(1 + 1/m), truncated."""
-    cached = _marginal.get(m)
-    if cached is None:
-        cached = log2_fixed(m + 1, m, 64)
-        if len(_marginal) < _CACHE_LIMIT:
-            _marginal[m] = cached
-    return cached
+    return log2_fixed(m + 1, m, 64)
 
 
+@functools.lru_cache(maxsize=1 << 20)
 def _measure_of_state(j: int) -> int:
     """Fixed-point Gauss measure of the one-digit cylinder of j."""
-    cached = _state_measure.get(j)
-    if cached is None:
-        cached = _interval_measure64(1, j + 1, 1, j)
-        if len(_state_measure) < _CACHE_LIMIT:
-            _state_measure[j] = cached
-    return cached
+    return _interval_measure64(1, j + 1, 1, j)
 
 
+@functools.lru_cache(maxsize=1 << 20)
 def _tail_weight(j: int, m: int) -> int:
     """Fixed-point measure of the part of j's cylinder with next digit >= m."""
-    key = (j, m)
-    cached = _conditional.get(key)
-    if cached is None:
-        cached = _interval_measure64(m, j * m + 1, 1, j)
-        if len(_conditional) < _CACHE_LIMIT:
-            _conditional[key] = cached
-    return cached
+    return _interval_measure64(m, j * m + 1, 1, j)
 
 
 def digit_from_unit(u_fixed: int, cap: int = DEFAULT_DIGIT_CAP) -> int:
@@ -239,37 +221,10 @@ def _parse_refused_line(line: str, lineno: int) -> int:
                                line=lineno) from None
 
 
-class FileDigitSource:
-    """Seed digits read from a digit file (one per line, ``#`` comments allowed)."""
-
-    def __init__(self, path):
-        self.path = str(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            self._digits = parse_digit_file(fh)
-        self.position = 0
-
-    def __len__(self) -> int:
-        return len(self._digits)
-
-    def next_digits(self, count: int) -> list[int]:
-        if self.position + count > len(self._digits):
-            raise InputFormatError(
-                f"digit file {self.path} exhausted: needed {count} more digits "
-                f"at position {self.position}, only "
-                f"{len(self._digits) - self.position} remain")
-        out = self._digits[self.position:self.position + count]
-        self.position += count
-        return out
-
-    def descriptor(self) -> dict:
-        import hashlib
-        with open(self.path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        return {"kind": "file", "path": self.path, "sha256": digest}
-
-
 class ListDigitSource:
     """In-memory digit source, mainly for tests and library use."""
+
+    _name = "digit list"
 
     def __init__(self, digits):
         self._digits = list(digits)
@@ -283,11 +238,28 @@ class ListDigitSource:
     def next_digits(self, count: int) -> list[int]:
         if self.position + count > len(self._digits):
             raise InputFormatError(
-                f"digit list exhausted: needed {count} more digits at "
-                f"position {self.position}")
+                f"{self._name} exhausted: needed {count} more digits at "
+                f"position {self.position}, only "
+                f"{len(self._digits) - self.position} remain")
         out = self._digits[self.position:self.position + count]
         self.position += count
         return out
 
     def descriptor(self) -> dict:
         return {"kind": "list", "length": len(self._digits)}
+
+
+class FileDigitSource(ListDigitSource):
+    """Seed digits read from a digit file (one per line, ``#`` comments allowed)."""
+
+    def __init__(self, path):
+        self.path = str(path)
+        self._name = f"digit file {self.path}"
+        with open(path, "r", encoding="utf-8") as fh:
+            super().__init__(parse_digit_file(fh))
+
+    def descriptor(self) -> dict:
+        import hashlib
+        with open(self.path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        return {"kind": "file", "path": self.path, "sha256": digest}

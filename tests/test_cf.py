@@ -106,6 +106,15 @@ def test_cylinder_nesting_and_width_decay():
         inner = cylinder_interval(digits + [rng.randint(1, 8)])
         assert outer.lo <= inner.lo and inner.hi <= outer.hi
         assert inner.width() < outer.width()
+        # Reference: the endpoints are the string's value and the value
+        # with its last digit raised, and the width is 1/(q_n (q_n + q_{n-1})).
+        a = cf_to_rational(digits)
+        b = cf_to_rational(digits[:-1] + [digits[-1] + 1])
+        assert (outer.lo, outer.hi) == (min(a, b), max(a, b))
+        q_prev, q = 0, 1
+        for conv in convergent_stream(digits):
+            q_prev, q = q, conv.q
+        assert outer.width() == Fraction(1, q * (q + q_prev))
 
 
 def test_gauss_measure_examples():

@@ -1,16 +1,24 @@
+import ast
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from abnormal_forge import (ConstructionAborted, ConstructionConfig, Mode,
+import abnormal_forge
+from abnormal_forge import (BlockCertificate, ConstructionAborted,
+                            ConstructionConfig, Mode,
                             ResourceBudgetExceeded, SearchBudget,
-                            SearchExhausted, base_schedule, block_boundary,
-                            construct, count_occurrences, digit_count_bound,
+                            SearchExhausted, base_expansion, base_schedule,
+                            block_boundary, construct, convergent_stream,
+                            count_occurrences, digit_count_bound,
                             insertion_density, plan_block,
                             pure_power_exponent, seed_block, tail_digit,
                             verify_certificate)
 from abnormal_forge.nt import is_perfect_square
+from abnormal_forge.radix import NON_TERMINATING
 from abnormal_forge.seed import ListDigitSource, RngDigitSource
 
 from conftest import WORKED_SEED
@@ -64,6 +72,13 @@ def test_plan_block_rejects_square_base():
         plan_block(10, 13, 4)
     with pytest.raises(ValueError):
         plan_block(10, 13, 9)
+
+
+def test_plan_block_refuses_a_power_past_the_budget():
+    # The worked block's power is 2**15: an estimated 15 bits.
+    with pytest.raises(ResourceBudgetExceeded):
+        plan_block(10, 13, 2, SearchBudget(tail_bits=14))
+    assert plan_block(10, 13, 2, SearchBudget(tail_bits=15)).q3 == 2**15
 
 
 def test_plan_block_rejects_bad_denominators():
@@ -287,6 +302,102 @@ def test_verify_rejects_index_beyond_stream_at_once(worked_number, index):
     report = verify_certificate(bad, worked_number.digits_through_blocks)
     assert not report.passed
     assert [c.name for c in report.checks] == ["block_layout"]
+
+
+def _common_prefix(a, b) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+@st.composite
+def _evidence_cases(draw):
+    """A random stream with a block ending at n_i, and certificate claims.
+
+    The claimed tail is the stream's own or a tampered one; the claimed
+    exponent ranges past the window so that spans below k occur, and a
+    window of 0 pins no place.
+    """
+    n_i = draw(st.integers(1, 9))
+    digits = draw(st.lists(st.integers(1, 60), min_size=n_i + 3,
+                           max_size=n_i + 3))
+    stream_tail = draw(st.integers(1, 1 << 300))
+    tail = draw(st.one_of(st.just(stream_tail), st.integers(1, 1 << 300)))
+    base = draw(st.sampled_from([2, 3, 5, 6, 8, 10]))
+    k = draw(st.integers(0, 40))
+    window = draw(st.integers(0, 400))
+    return digits + [stream_tail], n_i, tail, base, k, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(_evidence_cases())
+@example(([1, 2, 3, 1, 1, 2, 555, (1 << 225) + 1], 4, (1 << 225) + 1,
+          2, 15, 10_000))
+@example(([1, 2, 3, 1, 1, 2, 555, (1 << 225) + 1], 4, 1 << 225, 2, 15, 10))
+@example(([2, 1, 1, 3, 1, 7, 1 << 90], 3, 1 << 90, 3, 20, 50))
+@example(([1, 1, 1, 1, 1], 1, 1, 10, 1, 5))
+@example(([1, 1, 1, 1, 1], 1, 1, 10, 1, 0))
+def test_evidence_matches_fraction_reference(case):
+    """Integer evidence checks agree with Fraction arithmetic on any stream."""
+    digits, n_i, tail, base, k, window = case
+    cert = BlockCertificate(
+        index=1, base=base, block_end=n_i,
+        inserted=tuple(digits[n_i:n_i + 3]) + (tail,),
+        denoms_before=(0, 0), denoms_after=(0, 0, 0), prime=0,
+        exponent=k, digit_bound=k, mode="paper")
+
+    # Reference: the cylinder endpoints and the convergent as Fractions.
+    convs = {c.index: c for c in convergent_stream(digits)}
+    p3, q3 = convs[n_i + 3].p, convs[n_i + 3].q
+    p4, q4 = convs[n_i + 4].p, convs[n_i + 4].q
+    r = Fraction(p3, q3)
+    lo, hi = sorted([Fraction(p4, q4), Fraction(p4 + p3, q4 + q3)])
+    cap = Fraction(1, tail * q3 * q3)
+    guaranteed = 0
+    while base ** (guaranteed + 1) <= tail * q3 * q3:
+        guaranteed += 1
+    span = min(window, guaranteed)
+    if span < 1:
+        with pytest.raises(ValueError):
+            verify_certificate(cert, digits, sample_window=window)
+        return
+    report = verify_certificate(cert, digits, sample_window=window)
+    checks = {c.name: c for c in report.checks}
+
+    assert checks["sign_parity"].passed == ((n_i + 3) % 2 == 1 and hi < r)
+    assert checks["gap_bound"].passed == (r - lo <= cap and r - hi <= cap)
+
+    lo_digits = base_expansion(lo, base, span).digits
+    hi_digits = base_expansion(hi, base, span).digits
+    agreed = _common_prefix(lo_digits, hi_digits)
+    y_digits = lo_digits[:agreed]
+    r_digits = base_expansion(r, base, max(agreed, 1),
+                              NON_TERMINATING).digits[:agreed]
+    match = checks["radix_window_match"]
+    assert match.passed == (_common_prefix(y_digits, r_digits) == agreed)
+    assert f"all {agreed} pinched places (window {span})" in match.detail
+
+    probe = min(k * k, window)
+    differing = checks["window_differing_bound"]
+    if agreed >= probe:
+        count = sum(1 for d in y_digits[:probe] if d != base - 1)
+        assert differing.passed == (count <= k)
+        assert differing.detail.startswith(f"{count} of the first {probe} ")
+    else:
+        assert differing.passed is None
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements; invariants must raise instead.
+    package = Path(abnormal_forge.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_verify_requires_enough_digits(worked_number):

@@ -396,6 +396,33 @@ def test_cli_construct_toy_multi_block_flushes_partial(tmp_path, capsys):
     assert len(certs) == 1  # block 1 completed and is preserved
 
 
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cli_construct_refuses_an_unbounded_power(tmp_path):
+    # Sampler seed 14 with ten-digit blocks lands on the prime
+    # 50,912,008,093 and an exponent k near 4.3e10, so 2**k would take
+    # ~5.4 GB. The budget check refuses it before it is formed: exit 3,
+    # partial outputs flushed. The child runs under a 1 GiB address-space
+    # cap, so a regression fails here instead of exhausting memory.
+    digits = tmp_path / "y.cf"
+    cert = tmp_path / "y.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "abnormal_forge.cli", "construct",
+         "--seed-rng", "14", "--block-size", "10", "--blocks", "1",
+         "--mode", "paper", "--out-digits", str(digits),
+         "--out-cert", str(cert)],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=_cap_address_space)
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "block 1 failed" in result.stderr
+    assert read_digit_file(digits)[1]["partial"] is True
+    assert read_certificate_file(cert)[0] == []
+
+
 def test_cli_analyze_cf(tmp_path, capsys):
     path = tmp_path / "digits.cf"
     path.write_text("".join("1\n" for _ in range(60)), encoding="utf-8")

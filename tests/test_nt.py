@@ -401,6 +401,14 @@ def test_pow_exceeds_boundaries():
     assert not pow_exceeds(3, 5, 243)
     assert pow_exceeds(2, 10**7, 10)        # settled by bit lengths alone
     assert not pow_exceeds(2, 3, 1 << 40)
+    # Powers of two are decided from bit lengths alone; check them at
+    # the exact power and one either side.
+    for g in (2, 4, 8, 1024):
+        for e in (0, 1, 2, 3, 7, 64, 1000, 10**4, 10**5):
+            power = g**e
+            assert pow_exceeds(g, e, power - 1), (g, e)
+            assert not pow_exceeds(g, e, power), (g, e)
+            assert not pow_exceeds(g, e, power + 1), (g, e)
 
 
 def test_kronecker_examples():
