@@ -379,19 +379,21 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
     digits: list[int] = []
     certificates: list[BlockCertificate] = []
     insertion_positions: list[int] = []
-    p_prev, p_cur = 1, 0
     q_prev, q_cur = 0, 1
 
     def emit(d: int) -> None:
-        nonlocal p_prev, p_cur, q_prev, q_cur
+        nonlocal q_prev, q_cur
         digits.append(d)
-        p_prev, p_cur = p_cur, d * p_cur + p_prev
         q_prev, q_cur = q_cur, d * q_cur + q_prev
 
     for i in range(1, config.blocks + 1):
         base = base_schedule(i)
         try:
-            for d in seed_block(source, i, config.block_size):
+            block = seed_block(source, i, config.block_size)
+            if certificates:
+                # The previous tail enters the recurrence only now.
+                q_prev, q_cur = q_cur, digits[-1] * q_cur + q_prev
+            for d in block:
                 emit(d)
             boundary = block_boundary(config.block_size, i)
             if len(digits) != boundary:
@@ -407,12 +409,14 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
             raise ConstructionAborted(exc, i, digits, certificates,
                                       insertion_positions) from exc
         before = (q_prev, q_cur)
-        for d in (plan.ell1, plan.ell2, plan.ell3, tail):
+        for d in (plan.ell1, plan.ell2, plan.ell3):
             insertion_positions.append(len(digits) + 1)
             emit(d)
-        if q_cur != tail * plan.q3 + plan.q2:
+        if (q_prev, q_cur) != (plan.q2, plan.q3):
             raise RuntimeError(f"block {i}: the emitted digits do not "
                                "reproduce the planned denominators")
+        insertion_positions.append(len(digits) + 1)
+        digits.append(tail)
         certificates.append(BlockCertificate(
             index=i, base=base, block_end=boundary,
             inserted=(plan.ell1, plan.ell2, plan.ell3, tail),
@@ -458,17 +462,32 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     between cylinder endpoints) with the convergent's repeating-tail
     expansion. ``sample_window`` caps the digit comparison length.
 
-    The evidence uses integers only. With p3/q3 the convergent after
-    the third insertion and p4/q4 the one after the tail, let
-    det = p3*q4 - p4*q3 (+-1 by p_n q_{n-1} - p_{n-1} q_n = (-1)**(n-1)).
+    The evidence uses small integers only: no product with the tail
+    digit is formed unless the tail misses the bound it claims. With
+    p2/q2 and p3/q3 the convergents after the second and third
+    insertions, let det = p3*q2 - p2*q3 (+-1 by p_n q_{n-1} - p_{n-1} q_n
+    = (-1)**(n-1)). For a stream tail T_s, the convergent after it is
+    p4/q4 with q4 = T_s*q3 + q2, and p3*q4 - p4*q3 = det for every T_s.
     Every continuation lies between the cylinder endpoints p/q with
     q in {q4, q4 + q3}, and each satisfies p*q3 - p3*q = -det, so
     p3/q3 - p/q = det/(q3*q). Hence both endpoints sit below the
-    convergent iff det > 0, and both gaps are at most 1/(tail*q3**2)
-    iff det*tail*q3 <= q. The first s base digits of an endpoint are
-    floor(B*p/q) = c + (e*q - det*B) // (q3*q) with B = base**s and
-    c, e = divmod(p3*B, q3); this is exact for any det and q3, and each
-    division has a small quotient, so the cost is linear in tail bits.
+    convergent iff det > 0. Both gaps are at most 1/(T*q3**2) for the
+    claimed tail T iff det*T*q3 <= q4 and <= q4 + q3; as 0 < q2 < q3,
+    that is det*T <= T_s. The claimed gap resolution T*q3**2 >
+    base**(k*k) follows from the tail bound T > base**(k*k) with no
+    product. The first s base digits of an endpoint are floor(B*p/q)
+    = c + (e*q - det*B) // (q3*q) with B = base**s and c, e =
+    divmod(p3*B, q3), exact for any det and q3.
+
+    Both tails enter the pinched digits clamped to 2**cap_bits, with
+    cap_bits = window * base.bit_length(), so 2**cap_bits > base**window
+    >= B; a clamped tail is never larger than the tail itself. Past the
+    clamp nothing changes: s = min(window, floor(log_base(T*q3**2))) is
+    the window once T >= base**window, and once q > B the quotient
+    (e*q - det*B) // (q3*q) is 0, or -1 when det = 1 and e = 0, whatever
+    q is. A claimed tail below 1 pins no place, so the report ends
+    before the pinched-digit checks; an unscheduled base ends it after
+    ``scheduled_base``, so every power formed here is of a scheduled base.
     """
     checks: list[CheckResult] = []
 
@@ -498,6 +517,10 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     scheduled = base_schedule(i)
     add("scheduled_base", base == scheduled,
         f"block {i} is scheduled for base {scheduled}")
+    if base != scheduled:
+        # Every later power of the base would be sized by the claim alone.
+        return VerificationReport(index=i, checks=tuple(checks),
+                                  tail_bound_met=False)
 
     if len(digits) < n_i + 4:
         add("stream_length", False,
@@ -510,13 +533,15 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     add("inserted_digits", inserted == cert.inserted,
         f"stream carries {brief(inserted)}")
 
-    p_at, q_at = {0: 0}, {0: 1}
-    for conv in convergent_stream(digits[:n_i + 4]):
+    p_at, q_at = {}, {0: 1}
+    for conv in convergent_stream(digits[:n_i + 3]):
         if conv.index >= n_i - 1:
             p_at[conv.index], q_at[conv.index] = conv.p, conv.q
     qn_prev, qn = q_at[n_i - 1], q_at[n_i]
-    q1, q2, q3, q4 = (q_at[n_i + 1], q_at[n_i + 2],
-                      q_at[n_i + 3], q_at[n_i + 4])
+    q1, q2, q3 = q_at[n_i + 1], q_at[n_i + 2], q_at[n_i + 3]
+    stream_tail = digits[n_i + 3]
+    if stream_tail < 1:
+        raise ValueError(f"partial quotient must be >= 1, got {stream_tail}")
     ell1, ell2, ell3, tail = cert.inserted
 
     add("denominators_before", (qn_prev, qn) == cert.denoms_before,
@@ -558,17 +583,17 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
 
     # Abnormality evidence: the convergent p3/q3 after the third
     # insertion and the cylinder the tail pins around it.
-    p3, p4 = p_at[n_i + 3], p_at[n_i + 4]
-    det = p3 * q4 - p4 * q3
+    p2, p3 = p_at[n_i + 2], p_at[n_i + 3]
+    det = p3 * q2 - p2 * q3
     add("sign_parity", (n_i + 3) % 2 == 1 and det > 0,
         "odd index, so the stream sits below its convergent")
 
-    tail_q3 = tail * q3
-    add("gap_bound", det * tail_q3 <= q4 and det * tail_q3 <= q4 + q3,
+    add("gap_bound",
+        tail <= stream_tail if det > 0 else -stream_tail <= tail,
         "cylinder lies within 1/(tail * q**2) of the convergent")
 
-    scale = tail_q3 * q3
-    resolution_ok = not nt.pow_exceeds(base, k * k, scale - 1)
+    resolution_ok = tail_met or not nt.pow_exceeds(base, k * k,
+                                                   tail * q3 * q3 - 1)
     add("gap_resolution", resolution_ok,
         f"gap bound {'is' if resolution_ok else 'is not'} below "
         f"{base}**-{k * k}",
@@ -589,12 +614,25 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
             "window too small to sample past the terminating digits",
             required=False)
 
-    span = min(window, ilog_floor(scale, base))
+    if tail < 1:
+        # A claimed gap bound of 1/(tail * q**2) <= 0 pins no place.
+        return VerificationReport(index=i, checks=tuple(checks),
+                                  tail_bound_met=tail_met)
+
+    # Past 2**cap_bits > base**window no tail changes a verdict or a
+    # detail; a window below 1 raises below, max() only keeps 1 << valid.
+    cap_bits = max(window, 1) * base.bit_length()
+
+    def clamp(t: int) -> int:
+        return t if t.bit_length() <= cap_bits else 1 << cap_bits
+
+    span = min(window, ilog_floor(clamp(tail) * q3 * q3, base))
     if span < 1:
         raise ValueError(f"no base-{base} place is pinned: window {window}, "
-                         f"tail * q**2 = {brief(scale)}")
+                         f"tail * q**2 = {brief(tail * q3 * q3)}")
     power = base**span
     c, e = divmod(p3 * power, q3)
+    q4 = clamp(stream_tail) * q3 + q2
     end_a, end_b = (digits_of_int(c + (e * q - det * power) // (q3 * q),
                                   base, span)
                     for q in (q4, q4 + q3))

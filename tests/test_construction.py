@@ -1,7 +1,10 @@
 import ast
 import dataclasses
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +15,9 @@ from abnormal_forge import (BlockCertificate, ConstructionAborted,
                             ConstructionConfig, Mode,
                             ResourceBudgetExceeded, SearchBudget,
                             SearchExhausted, base_expansion, base_schedule,
-                            block_boundary, construct, convergent_stream,
-                            count_occurrences, digit_count_bound,
-                            insertion_density, plan_block,
+                            block_boundary, construct, construction,
+                            convergent_stream, count_occurrences,
+                            digit_count_bound, insertion_density, plan_block,
                             pure_power_exponent, seed_block, tail_digit,
                             verify_certificate)
 from abnormal_forge.nt import is_perfect_square
@@ -304,6 +307,49 @@ def test_verify_rejects_index_beyond_stream_at_once(worked_number, index):
     assert [c.name for c in report.checks] == ["block_layout"]
 
 
+def test_verify_stops_after_an_unscheduled_base(worked_number):
+    # Every later power is sized by the claimed base: expanding the
+    # convergent to 10,000 places of base 10**100 + 1 would take seconds.
+    bad = dataclasses.replace(worked_number.certificates[0],
+                              base=10**100 + 1, exponent=100)
+    report = verify_certificate(bad, worked_number.digits_through_blocks)
+    assert not report.passed
+    assert [c.name for c in report.checks] == ["block_layout", "scheduled_base"]
+
+
+@pytest.mark.parametrize("tail", [0, -5])
+def test_verify_fails_a_claimed_tail_below_one(worked_number, tail):
+    cert = worked_number.certificates[0]
+    bad = dataclasses.replace(cert, inserted=cert.inserted[:3] + (tail,))
+    report = verify_certificate(bad, worked_number.digits_through_blocks)
+    assert not report.passed and not report.tail_bound_met
+    assert {c.name for c in report.failures} == {
+        "inserted_digits", "tail_bound", "gap_resolution"}
+    # Such a tail bounds no gap, so no place is pinned or compared.
+    assert report.checks[-1].name == "radix_tail_structure"
+
+
+def test_verify_allocates_little_beyond_the_tail():
+    # The worked block with a 2**24-bit paper tail (2 MiB). Verify forms
+    # one tail-sized temporary, the tail - 1 of the tail-bound comparison,
+    # so its peak allocation stays near the tail's own size.
+    config = ConstructionConfig(block_size=4, blocks=1,
+                                mode=Mode.parse("paper"),
+                                tail_offset=1 << (1 << 24))
+    number = construct(config, ListDigitSource(WORKED_SEED))
+    cert = number.certificates[0]
+    digits = number.digits_through_blocks
+    tail_bytes = sys.getsizeof(cert.inserted[3])
+    tracemalloc.start()
+    try:
+        report = verify_certificate(cert, digits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.tail_bound_met
+    assert peak < 2 * tail_bytes
+
+
 def _common_prefix(a, b) -> int:
     n = 0
     for x, y in zip(a, b):
@@ -317,27 +363,43 @@ def _common_prefix(a, b) -> int:
 def _evidence_cases(draw):
     """A random stream with a block ending at n_i, and certificate claims.
 
-    The claimed tail is the stream's own or a tampered one; the claimed
-    exponent ranges past the window so that spans below k occur, and a
-    window of 0 pins no place.
+    Stream tails fall anywhere below 2**300, just below, at and above
+    the verifier's clamp 2**(window * base.bit_length()), or past 2**300
+    (with windows small enough to put the clamp below them). The claimed
+    tail is the stream's own, one off, a multiple or a fraction of it,
+    unrelated, or below 1. The claimed exponent ranges past the window
+    so that spans below k occur, and a window of 0 pins no place.
     """
     n_i = draw(st.integers(1, 9))
     digits = draw(st.lists(st.integers(1, 60), min_size=n_i + 3,
                            max_size=n_i + 3))
-    stream_tail = draw(st.integers(1, 1 << 300))
-    tail = draw(st.one_of(st.just(stream_tail), st.integers(1, 1 << 300)))
     base = draw(st.sampled_from([2, 3, 5, 6, 8, 10]))
+    window = draw(st.one_of(st.integers(0, 400), st.integers(0, 12)))
+    clamp = 1 << (max(window, 1) * base.bit_length())
+    stream_tail = draw(st.one_of(
+        st.integers(1, 1 << 300),
+        st.sampled_from([clamp - 1, clamp, clamp + 1]),
+        st.integers(1 << 300, 1 << 2000)))
+    factor = draw(st.integers(2, 1 << 64))
+    tail = draw(st.sampled_from([
+        stream_tail, stream_tail + 1, stream_tail - 1,
+        stream_tail * factor, stream_tail // factor,
+        draw(st.integers(1, 1 << 300)),
+        0, -5, -stream_tail, -stream_tail - 1]))
     k = draw(st.integers(0, 40))
-    window = draw(st.integers(0, 400))
     return digits + [stream_tail], n_i, tail, base, k, window
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_evidence_cases())
 @example(([1, 2, 3, 1, 1, 2, 555, (1 << 225) + 1], 4, (1 << 225) + 1,
           2, 15, 10_000))
 @example(([1, 2, 3, 1, 1, 2, 555, (1 << 225) + 1], 4, 1 << 225, 2, 15, 10))
+@example(([1, 2, 3, 1, 1, 2, 555, (1 << 225) + 1], 4, (1 << 225) + 2,
+          2, 15, 10))
 @example(([2, 1, 1, 3, 1, 7, 1 << 90], 3, 1 << 90, 3, 20, 50))
+@example(([2, 1, 1, 3, 1, 7, 1 << 100], 3, 1 << 100, 3, 20, 50))
+@example(([2, 1, 1, 3, 1, 7, (1 << 100) + 1], 3, 1 << 100, 3, 20, 50))
 @example(([1, 1, 1, 1, 1], 1, 1, 10, 1, 5))
 @example(([1, 1, 1, 1, 1], 1, 1, 10, 1, 0))
 def test_evidence_matches_fraction_reference(case):
@@ -349,26 +411,36 @@ def test_evidence_matches_fraction_reference(case):
         denoms_before=(0, 0), denoms_after=(0, 0, 0), prime=0,
         exponent=k, digit_bound=k, mode="paper")
 
-    # Reference: the cylinder endpoints and the convergent as Fractions.
+    # Reference: the cylinder endpoints and the convergent as Fractions,
+    # with p4/q4 formed from the full stream tail.
     convs = {c.index: c for c in convergent_stream(digits)}
     p3, q3 = convs[n_i + 3].p, convs[n_i + 3].q
     p4, q4 = convs[n_i + 4].p, convs[n_i + 4].q
     r = Fraction(p3, q3)
     lo, hi = sorted([Fraction(p4, q4), Fraction(p4 + p3, q4 + q3)])
-    cap = Fraction(1, tail * q3 * q3)
+    scale = tail * q3 * q3   # the claimed gap bound is 1/scale
     guaranteed = 0
-    while base ** (guaranteed + 1) <= tail * q3 * q3:
+    while base ** (guaranteed + 1) <= scale:
         guaranteed += 1
     span = min(window, guaranteed)
-    if span < 1:
-        with pytest.raises(ValueError):
-            verify_certificate(cert, digits, sample_window=window)
-        return
-    report = verify_certificate(cert, digits, sample_window=window)
+    # The evidence does not depend on which block a base is scheduled for.
+    with mock.patch.object(construction, "base_schedule", lambda i: base):
+        if tail >= 1 and span < 1:
+            with pytest.raises(ValueError):
+                verify_certificate(cert, digits, sample_window=window)
+            return
+        report = verify_certificate(cert, digits, sample_window=window)
     checks = {c.name: c for c in report.checks}
 
     assert checks["sign_parity"].passed == ((n_i + 3) % 2 == 1 and hi < r)
-    assert checks["gap_bound"].passed == (r - lo <= cap and r - hi <= cap)
+    assert checks["gap_bound"].passed == ((r - lo) * scale <= 1
+                                          and (r - hi) * scale <= 1)
+    assert report.tail_bound_met == (tail > base ** (k * k))
+    assert checks["gap_resolution"].passed == (scale > base ** (k * k))
+    if tail < 1:
+        # A claimed tail below 1 pins no place.
+        assert report.checks[-1].name == "radix_tail_structure"
+        return
 
     lo_digits = base_expansion(lo, base, span).digits
     hi_digits = base_expansion(hi, base, span).digits
@@ -436,6 +508,66 @@ def test_multi_block_aborts_with_partial_results():
     assert isinstance(aborted.cause, (ResourceBudgetExceeded, SearchExhausted))
     report = verify_certificate(aborted.certificates[0], aborted.digits)
     assert report.passed
+
+
+def test_later_block_is_planned_from_the_emitted_stream(monkeypatch):
+    # Block 1's tail enters the recurrence only when block 2 starts; block
+    # 2 must still be planned from the denominators of the emitted stream.
+    calls = []
+    real_plan_block = construction.plan_block
+
+    def spy(q_prev, q_cur, base, budget=construction.DEFAULT_BUDGET):
+        calls.append((q_prev, q_cur, base))
+        return real_plan_block(q_prev, q_cur, base, budget)
+
+    monkeypatch.setattr(construction, "plan_block", spy)
+    config = ConstructionConfig(
+        block_size=4, blocks=2, mode=Mode.parse("toy"),
+        budget=SearchBudget(artin_limit=500, bsgs_entries=1 << 20,
+                            factor_effort=1 << 16, tail_bits=1 << 24))
+    with pytest.raises(ConstructionAborted) as info:
+        construct(config, RngDigitSource(42))
+    digits = info.value.digits
+    q = {c.index: c.q for c in convergent_stream(digits)}
+    assert [base for _, _, base in calls] == [2, 2]
+    for i, (q_prev, q_cur, _) in enumerate(calls, start=1):
+        end = block_boundary(4, i)
+        assert (q_prev, q_cur) == (q[end - 1], q[end])
+    assert len(digits) == block_boundary(4, 2)
+
+
+class _InertTail(int):
+    """A tail digit that refuses arithmetic, so construct can only place it."""
+
+    def _refuse(self, other):
+        raise AssertionError("construct did arithmetic with the tail digit")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse
+
+
+@pytest.mark.parametrize("ell3_shift", [0, 1])
+def test_construct_never_multiplies_the_tail(monkeypatch, ell3_shift):
+    # The plan is checked from q2 and q3 before the tail is placed, so an
+    # ell3 that does not reproduce q3 is caught without the tail, and a
+    # good plan ends in the tail with no product formed from it.
+    real_plan_block = construction.plan_block
+
+    def shifted_plan(*args):
+        plan = real_plan_block(*args)
+        return dataclasses.replace(plan, ell3=plan.ell3 + ell3_shift)
+
+    monkeypatch.setattr(construction, "plan_block", shifted_plan)
+    monkeypatch.setattr(construction, "tail_digit",
+                        lambda *args, **kwargs: _InertTail(2**225 + 1))
+    config = ConstructionConfig(block_size=4, blocks=1,
+                                mode=Mode.parse("paper"))
+    if ell3_shift:
+        with pytest.raises(RuntimeError, match="do not reproduce"):
+            construct(config, ListDigitSource(WORKED_SEED))
+    else:
+        number = construct(config, ListDigitSource(WORKED_SEED))
+        assert number.digits_through_blocks == [1, 2, 3, 1, 1, 2, 555,
+                                                2**225 + 1]
 
 
 def test_certificate_is_frozen(worked_number):

@@ -347,6 +347,26 @@ def test_cli_verify_detects_tampering(tmp_path, capsys):
     assert "inserted_digits" in failed
 
 
+@pytest.mark.parametrize("tail", ["0", "-5"])
+def test_cli_verify_fails_a_claimed_tail_below_one(tmp_path, capsys, tail):
+    seed = _write_seed(tmp_path)
+    digits = tmp_path / "y.cf"
+    cert = tmp_path / "y.json"
+    main(["construct", "--seed-file", str(seed), "--block-size", "4",
+          "--blocks", "1", "--mode", "paper",
+          "--out-digits", str(digits), "--out-cert", str(cert)])
+    payload = json.loads(cert.read_text())
+    payload["blocks"][0]["inserted"][3] = tail
+    cert.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    failed = {c["name"] for b in json.loads(captured.out)["blocks"]
+              for c in b["checks"] if c["passed"] is False}
+    assert {"inserted_digits", "tail_bound"} <= failed
+
+
 def test_cli_verify_exit_2_on_truncated_digits(tmp_path, capsys):
     seed = _write_seed(tmp_path)
     digits = tmp_path / "y.cf"
