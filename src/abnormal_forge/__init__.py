@@ -19,9 +19,9 @@ from .construction import (BlockCertificate, BlockPlan, CheckResult,
                            ConstructedNumber, ConstructionAborted,
                            ConstructionConfig, InsertionDensity, Mode,
                            SearchBudget, VerificationReport, base_schedule,
-                           block_boundary, construct, digit_count_bound,
-                           insertion_density, plan_block, pure_power_exponent,
-                           seed_block, tail_digit, verify_certificate)
+                           block_boundary, construct, insertion_density,
+                           plan_block, pure_power_exponent, seed_block,
+                           tail_digit, verify_certificate)
 from .errors import (InfeasibleError, InputFormatError,
                      ResourceBudgetExceeded, SearchExhausted)
 from .nt import (ArtinPrime, FactoredInteger, LenstraVerdict, PrimalityPolicy,

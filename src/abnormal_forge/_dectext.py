@@ -1,60 +1,48 @@
 """Decimal text of integers: subquadratic conversion and short renderings.
 
 CPython 3.11's ``str(int)`` and ``int(str)`` take time quadratic in the
-number of digits, which turns a tail digit of a million bits into
-seconds of file I/O. The two converters here split large values in
-half and combine the halves with fast multiplication (Knuth, TAOCP
+number of digits, and refuse values past the interpreter's int<->str
+digit limit (4300 by default, at least 640; the guard against
+CVE-2020-10735). The two converters here are exact for integers of any
+size under any such limit, and never change it. They split large values
+in half and combine the halves with fast multiplication (Knuth, TAOCP
 Vol. 2, section 4.4; the method of CPython 3.12's ``Lib/_pylong.py``):
 
-* :func:`int_to_text` rebuilds an int of more than ``TEXT_FAST_BITS``
-  bits as a :class:`decimal.Decimal` from its bit halves,
-  ``hi * 2**w + lo``, in an exact context (libmpdec multiplies large
-  operands in subquadratic time), then renders it with ``str()``, which
-  is linear for a Decimal.
-* :func:`text_to_int` parses an ASCII all-digit string of more than
-  ``INT_FAST_CHARS`` characters by halves, ``(hi * 5**k << k) + lo``
-  with k the length of the low half. Every chunk handed to ``int()`` is
-  below the interpreter's default 4300-digit limit.
+* :func:`int_to_text` rebuilds an int of ``TEXT_FAST_BITS`` bits or more
+  as a :class:`decimal.Decimal` from its bit halves, ``hi * 2**w + lo``,
+  in an exact context (libmpdec multiplies large operands in
+  subquadratic time), then renders it with ``str()``, which is linear
+  for a Decimal. ``Decimal(int)`` and ``str(Decimal)`` have no digit
+  limit.
+* :func:`text_to_int` parses a string of more than ``INT_FAST_CHARS``
+  characters by halves, ``(hi * 5**k << k) + lo`` with k the length of
+  the low half, after taking off what ``int()`` allows around the
+  digits: surrounding whitespace, a sign and single underscores between
+  digits. Any Unicode decimal digits are accepted, as ``int()`` does.
 
-Both give exactly what ``str()`` and ``int()`` give. Anything else
-(signs, underscores, whitespace, non-ASCII digits, short values) goes
-through plain ``str()``/``int()``, so the values accepted and the
-errors raised stay the same; callers lift the interpreter's digit limit
-(:func:`unlimited_int_strings`) around those paths. The recursions are module-level functions taking their
-powers cache as an argument: a nested recursive closure would form a
-reference cycle that keeps the cache alive until the garbage collector
-runs.
+Every builtin ``str()``/``int()`` call made here sees fewer than 640
+digits, so no limit the interpreter allows can refuse one, and both
+converters give exactly what ``str()`` and ``int()`` give with the limit
+lifted, errors included. The recursions are module-level functions
+taking their powers cache as an argument: a nested recursive closure
+would form a reference cycle that keeps the cache alive until the
+garbage collector runs.
 """
 
 from __future__ import annotations
 
 import decimal
-import sys
-from contextlib import contextmanager
 
-# Above these sizes the split conversions beat str()/int(); below them
-# the builtins are fast and the split would only add calls.
-TEXT_FAST_BITS = 10_000
+# Below these sizes the builtins are fast and within any digit limit
+# (2**2000 has 603 decimal digits); above them the split conversions
+# take over.
+TEXT_FAST_BITS = 2_000
 TEXT_FAST_LIMIT = 1 << TEXT_FAST_BITS
-INT_FAST_CHARS = 3_000
+INT_FAST_CHARS = 600          # also the leaves of the text -> int split
 
 _DECIMAL_LEAF_BITS = 1_024    # leaves of the int -> Decimal split
-_TEXT_LEAF_CHARS = 1_024      # leaves of the text -> int split
-
-
-@contextmanager
-def unlimited_int_strings():
-    """Temporarily lift the int<->str digit limit for huge values."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    if get is None:
-        yield
-        return
-    old = get()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+# int() strips the whitespace str.strip() does, except these four.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 def int_to_text(n: int) -> str:
@@ -78,55 +66,61 @@ def _to_decimal(n: int, bits: int, powers: dict) -> decimal.Decimal:
     hi = n >> low_bits
     lo = n & ((1 << low_bits) - 1)
     return (_to_decimal(hi, bits - low_bits, powers)
-            * _power_of_two(low_bits, powers)
+            * _power(decimal.Decimal(2), low_bits, powers)
             + _to_decimal(lo, low_bits, powers))
 
 
-def _power_of_two(w: int, powers: dict) -> decimal.Decimal:
-    result = powers.get(w)
-    if result is None:
-        if w <= _DECIMAL_LEAF_BITS:
-            result = decimal.Decimal(1 << w)
-        elif w - 1 in powers:
-            result = powers[w - 1] * 2
-        else:
-            half = w >> 1
-            result = (_power_of_two(half, powers)
-                      * _power_of_two(w - half, powers))
-        powers[w] = result
-    return result
-
-
 def text_to_int(text) -> int:
-    """``int(text)``, in subquadratic time for long ASCII digit strings."""
-    if (type(text) is str and len(text) > INT_FAST_CHARS
-            and text.isascii() and text.isdigit()):
-        return _digits_to_int(text, 0, len(text), {})
-    return int(text)
+    """``int(text)``, exact past the digit limit and subquadratic in length.
+
+    Strings of more than ``INT_FAST_CHARS`` characters are parsed here;
+    anything else (short strings, and the ints and floats of JSON) goes
+    to ``int()`` as it is.
+    """
+    if type(text) is not str or len(text) <= INT_FAST_CHARS:
+        return int(text)
+    body = text.strip()
+    sign = body[:1]
+    if sign in ("+", "-"):
+        body = body[1:]
+    if "_" in body and not (body.startswith("_") or body.endswith("_")
+                            or "__" in body):
+        body = body.replace("_", "")
+    if not body.isdecimal() or any(c in text for c in _SEPARATORS):
+        raise ValueError(
+            f"invalid literal for int() with base 10: {text!r:.200}")
+    value = _digits_to_int(body, 0, len(body), {})
+    return -value if sign == "-" else value
 
 
 def _digits_to_int(text: str, start: int, stop: int, powers: dict) -> int:
     """int(text[start:stop]) for an all-digit slice."""
-    if stop - start <= _TEXT_LEAF_CHARS:
+    if stop - start <= INT_FAST_CHARS:
         return int(text[start:stop])
     mid = (start + stop + 1) >> 1
     k = stop - mid
     hi = _digits_to_int(text, start, mid, powers)
-    return ((hi * _power_of_five(k, powers)) << k) + _digits_to_int(
+    return ((hi * _power(5, k, powers)) << k) + _digits_to_int(
         text, mid, stop, powers)
 
 
-def _power_of_five(k: int, powers: dict) -> int:
+def _power(radix, k: int, powers: dict):
+    """radix**k for k >= 1, by halves, memoized in ``powers``.
+
+    The split recursions ask for the powers of one level, k and often
+    k + 1, then those of the level below, about k / 2, so each new
+    power costs one multiplication of known ones.
+    """
     result = powers.get(k)
     if result is None:
-        if k <= _TEXT_LEAF_CHARS:
-            result = 5**k
+        if k == 1:
+            result = radix
         elif k - 1 in powers:
-            result = powers[k - 1] * 5
+            result = powers[k - 1] * radix
         else:
             half = k >> 1
-            result = (_power_of_five(half, powers)
-                      * _power_of_five(k - half, powers))
+            result = _power(radix, half, powers) * _power(radix, k - half,
+                                                          powers)
         powers[k] = result
     return result
 

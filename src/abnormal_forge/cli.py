@@ -22,14 +22,14 @@ import sys
 from fractions import Fraction
 
 from . import nt
+from ._dectext import int_to_text, text_to_int
 from .construction import (ConstructionAborted, ConstructionConfig, Mode,
                            SearchBudget, block_boundary, construct,
                            verify_certificate)
 from .errors import (InfeasibleError, InputFormatError,
                      ResourceBudgetExceeded, SearchExhausted)
 from .formats import (read_certificate_file, read_digit_file, run_header,
-                      unlimited_int_strings, write_certificate_file,
-                      write_digit_file)
+                      write_certificate_file, write_digit_file)
 from .radix import NON_TERMINATING, TERMINATING, base_expansion, max_run
 from .radix import cf_normality_report
 from .seed import DEFAULT_DIGIT_CAP, FileDigitSource, RngDigitSource
@@ -281,8 +281,8 @@ def _parse_crt_constraints(specs):
     for spec in specs:
         try:
             mod_text, residue_text = spec.split(":", 1)
-            modulus = int(mod_text)
-            residues = [int(r) for r in residue_text.split(",")]
+            modulus = text_to_int(mod_text)
+            residues = [text_to_int(r) for r in residue_text.split(",")]
         except ValueError:
             raise InputFormatError(
                 f"constraint must look like M:R1[,R2...], got {spec!r}") from None
@@ -291,34 +291,37 @@ def _parse_crt_constraints(specs):
 
 
 def _cmd_nt(args) -> int:
+    # A result can outgrow the digit limit its inputs passed (p = ell*f + a,
+    # a product of moduli), so those go out through int_to_text.
     budget = _budget_from_env()
-    with unlimited_int_strings():
-        if args.nt_kind == "dlog":
-            print(nt.discrete_log(args.g, args.h, args.p,
-                                  max_table_entries=budget.bsgs_entries))
-        elif args.nt_kind == "primroot":
-            print("true" if nt.is_primitive_root(args.g, args.p) else "false")
-        elif args.nt_kind == "artin":
-            hit = nt.find_artin_prime(args.g, args.f, args.a,
-                                      args.search_limit)
-            print(f"ell={hit.ell} p={hit.prime} "
-                  f"candidates_tested={hit.candidates_tested}")
-        elif args.nt_kind == "kronecker":
-            print(nt.kronecker_symbol(args.d, args.n))
-        elif args.nt_kind == "lenstra":
-            verdict = nt.lenstra_finiteness(args.g, args.f, args.a)
-            if verdict.finite:
-                witness = (f" q={verdict.prime_witness}"
-                           if verdict.prime_witness is not None else "")
-                print(f"finite condition={verdict.condition}{witness} "
-                      f"discriminant={verdict.discriminant}")
-            else:
-                print(f"infinite (no finiteness condition fires; "
-                      f"GRH-conditional) discriminant={verdict.discriminant}")
-        elif args.nt_kind == "crt":
-            print(nt.crt_min_solution(_parse_crt_constraints(args.constraint)))
-        else:  # pragma: no cover - argparse enforces choices
-            raise InputFormatError(f"unknown nt subcommand {args.nt_kind!r}")
+    if args.nt_kind == "dlog":
+        print(nt.discrete_log(args.g, args.h, args.p,
+                              max_table_entries=budget.bsgs_entries))
+    elif args.nt_kind == "primroot":
+        print("true" if nt.is_primitive_root(args.g, args.p) else "false")
+    elif args.nt_kind == "artin":
+        hit = nt.find_artin_prime(args.g, args.f, args.a,
+                                  args.search_limit)
+        print(f"ell={hit.ell} p={int_to_text(hit.prime)} "
+              f"candidates_tested={hit.candidates_tested}")
+    elif args.nt_kind == "kronecker":
+        print(nt.kronecker_symbol(args.d, args.n))
+    elif args.nt_kind == "lenstra":
+        verdict = nt.lenstra_finiteness(args.g, args.f, args.a)
+        discriminant = int_to_text(verdict.discriminant)
+        if verdict.finite:
+            witness = (f" q={verdict.prime_witness}"
+                       if verdict.prime_witness is not None else "")
+            print(f"finite condition={verdict.condition}{witness} "
+                  f"discriminant={discriminant}")
+        else:
+            print(f"infinite (no finiteness condition fires; "
+                  f"GRH-conditional) discriminant={discriminant}")
+    elif args.nt_kind == "crt":
+        print(int_to_text(nt.crt_min_solution(
+            _parse_crt_constraints(args.constraint))))
+    else:  # pragma: no cover - argparse enforces choices
+        raise InputFormatError(f"unknown nt subcommand {args.nt_kind!r}")
     return EXIT_OK
 
 

@@ -184,19 +184,6 @@ def pure_power_exponent(n: int, base: int) -> int | None:
     return e if nt.pow_exceeds(base, e, n - 1) else None
 
 
-def digit_count_bound(q3: int, base: int) -> int:
-    """Exponent of the power q3 = base**k, bounding the meaningful digit count.
-
-    The convergent numerator paired with q3 is coprime to the base, so
-    the finite expansion has exactly k digits; k is used directly rather
-    than trimming.
-    """
-    e = pure_power_exponent(q3, base)
-    if e is None or e < 1:
-        raise ValueError(f"{q3} is not a positive power of {base}")
-    return e
-
-
 def ilog_floor(x: int, base: int) -> int:
     """Largest t >= 0 with base**t <= x, for x >= 1."""
     if x < 1:
@@ -247,7 +234,7 @@ def tail_digit(bound_exponent: int, base: int, mode: Mode, *,
         exponent = -(-scaled.numerator // scaled.denominator)
     power = _bounded_power(base, exponent, max_bits, "tail digit",
                            "; rerun in relaxed:<scale> or toy mode")
-    return power + 1 + offset
+    return power + (1 + offset)
 
 
 @dataclass(frozen=True)
@@ -319,7 +306,7 @@ class BlockCertificate:
     denoms_after: tuple[int, int, int]
     prime: int                # = denoms_after[1], the residue-class prime
     exponent: int             # denoms_after[2] = base ** exponent
-    digit_bound: int          # cap on meaningful base digits of the convergent
+    digit_bound: int          # = exponent: p3 / base**k has k base digits
     mode: str
 
 
@@ -401,8 +388,7 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
                     f"seed source gave {len(digits)} digits where block {i} "
                     f"ends at {boundary}")
             plan = plan_block(q_prev, q_cur, base, config.budget)
-            bound = digit_count_bound(plan.q3, base)
-            tail = tail_digit(bound, base, config.mode,
+            tail = tail_digit(plan.exponent, base, config.mode,
                               offset=config.tail_offset,
                               max_bits=config.budget.tail_bits)
         except (SearchExhausted, ResourceBudgetExceeded, InputFormatError) as exc:
@@ -422,7 +408,8 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
             inserted=(plan.ell1, plan.ell2, plan.ell3, tail),
             denoms_before=before,
             denoms_after=(plan.q1, plan.q2, plan.q3),
-            prime=plan.q2, exponent=plan.exponent, digit_bound=bound,
+            prime=plan.q2, exponent=plan.exponent,
+            digit_bound=plan.exponent,
             mode=config.mode.label()))
     return ConstructedNumber(config, source, digits, certificates,
                              insertion_positions)
@@ -488,6 +475,8 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     q is. A claimed tail below 1 pins no place, so the report ends
     before the pinched-digit checks; an unscheduled base ends it after
     ``scheduled_base``, so every power formed here is of a scheduled base.
+    An index past the stream or a block end below 1 ends it after a
+    failed ``block_layout``.
     """
     checks: list[CheckResult] = []
 
@@ -514,6 +503,10 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
         block_size >= 2 and block_size % 2 == 0
         and block_boundary(block_size, i) == n_i,
         f"boundary {n_i} implies block size {block_size or '?'}")
+    if n_i < 1:
+        # No convergent precedes the first digit.
+        return VerificationReport(index=i, checks=tuple(checks),
+                                  tail_bound_met=False)
     scheduled = base_schedule(i)
     add("scheduled_base", base == scheduled,
         f"block {i} is scheduled for base {scheduled}")

@@ -10,18 +10,20 @@ to pin the timestamp for byte-identical reruns).
 
 Decimal text: every integer value of both formats is written and read
 through one pair of converters, ``_dectext.int_to_text`` and
-``_dectext.text_to_int``. Short values stay on plain ``str()`` and
-``int()``, inline in the digit-file loops, so files of a million short
-lines cost what they did: the writer renders values below 2**10000 with
-``str()``, and the reader hands a line to ``text_to_int`` only when
-``int()`` refuses it, as it does past the interpreter's 4300-digit
-limit. Larger values avoid CPython's quadratic conversions: writing
-rebuilds the int as a ``decimal.Decimal`` from its bit halves,
-``hi * 2**w + lo``, and renders that in linear time; reading splits an
-all-digit string in halves joined as ``(hi * 5**k << k) + lo``. The
-bytes written are exactly those of ``str()``, and any text that is not
-plain ASCII digits (signs, underscores, whitespace, non-ASCII digits)
-goes through ``int()``, so every file reads as it did before.
+``_dectext.text_to_int``, exact for integers of any size under the
+interpreter's int<->str digit limit, which nothing here changes. Short
+values stay on plain ``str()`` and ``int()``, inline in the digit-file
+loops, so files of a million short lines cost what they did; larger
+values are converted by halves in subquadratic time. The bytes written
+are exactly those of ``str()``, and every text reads as ``int()`` reads
+it (signs, underscores, whitespace and non-ASCII digits included).
+
+JSON numbers (the certificates' ``index`` and ``block_end``, the
+header's config echo) go through :mod:`json` under the interpreter's
+limit: a certificate file holding a longer one is refused with
+:class:`InputFormatError`, and a header holding one, which only a
+library caller's ``tail_offset`` can give, makes ``write_digit_file``
+raise ``ValueError`` before it opens its file.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 from . import __version__ as TOOL_VERSION
-from ._dectext import (TEXT_FAST_LIMIT, int_to_text, text_to_int,
-                       unlimited_int_strings)
+from ._dectext import TEXT_FAST_LIMIT, int_to_text, text_to_int
 from .construction import BlockCertificate
 from .errors import InputFormatError
 from .seed import parse_digit_file
@@ -61,10 +62,11 @@ def run_header(config_echo: dict, seed_descriptor: dict,
 
 
 def write_digit_file(path, digits: Sequence[int], header: dict | None = None) -> None:
-    with unlimited_int_strings(), open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {TOOL_NAME} digit file v{FORMAT_VERSION}\n")
-        if header is not None:
-            fh.write(f"# header: {json.dumps(header, sort_keys=True)}\n")
+    head = f"# {TOOL_NAME} digit file v{FORMAT_VERSION}\n"
+    if header is not None:
+        head += f"# header: {json.dumps(header, sort_keys=True)}\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
         for start in range(0, len(digits), _LINES_PER_WRITE):
             chunk = digits[start:start + _LINES_PER_WRITE]
             fh.write("".join([f"{d}\n" if d < TEXT_FAST_LIMIT
@@ -81,7 +83,7 @@ def read_digit_file(path) -> tuple[list[int], dict | None]:
         if line.startswith("# header:"):
             try:
                 header = json.loads(line[len("# header:"):])
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or a number past the limit
                 raise InputFormatError("malformed header comment") from None
             break
     return parse_digit_file(iter(lines)), header
@@ -124,26 +126,25 @@ def _cert_from_json(record: dict) -> BlockCertificate:
 
 def write_certificate_file(path, certificates: Sequence[BlockCertificate],
                            header: dict) -> None:
-    with unlimited_int_strings():
-        payload = {"format": f"{TOOL_NAME}-certificates",
-                   "format_version": FORMAT_VERSION,
-                   "header": header,
-                   "blocks": [_cert_to_json(c) for c in certificates]}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    payload = {"format": f"{TOOL_NAME}-certificates",
+               "format_version": FORMAT_VERSION,
+               "header": header,
+               "blocks": [_cert_to_json(c) for c in certificates]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_certificate_file(path) -> tuple[list[BlockCertificate], dict]:
-    with unlimited_int_strings(), open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"not valid JSON: {exc}") from None
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()  # a decoding error is not a JSON error
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:  # not JSON, or a number past the limit
+        raise InputFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "blocks" not in payload:
         raise InputFormatError("missing certificate block list")
     if payload.get("format") != f"{TOOL_NAME}-certificates":
         raise InputFormatError("not a certificate file")
-    with unlimited_int_strings():
-        certs = [_cert_from_json(rec) for rec in payload["blocks"]]
+    certs = [_cert_from_json(rec) for rec in payload["blocks"]]
     return certs, payload.get("header", {})

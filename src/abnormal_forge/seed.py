@@ -37,7 +37,7 @@ import functools
 import math
 from typing import Iterator
 
-from ._dectext import brief, text_to_int, unlimited_int_strings
+from ._dectext import brief, text_to_int
 from .cf import log2_fixed
 from .errors import InputFormatError
 
@@ -190,10 +190,10 @@ def parse_digit_file(lines: Iterator[str]) -> list[int]:
     Blank lines and ``#`` comments are skipped. Malformed or
     non-positive entries raise :class:`InputFormatError` with the
     offending 1-based line number and a shortened copy of the line.
-    A line that ``int()`` refuses (such as a tail digit past the
-    interpreter's int<->str digit limit) is parsed again with the limit
-    lifted, long digit strings by halves in subquadratic time; short
-    lines pay nothing for that.
+    Each line goes to ``int()`` inline, so short lines cost nothing
+    more; a line it refuses, such as a tail digit past the interpreter's
+    int<->str digit limit, goes to ``text_to_int``, which reads long
+    text exactly and in subquadratic time, under any limit.
     """
     digits = []
     for lineno, raw in enumerate(lines, start=1):
@@ -202,23 +202,18 @@ def parse_digit_file(lines: Iterator[str]) -> list[int]:
             continue
         try:
             value = int(line)
-        except ValueError:
-            value = _parse_refused_line(line, lineno)
+        except ValueError:  # malformed, or past the interpreter's limit
+            try:
+                value = text_to_int(line)
+            except ValueError:
+                raise InputFormatError(f"not an integer: {brief(line)!r}",
+                                       line=lineno) from None
         if value < 1:
             raise InputFormatError(
                 f"partial quotients must be >= 1, got {brief(value)}",
                 line=lineno)
         digits.append(value)
     return digits
-
-
-def _parse_refused_line(line: str, lineno: int) -> int:
-    try:
-        with unlimited_int_strings():
-            return text_to_int(line)
-    except ValueError:
-        raise InputFormatError(f"not an integer: {brief(line)!r}",
-                               line=lineno) from None
 
 
 class ListDigitSource:

@@ -1,3 +1,6 @@
+import sys
+from contextlib import contextmanager
+
 import pytest
 
 from abnormal_forge import ConstructionConfig, Mode, construct
@@ -14,3 +17,14 @@ def worked_number():
     config = ConstructionConfig(block_size=4, blocks=1,
                                 mode=Mode.parse("paper"))
     return construct(config, ListDigitSource(WORKED_SEED))
+
+
+@contextmanager
+def lifted_int_limit():
+    """Lift the int<->str digit limit, for str()/int() used as oracles."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -17,9 +17,8 @@ from abnormal_forge import (BlockCertificate, ConstructionAborted,
                             SearchExhausted, base_expansion, base_schedule,
                             block_boundary, construct, construction,
                             convergent_stream, count_occurrences,
-                            digit_count_bound, insertion_density, plan_block,
-                            pure_power_exponent, seed_block, tail_digit,
-                            verify_certificate)
+                            insertion_density, plan_block, pure_power_exponent,
+                            seed_block, tail_digit, verify_certificate)
 from abnormal_forge.nt import is_perfect_square
 from abnormal_forge.radix import NON_TERMINATING
 from abnormal_forge.seed import ListDigitSource, RngDigitSource
@@ -89,16 +88,6 @@ def test_plan_block_rejects_bad_denominators():
         plan_block(4, 6, 2)   # not coprime
     with pytest.raises(ValueError):
         plan_block(0, 1, 2)   # q_cur < 2
-
-
-def test_digit_count_bound_examples():
-    assert digit_count_bound(32768, 2) == 15
-    assert digit_count_bound(243, 3) == 5
-    assert digit_count_bound(2, 2) == 1
-    with pytest.raises(ValueError):
-        digit_count_bound(32769, 2)
-    with pytest.raises(ValueError):
-        digit_count_bound(1, 2)
 
 
 def test_pure_power_exponent():
@@ -307,6 +296,16 @@ def test_verify_rejects_index_beyond_stream_at_once(worked_number, index):
     assert [c.name for c in report.checks] == ["block_layout"]
 
 
+@pytest.mark.parametrize("block_end", [0, -2])
+def test_verify_rejects_block_end_below_one_at_once(worked_number, block_end):
+    # No convergent precedes the first digit, so there is nothing to walk.
+    bad = dataclasses.replace(worked_number.certificates[0],
+                              block_end=block_end)
+    report = verify_certificate(bad, worked_number.digits_through_blocks)
+    assert not report.passed
+    assert [c.name for c in report.checks] == ["block_layout"]
+
+
 def test_verify_stops_after_an_unscheduled_base(worked_number):
     # Every later power is sized by the claimed base: expanding the
     # convergent to 10,000 places of base 10**100 + 1 would take seconds.
@@ -469,6 +468,15 @@ def test_library_has_no_assert_statements():
              for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_leaves_the_int_digit_limit_alone():
+    # The limit is interpreter-wide: lifting it around I/O races with
+    # every other thread. The converters in _dectext need no lifting.
+    package = Path(abnormal_forge.__file__).parent
+    found = [path.name for path in sorted(package.glob("*.py"))
+             if "set_int_max_str_digits" in path.read_text(encoding="utf-8")]
     assert found == []
 
 

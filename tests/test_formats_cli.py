@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from abnormal_forge import (BlockCertificate, ConstructionConfig, Mode,
                             RngDigitSource, construct)
 from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS,
-                                     int_to_text, text_to_int,
-                                     unlimited_int_strings)
+                                     int_to_text, text_to_int)
 from abnormal_forge.cli import main
 from abnormal_forge.errors import InputFormatError
 from abnormal_forge.formats import (_cert_from_json, _cert_to_json,
@@ -21,7 +20,7 @@ from abnormal_forge.formats import (_cert_from_json, _cert_to_json,
                                     write_digit_file)
 from abnormal_forge.seed import parse_digit_file
 
-from conftest import WORKED_SEED
+from conftest import WORKED_SEED, lifted_int_limit
 
 
 def _write_seed(tmp_path, digits=WORKED_SEED, name="seed.cf"):
@@ -109,11 +108,11 @@ def _digit_strings(draw):
 @example((1 << TEXT_FAST_BITS) - 1)
 @example(1 << TEXT_FAST_BITS)
 def test_int_to_text_is_str(n):
-    with unlimited_int_strings():
-        expected = str(n)
-        assert int_to_text(n) == expected
-        assert int_to_text(-n) == str(-n)
-        assert text_to_int(expected) == n
+    with lifted_int_limit():
+        expected, negated = str(n), str(-n)
+    assert int_to_text(n) == expected
+    assert int_to_text(-n) == negated
+    assert text_to_int(expected) == n
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,23 +122,25 @@ def test_int_to_text_is_str(n):
 @example("1" + "0" * 6000)
 @example("9" * 6000)
 def test_text_to_int_is_int(text):
-    with unlimited_int_strings():
-        assert text_to_int(text) == int(text)
+    with lifted_int_limit():
+        expected = int(text)
+    assert text_to_int(text) == expected
 
 
 def _int_outcome(text):
-    with unlimited_int_strings():
+    with lifted_int_limit():
         try:
             return int(text)
-        except ValueError:
-            return ValueError
+        except ValueError as exc:
+            return str(exc)
 
 
 _WORKED_CERT = BlockCertificate(
     index=1, base=2, block_end=4, inserted=(1, 2, 555, (1 << 225) + 1),
     denoms_before=(10, 13), denoms_after=(23, 59, 32768), prime=59,
     exponent=15, digit_bound=15, mode="paper")
-_PIECES = ("0", "7", "9", "+", "-", "_", " ", "\n", "\u0663", "x", "\u00b2")
+_PIECES = ("0", "7", "9", "+", "-", "_", " ", "\n", "\u3000", "\x1c",
+           "\u0663", "x", "\u00b2")
 
 
 @settings(max_examples=80, deadline=None)
@@ -152,35 +153,45 @@ _PIECES = ("0", "7", "9", "+", "-", "_", " ", "\n", "\u0663", "x", "\u00b2")
 @example([(" ", 1), ("9", 5000), (" ", 1)])
 @example([("\u0663", 5000)])
 @example([("9", 4000), ("x", 1)])
+@example([("-", 1), ("7", 5000)])
+@example([(" ", 2), ("+", 1), ("9", 4400), ("\u3000", 1)])
+@example([("9_", 2600), ("9", 1)])
+@example([("-", 1), ("\u0663_", 2300), ("\u0663", 1)])
+@example([("+", 1), ("\u0663", 3000), ("7", 2000)])
+@example([("_", 1), ("9", 5000)])
+@example([("9", 5000), ("_", 2), ("9", 1)])
+@example([("\x1c", 1), ("9", 5000)])
 def test_noncanonical_text_parses_as_int_does(parts):
+    # Only the int() oracle lifts the digit limit; the readers run under
+    # the interpreter's default and leave it as it was.
+    limit = sys.get_int_max_str_digits()
     text = "".join(piece * count for piece, count in parts)
     expected = _int_outcome(text)
-    with unlimited_int_strings():
-        try:
-            got = text_to_int(text)
-        except ValueError:
-            got = ValueError
+    try:
+        got = text_to_int(text)
+    except ValueError as exc:
+        got = str(exc)
     assert got == expected
     # The digit-file reader strips each line and rejects values below 1.
     stripped = text.strip()
     line_value = _int_outcome(stripped)
     if stripped and not stripped.startswith("#"):
-        if line_value is ValueError or line_value < 1:
+        if isinstance(line_value, str) or line_value < 1:
             with pytest.raises(InputFormatError):
                 parse_digit_file(iter([text]))
         else:
             assert parse_digit_file(iter([text])) == [line_value]
-    # The certificate reader, which lifts the digit limit as
-    # read_certificate_file does, turns a failed value into
-    # InputFormatError.
+    # The certificate reader turns a failed value into InputFormatError
+    # that carries int()'s message.
     record = _cert_to_json(_WORKED_CERT)
     record["prime"] = text
-    with unlimited_int_strings():
-        if expected is ValueError:
-            with pytest.raises(InputFormatError):
-                _cert_from_json(record)
-        else:
-            assert _cert_from_json(record).prime == expected
+    if isinstance(expected, str):
+        with pytest.raises(InputFormatError) as failed:
+            _cert_from_json(record)
+        assert str(failed.value) == f"bad certificate record: {expected}"
+    else:
+        assert _cert_from_json(record).prime == expected
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_text_of_more_than_a_million_digits():
@@ -222,7 +233,7 @@ def test_cli_paper_files_match_str_rendering(tmp_path, monkeypatch, capsys):
     written = digits_path.read_text(encoding="utf-8")
     head = "".join(written.splitlines(keepends=True)[:2])
     payload = json.loads(cert_path.read_text(encoding="utf-8"))
-    with unlimited_int_strings():
+    with lifted_int_limit():
         body = "".join(f"{d}\n" for d in number.digits_through_blocks)
         block = {"index": cert.index, "base": str(cert.base),
                  "block_end": cert.block_end,
@@ -243,8 +254,27 @@ def test_cli_paper_files_match_str_rendering(tmp_path, monkeypatch, capsys):
                  "--total-digits", "12",
                  "--out-digits", str(tmp_path / "again.cf"),
                  "--out-cert", str(tmp_path / "again.json")]) == 0
+    capsys.readouterr()
     assert main(["verify", "--cert", str(cert_path),
                  "--digits", str(digits_path)]) == 0
+    report = capsys.readouterr().out
+
+    # The lowest digit limit the interpreter allows changes no byte.
+    low_digits, low_cert = tmp_path / "low.cf", tmp_path / "low.json"
+    cli = [sys.executable, "-X", "int_max_str_digits=640",
+           "-m", "abnormal_forge.cli"]
+    built = subprocess.run(
+        [*cli, "construct", "--seed-rng", "1", "--block-size", "4",
+         "--blocks", "1", "--mode", "paper", "--out-digits", str(low_digits),
+         "--out-cert", str(low_cert)],
+        capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr
+    assert low_digits.read_bytes() == digits_path.read_bytes()
+    assert low_cert.read_bytes() == cert_path.read_bytes()
+    checked = subprocess.run(
+        [*cli, "verify", "--cert", str(low_cert), "--digits", str(low_digits)],
+        capture_output=True, text=True, timeout=120)
+    assert (checked.returncode, checked.stdout, checked.stderr) == (0, report, "")
 
 
 def test_certificate_reader_rejects_garbage(tmp_path):
@@ -365,6 +395,62 @@ def test_cli_verify_fails_a_claimed_tail_below_one(tmp_path, capsys, tail):
     failed = {c["name"] for b in json.loads(captured.out)["blocks"]
               for c in b["checks"] if c["passed"] is False}
     assert {"inserted_digits", "tail_bound"} <= failed
+
+
+@pytest.mark.parametrize("block_end", ["0", "-2"])
+def test_cli_verify_fails_a_block_end_below_one(tmp_path, capsys, block_end):
+    seed = _write_seed(tmp_path)
+    digits = tmp_path / "y.cf"
+    cert = tmp_path / "y.json"
+    main(["construct", "--seed-file", str(seed), "--block-size", "4",
+          "--blocks", "1", "--mode", "paper",
+          "--out-digits", str(digits), "--out-cert", str(cert)])
+    payload = json.loads(cert.read_text())
+    payload["blocks"][0]["block_end"] = block_end
+    cert.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    checks = json.loads(captured.out)["blocks"][0]["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [("block_layout", False)]
+
+
+def test_json_numbers_past_the_digit_limit_are_refused(tmp_path):
+    # json reads numbers under the interpreter's digit limit; a longer one
+    # ends in exit 2 at once, not in a quadratic parse or a traceback.
+    seed = _write_seed(tmp_path)
+    digits = tmp_path / "y.cf"
+    cert = tmp_path / "y.json"
+    assert main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "1", "--mode", "paper",
+                 "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
+    text = cert.read_text(encoding="utf-8")
+    assert '"block_end": 4,' in text
+    cert.write_text(text.replace('"block_end": 4,',
+                                 f'"block_end": 1{"0" * 399_999},'),
+                    encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "abnormal_forge.cli", "verify",
+         "--cert", str(cert), "--digits", str(digits)],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: not valid JSON: ")
+    # The same number in a digit file's header comment.
+    lines = digits.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1].replace('"blocks": 1', f'"blocks": {"9" * 5000}')
+    digits.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(InputFormatError, match="malformed header"):
+        read_digit_file(digits)
+    # Only a library caller's tail offset can put one in a header: writing
+    # it raises before the digit file is opened.
+    config = ConstructionConfig(block_size=4, blocks=1, mode=Mode.parse("toy"),
+                                tail_offset=10**5000)
+    never = tmp_path / "never.cf"
+    with pytest.raises(ValueError):
+        write_digit_file(never, [1], run_header(config.echo(), {}))
+    assert not never.exists()
 
 
 def test_cli_verify_exit_2_on_truncated_digits(tmp_path, capsys):
@@ -503,6 +589,13 @@ def test_cli_nt_surface(capsys):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["nt", "crt", "--constraint", "5:3", "--constraint", "7:2"]) == 0
     assert capsys.readouterr().out.strip() == "23"
+    # Moduli past the int<->str digit limit, and a solution twice as long.
+    m1, m2 = 10**5000 + 1, 10**5000 + 3
+    with lifted_int_limit():
+        texts = [str(m1), str(m2), str(m1 * m2 - 1)]
+    assert main(["nt", "crt", "--constraint", f"{texts[0]}:{texts[0][:-1]}0",
+                 "--constraint", f"{texts[1]}:{texts[1][:-1]}2"]) == 0
+    assert capsys.readouterr().out.strip() == texts[2]
 
 
 def test_cli_nt_domain_error_exit_codes(capsys):
