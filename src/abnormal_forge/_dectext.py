@@ -27,11 +27,23 @@ lifted, errors included. The recursions are module-level functions
 taking their powers cache as an argument: a nested recursive closure
 would form a reference cycle that keeps the cache alive until the
 garbage collector runs.
+
+Each split conversion keeps its latest results in a
+:func:`functools.lru_cache` of ``SPLIT_CACHE_SIZE`` entries, so a CLI
+process that writes (or reads) a tail digit in both the digit file and
+the certificate renders (or parses) it once. The keys are the full int
+for rendering and the full ``str`` for parsing, so a hit is exact;
+values below the split thresholds never enter the caches. Each entry
+keeps its int and its text alive until it is evicted or the process
+ends: at most ``SPLIT_CACHE_SIZE`` pairs per direction, which in the
+CLI are the large fields of the certificates it handles (the tail
+digit, and past 2**2000 bits the inserted digits and denominators too).
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 
 # Below these sizes the builtins are fast and within any digit limit
 # (2**2000 has 603 decimal digits); above them the split conversions
@@ -41,6 +53,10 @@ TEXT_FAST_LIMIT = 1 << TEXT_FAST_BITS
 INT_FAST_CHARS = 600          # also the leaves of the text -> int split
 
 _DECIMAL_LEAF_BITS = 1_024    # leaves of the int -> Decimal split
+# Entries per split cache: the thirteen decimal fields of a certificate
+# fit with room to spare, so its own fields cannot evict its tail before
+# the digit file asks for it.
+SPLIT_CACHE_SIZE = 16
 # int() strips the whitespace str.strip() does, except these four.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
@@ -51,6 +67,12 @@ def int_to_text(n: int) -> str:
         return str(n)
     if n < 0:
         return "-" + int_to_text(-n)
+    return _split_text(n)
+
+
+@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def _split_text(n: int) -> str:
+    """str(n) for n >= TEXT_FAST_LIMIT, through an exact Decimal."""
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
@@ -79,6 +101,12 @@ def text_to_int(text) -> int:
     """
     if type(text) is not str or len(text) <= INT_FAST_CHARS:
         return int(text)
+    return _split_int(text)
+
+
+@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def _split_int(text: str) -> int:
+    """int(text) for a str of more than INT_FAST_CHARS characters."""
     body = text.strip()
     sign = body[:1]
     if sign in ("+", "-"):

@@ -181,7 +181,7 @@ def pure_power_exponent(n: int, base: int) -> int | None:
     if n < 1:
         return None
     e = ilog_floor(n, base)  # base**e <= n < base**(e + 1)
-    return e if nt.pow_exceeds(base, e, n - 1) else None
+    return e if nt.pow_exceeds(base, e, n, or_equal=True) else None
 
 
 def ilog_floor(x: int, base: int) -> int:
@@ -562,16 +562,16 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
 
     k = cert.exponent
     add("power_hit", pure_power_exponent(q3, base) == k,
-        f"third denominator is {base}**{k}")
+        f"third denominator is {base}**{brief(k)}")
     add("power_clears_modulus", nt.pow_exceeds(base, k, 2 * q2),
-        f"{base}**{k} > 2 * prime")
+        f"{base}**{brief(k)} > 2 * prime")
     add("digit_bound", cert.digit_bound == k,
         "digit bound equals the power exponent")
 
-    tail_met = not nt.pow_exceeds(base, k * k, tail - 1)
+    tail_met = not nt.pow_exceeds(base, k * k, tail, or_equal=True)
     add("tail_bound", tail_met,
         f"tail {'exceeds' if tail_met else 'does not exceed'} "
-        f"{base}**{k * k}",
+        f"{base}**{brief(k * k)}",
         required=(mode.kind == MODE_PAPER))
 
     # Abnormality evidence: the convergent p3/q3 after the third
@@ -585,11 +585,11 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
         tail <= stream_tail if det > 0 else -stream_tail <= tail,
         "cylinder lies within 1/(tail * q**2) of the convergent")
 
-    resolution_ok = tail_met or not nt.pow_exceeds(base, k * k,
-                                                   tail * q3 * q3 - 1)
+    resolution_ok = tail_met or not nt.pow_exceeds(
+        base, k * k, tail * q3 * q3, or_equal=True)
     add("gap_resolution", resolution_ok,
         f"gap bound {'is' if resolution_ok else 'is not'} below "
-        f"{base}**-{k * k}",
+        f"{base}**-{brief(k * k)}",
         required=(mode.kind == MODE_PAPER))
 
     window = sample_window
@@ -651,7 +651,7 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
         differing = sum(1 for d in y_digits[:probe] if d != base - 1)
         add("window_differing_bound", differing <= cert.digit_bound,
             f"{differing} of the first {probe} digits differ from "
-            f"{base - 1} (bound {cert.digit_bound})")
+            f"{base - 1} (bound {brief(cert.digit_bound)})")
     else:
         add("window_differing_bound", None,
             f"only {agreed} digits pinned; the {probe}-digit window "

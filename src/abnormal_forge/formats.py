@@ -17,6 +17,13 @@ loops, so files of a million short lines cost what they did; larger
 values are converted by halves in subquadratic time. The bytes written
 are exactly those of ``str()``, and every text reads as ``int()`` reads
 it (signs, underscores, whitespace and non-ASCII digits included).
+A large value that appears in both files (a tail digit is a digit-file
+line and the certificate's ``inserted[3]``) is converted once per
+process: the converters keep their latest large results, keyed on the
+full int or the full text, so the second file reuses the first file's
+conversion, and the value's text stays alive while it is cached.
+``write_digit_file`` writes each large value's text as it is, with no
+line-sized copy, which offsets that text in the writer's peak memory.
 
 JSON numbers (the certificates' ``index`` and ``block_end``, the
 header's config echo) go through :mod:`json` under the interpreter's
@@ -69,8 +76,15 @@ def write_digit_file(path, digits: Sequence[int], header: dict | None = None) ->
         fh.write(head)
         for start in range(0, len(digits), _LINES_PER_WRITE):
             chunk = digits[start:start + _LINES_PER_WRITE]
-            fh.write("".join([f"{d}\n" if d < TEXT_FAST_LIMIT
-                              else f"{int_to_text(d)}\n" for d in chunk]))
+            if max(chunk) < TEXT_FAST_LIMIT:
+                fh.write("".join([f"{d}\n" for d in chunk]))
+                continue
+            for d in chunk:  # large values go out as they are, uncopied
+                if d < TEXT_FAST_LIMIT:
+                    fh.write(f"{d}\n")
+                else:
+                    fh.write(int_to_text(d))
+                    fh.write("\n")
 
 
 def read_digit_file(path) -> tuple[list[int], dict | None]:
@@ -120,7 +134,7 @@ def _cert_from_json(record: dict) -> BlockCertificate:
             exponent=text_to_int(record["exponent"]),
             digit_bound=text_to_int(record["digit_bound"]),
             mode=record["mode"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad certificate record: {exc}") from None
 
 

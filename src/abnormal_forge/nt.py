@@ -658,26 +658,36 @@ def discrete_log(g: int, h: int, p: int, *,
     raise ValueError(f"{h} is outside the subgroup generated by {g} mod {p}")
 
 
-def pow_exceeds(g: int, exponent: int, bound: int) -> bool:
-    """Exact test g**exponent > bound without materializing huge powers.
+def pow_exceeds(g: int, exponent: int, bound: int, *,
+                or_equal: bool = False) -> bool:
+    """Exact test g**exponent > bound (>= with ``or_equal``), no huge powers.
 
-    A power of two g = 2**s is decided by bit lengths alone: 2**(s*e)
-    exceeds bound exactly when s*e >= bound.bit_length(). For other g,
-    bit-length bounds settle most cases and the ambiguous band falls
-    back to exact arithmetic (only reachable when g**exponent is within
-    a factor ~2 of bound, hence of comparable size).
+    With gl the bit length of g, 2**((gl-1)*e) <= g**e <= 2**(gl*e), so
+    bit lengths settle every bound outside that range. Inside it a power
+    of two g is decided by the low bit or the bit count of bound, which
+    form no new integer, and any other g by exact arithmetic on integers
+    of comparable size.
     """
     if g < 2:
         raise ValueError("g must be >= 2")
-    gl = g.bit_length()
-    bl = bound.bit_length() if bound > 0 else 0
-    if g & (g - 1) == 0:
-        return (gl - 1) * exponent >= bl
-    if (gl - 1) * exponent >= bl:
-        return True  # g**e >= 2**((gl-1)*e) >= 2**bl > bound
-    if gl * exponent <= bl - 1:
-        return False  # g**e < 2**(gl*e) <= 2**(bl-1) <= bound
-    return g**exponent > bound
+    if bound < 1:
+        return True
+    low = (g.bit_length() - 1) * exponent  # 2**low <= g**exponent
+    bl = bound.bit_length()                # 2**(bl-1) <= bound < 2**bl
+    if g & (g - 1) == 0:  # g**exponent == 2**low
+        if low != bl - 1:
+            return low >= bl
+        # 2**low <= bound, equal iff no lower bit is set. An odd bound
+        # above 1, such as a tail with an even offset, needs no count.
+        if bound & 1:
+            return or_equal and bound == 1
+        return or_equal and bound.bit_count() == 1
+    if low >= bl:
+        return True
+    if low + exponent < bl - 1:  # g**exponent <= 2**(gl*exponent)
+        return False
+    power = g**exponent
+    return power >= bound if or_equal else power > bound
 
 
 def lift_exponent(g: int, p: int, k: int, bound: int) -> int:

@@ -330,8 +330,9 @@ def test_verify_fails_a_claimed_tail_below_one(worked_number, tail):
 
 def test_verify_allocates_little_beyond_the_tail():
     # The worked block with a 2**24-bit paper tail (2 MiB). Verify forms
-    # one tail-sized temporary, the tail - 1 of the tail-bound comparison,
-    # so its peak allocation stays near the tail's own size.
+    # no tail-sized temporary: the tail bound is decided from the tail's
+    # bit length and low bit, so its peak allocation is a fraction of the
+    # tail's own size.
     config = ConstructionConfig(block_size=4, blocks=1,
                                 mode=Mode.parse("paper"),
                                 tail_offset=1 << (1 << 24))
@@ -346,7 +347,7 @@ def test_verify_allocates_little_beyond_the_tail():
     finally:
         tracemalloc.stop()
     assert report.passed and report.tail_bound_met
-    assert peak < 2 * tail_bytes
+    assert peak < tail_bytes // 4
 
 
 def _common_prefix(a, b) -> int:
@@ -399,6 +400,10 @@ def _evidence_cases(draw):
 @example(([2, 1, 1, 3, 1, 7, 1 << 90], 3, 1 << 90, 3, 20, 50))
 @example(([2, 1, 1, 3, 1, 7, 1 << 100], 3, 1 << 100, 3, 20, 50))
 @example(([2, 1, 1, 3, 1, 7, (1 << 100) + 1], 3, 1 << 100, 3, 20, 50))
+@example(([2, 1, 1, 3, 1, 7, 3**9], 3, 3**9, 3, 3, 50))
+@example(([2, 1, 1, 3, 1, 7, 3**9 + 1], 3, 3**9 + 1, 3, 3, 50))
+@example(([2, 1, 1, 3, 1, 7, 10**16], 3, 10**16, 10, 4, 50))
+@example(([2, 1, 1, 3, 1, 7, 10**16 + 1], 3, 10**16 + 1, 10, 4, 50))
 @example(([1, 1, 1, 1, 1], 1, 1, 10, 1, 5))
 @example(([1, 1, 1, 1, 1], 1, 1, 10, 1, 0))
 def test_evidence_matches_fraction_reference(case):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abnormal_forge import (BlockCertificate, ConstructionConfig, Mode,
-                            RngDigitSource, construct)
+                            RngDigitSource, _dectext, construct)
 from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS,
                                      int_to_text, text_to_int)
 from abnormal_forge.cli import main
@@ -52,6 +52,20 @@ def test_digit_file_reader_rejects_bad_lines(tmp_path):
     path.write_text("1\n0\n", encoding="utf-8")
     with pytest.raises(InputFormatError):
         read_digit_file(path)
+
+
+def test_digit_file_writes_large_values_in_mixed_chunks(tmp_path):
+    # Large values sit among short ones, inside and across the 4096-line
+    # write chunks; the bytes are those of str() either way.
+    path = tmp_path / "mixed.cf"
+    big = [(1 << TEXT_FAST_BITS) + 7, 3**5000, (1 << 40_000) + 1]
+    digits = [5] * 4095 + [big[0], 2, big[1]] + [9] * 5000 + [big[2]]
+    write_digit_file(path, digits)
+    with lifted_int_limit():
+        body = "".join(f"{d}\n" for d in digits)
+    text = path.read_text(encoding="utf-8")
+    assert text == "# abnormal-forge digit file v1\n" + body
+    assert read_digit_file(path) == (digits, None)
 
 
 def test_certificate_round_trip_preserves_huge_integers(tmp_path, worked_number):
@@ -210,9 +224,37 @@ def test_conversions_leave_no_reference_cycles():
     try:
         text = int_to_text(value)
         assert text_to_int(text) == value
+        # Repeats are cache hits; evictions drop whole entries.
+        assert int_to_text(value) == text and text_to_int(text) == value
+        for extra in range(_dectext.SPLIT_CACHE_SIZE + 1):
+            assert text_to_int(int_to_text(value + extra)) == value + extra
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_split_caches_are_exact():
+    # Equal values share an entry; a value differing anywhere, even in a
+    # text's last character, has its own.
+    value = (1 << 5000) + 3
+    text = int_to_text(value)
+    assert int_to_text(value + 0) is text
+    other = text[:-1] + ("1" if text[-1] != "1" else "2")
+    with lifted_int_limit():
+        expected = int(other)
+    assert expected != value and text_to_int(other) == expected
+    assert text_to_int(text) == value
+    assert text_to_int("+" + text) == value
+    assert text_to_int("-" + text) == -value
+    assert text_to_int(text + " ") == value
+    assert text_to_int(text.replace("0", "\u0660")) == value
+    # Below the split thresholds nothing is cached.
+    _dectext._split_text.cache_clear()
+    _dectext._split_int.cache_clear()
+    small = 1 << 1900  # 572 digits
+    assert text_to_int(int_to_text(small)) == small
+    assert _dectext._split_text.cache_info().currsize == 0
+    assert _dectext._split_int.cache_info().currsize == 0
 
 
 def test_cli_paper_files_match_str_rendering(tmp_path, monkeypatch, capsys):
@@ -451,6 +493,162 @@ def test_json_numbers_past_the_digit_limit_are_refused(tmp_path):
     with pytest.raises(ValueError):
         write_digit_file(never, [1], run_header(config.echo(), {}))
     assert not never.exists()
+
+
+def _verify_child(cert, digits, *flags):
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "abnormal_forge.cli", "verify",
+         "--cert", str(cert), "--digits", str(digits)],
+        capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("old,new", [
+    ('"prime": "59"', '"prime": 1e400'),
+    (f'"{(1 << 225) + 1}"', "1e400"),
+    ('"exponent": "15"', '"exponent": -Infinity'),
+])
+def test_cli_verify_refuses_floats_past_the_float_range(tmp_path, old, new):
+    seed = _write_seed(tmp_path)
+    digits = tmp_path / "y.cf"
+    cert = tmp_path / "y.json"
+    assert main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "1", "--mode", "paper",
+                 "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
+    text = cert.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    cert.write_text(text.replace(old, new), encoding="utf-8")
+    result = _verify_child(cert, digits)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr == ("error: bad certificate record: cannot convert "
+                             "float infinity to integer\n")
+
+
+@pytest.mark.parametrize("width,flags", [
+    (5000, ()), (641, ("-X", "int_max_str_digits=640"))])
+def test_cli_verify_fails_an_exponent_past_the_digit_limit(tmp_path, capsys,
+                                                          width, flags):
+    # The claimed k goes into check details by bit size, so a claim
+    # past the interpreter's digit limit is a failed report (exit 1).
+    seed = _write_seed(tmp_path)
+    digits = tmp_path / "y.cf"
+    cert = tmp_path / "y.json"
+    assert main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "1", "--mode", "paper",
+                 "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
+    capsys.readouterr()
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    payload["blocks"][0]["exponent"] = "9" * width
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    result = _verify_child(cert, digits, *flags)
+    assert (result.returncode, result.stderr) == (1, "")
+    checks = {c["name"]: c for c in json.loads(result.stdout)["blocks"][0]["checks"]}
+    bits = int("9" * width).bit_length() if width < 4300 else None
+    power_hit = checks["power_hit"]
+    assert power_hit["passed"] is False
+    assert power_hit["detail"].startswith("third denominator is 2**<")
+    if bits is not None:
+        assert power_hit["detail"] == f"third denominator is 2**<{bits}-bit integer>"
+    for name in ("power_clears_modulus", "digit_bound", "tail_bound",
+                 "gap_resolution"):
+        assert checks[name]["passed"] is not None, name
+    assert checks["digit_bound"]["passed"] is False
+
+
+def _paper_files(tmp_path, seed, block_size):
+    digits = tmp_path / f"paper-{seed}.cf"
+    cert = tmp_path / f"paper-{seed}.json"
+    assert main(["construct", "--seed-rng", str(seed),
+                 "--block-size", str(block_size), "--blocks", "1",
+                 "--mode", "paper", "--out-digits", str(digits),
+                 "--out-cert", str(cert)]) == 0
+    return digits, cert
+
+
+def test_cli_verify_reuses_a_parse_only_for_identical_text(tmp_path, capsys):
+    # Sampler seed 1: a 5487-digit tail, parsed by halves in both files.
+    digits, cert = _paper_files(tmp_path, 1, 4)
+    capsys.readouterr()
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    tail = payload["blocks"][0]["inserted"][3]
+    assert len(tail) > 4300
+    lines = digits.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = lines.index(tail + "\n")
+    forms = ["+" + tail, "000" + tail,
+             "_".join(tail[i:i + 3] for i in range(0, len(tail), 3))]
+
+    def verify(cert_tail, digit_line):
+        payload["blocks"][0]["inserted"][3] = cert_tail
+        cert.write_text(json.dumps(payload), encoding="utf-8")
+        digits.write_text("".join(lines[:at] + [digit_line + "\n"]
+                                  + lines[at + 1:]), encoding="utf-8")
+        code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
+        report = json.loads(capsys.readouterr().out)
+        return code, {c["name"] for b in report["blocks"]
+                      for c in b["checks"] if c["passed"] is False}
+
+    other = tail[:-1] + ("1" if tail[-1] != "1" else "2")
+    for cert_tail, digit_line in ((other, tail), (tail, other)):
+        code, failed = verify(cert_tail, digit_line)
+        assert code == 1 and "inserted_digits" in failed
+    for form in forms:
+        assert verify(form, tail) == (0, set()), form[:5]
+        assert verify(tail, form) == (0, set()), form[:5]
+    assert verify(tail, tail) == (0, set())
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The split conversions a fresh process would run, outermost calls only.
+
+    Clears both caches, then records the int each rendering starts from
+    and the digit text each parse starts from.
+    """
+    _dectext._split_text.cache_clear()
+    _dectext._split_int.cache_clear()
+    rendered, parsed = [], []
+    depth = [0]
+
+    def spy(real, record):
+        def wrapper(*args):
+            if depth[0] == 0:
+                record(args)
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(_dectext, "_to_decimal", spy(
+        _dectext._to_decimal, lambda args: rendered.append(args[0])))
+    monkeypatch.setattr(_dectext, "_digits_to_int", spy(
+        _dectext._digits_to_int,
+        lambda args: parsed.append(args[0][args[1]:args[2]])))
+    return rendered, parsed
+
+
+@pytest.mark.parametrize("seed,block_size,large_fields", [
+    (36, 6, 1),   # a 1,452,026-bit tail; every other field is short
+    (12, 6, 3),   # k = 2102: ell3 and q3 are past 2**2000 as well
+])
+def test_cli_converts_each_large_value_once(tmp_path, capsys, split_calls,
+                                            seed, block_size, large_fields):
+    rendered, parsed = split_calls
+    digits, cert = _paper_files(tmp_path, seed, block_size)
+    tail_bits = int(capsys.readouterr().out.split("tail_bits=")[1].split()[0])
+    assert len(rendered) == len(set(rendered)) == large_fields
+    assert max(rendered).bit_length() == tail_bits
+
+    # verify in a fresh process: clear the caches as an exit would.
+    _dectext._split_text.cache_clear()
+    _dectext._split_int.cache_clear()
+    rendered.clear()
+    assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 0
+    capsys.readouterr()
+    assert rendered == []
+    assert len(parsed) == len(set(parsed)) == large_fields
+    assert text_to_int(max(parsed, key=len)).bit_length() == tail_bits
 
 
 def test_cli_verify_exit_2_on_truncated_digits(tmp_path, capsys):

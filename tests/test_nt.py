@@ -411,6 +411,25 @@ def test_pow_exceeds_boundaries():
             assert not pow_exceeds(g, e, power + 1), (g, e)
 
 
+def test_pow_exceeds_or_equal_at_and_around_powers():
+    # The inclusive test at g**e and one either side, for powers of two
+    # (decided by bit counts) and for other bases (exact band).
+    for g in (2, 3, 8, 10):
+        for e in (0, 1, 2, 3, 7, 64, 1000, 10**4):
+            power = g**e
+            assert pow_exceeds(g, e, power - 1, or_equal=True), (g, e)
+            assert pow_exceeds(g, e, power, or_equal=True), (g, e)
+            assert not pow_exceeds(g, e, power + 1, or_equal=True), (g, e)
+            assert pow_exceeds(g, e, power - 1), (g, e)
+            assert not pow_exceeds(g, e, power), (g, e)
+            assert not pow_exceeds(g, e, power + 1), (g, e)
+    # Bounds below 1 lie under every power; far bounds go by bit lengths.
+    for bound in (0, -1, -(1 << 100)):
+        assert pow_exceeds(3, 0, bound, or_equal=True)
+    assert not pow_exceeds(10, 5, 1 << 10**6, or_equal=True)
+    assert pow_exceeds(8, 10**6, 1 << 100, or_equal=True)
+
+
 def test_kronecker_examples():
     assert kronecker_symbol(5, 11) == 1
     assert kronecker_symbol(8, 3) == -1
