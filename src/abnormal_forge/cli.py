@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import nt
-from ._dectext import int_to_text, text_to_int
+from ._dectext import brief, int_to_text, text_to_int
 from .construction import (ConstructionAborted, ConstructionConfig, Mode,
                            SearchBudget, block_boundary, construct,
                            verify_certificate)
@@ -204,7 +204,7 @@ def _cmd_verify(args) -> int:
     needed = max((c.block_end + 4 for c in certs), default=0)
     if len(digits) < needed:
         raise InputFormatError(
-            f"digit file too short: certificates need {needed} digits, "
+            f"digit file too short: certificates need {brief(needed)} digits, "
             f"found {len(digits)}")
     blocks = []
     all_passed = True

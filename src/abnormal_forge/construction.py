@@ -31,7 +31,7 @@ from . import nt
 from ._dectext import brief
 from .cf import convergent_stream, log2_fixed
 from .errors import InputFormatError, ResourceBudgetExceeded, SearchExhausted
-from .radix import NON_TERMINATING, base_expansion, digits_of_int
+from .radix import digits_of_int
 
 MODE_PAPER = "paper"
 MODE_RELAXED = "relaxed"
@@ -70,7 +70,15 @@ class Mode:
         if text == MODE_TOY:
             return Mode(MODE_TOY)
         if text.startswith(MODE_RELAXED + ":"):
-            return Mode(MODE_RELAXED, Fraction(text.split(":", 1)[1]))
+            scale = text.split(":", 1)[1]
+            if "e" in scale.lower():  # Fraction would form 10**exponent
+                raise ValueError(
+                    f"relaxed scale {brief(scale)!r} has an exponent")
+            try:
+                return Mode(MODE_RELAXED, Fraction(scale))
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"relaxed scale {brief(scale)!r} divides by zero") from None
         raise ValueError(
             f"mode must be 'paper', 'relaxed:<scale>' or 'toy', got {text!r}")
 
@@ -438,6 +446,14 @@ class VerificationReport:
         return tuple(c for c in self.checks if c.required and c.passed is False)
 
 
+def _convergent_digits(p: int, q: int, base: int,
+                       places: int) -> tuple[int, ...]:
+    """First ``places`` base digits of p/q in (0, 1), non-terminating form."""
+    if places < 1:
+        raise ValueError(f"places must be >= 1, got {places}")
+    return digits_of_int(-(-p * base**places // q) - 1, base, places)
+
+
 def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
                        sample_window: int = 10_000) -> VerificationReport:
     """Recheck every certificate claim from the digit stream alone.
@@ -464,7 +480,9 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     base**(k*k) follows from the tail bound T > base**(k*k) with no
     product. The first s base digits of an endpoint are floor(B*p/q)
     = c + (e*q - det*B) // (q3*q) with B = base**s and c, e =
-    divmod(p3*B, q3), exact for any det and q3.
+    divmod(p3*B, q3), exact for any det and q3. The convergent's own
+    digits need no ``power_hit``: the first s non-terminating base digits
+    of p3/q3 are ceil(p3*base**s/q3) - 1, written with s digits.
 
     Both tails enter the pinched digits clamped to 2**cap_bits, with
     cap_bits = window * base.bit_length(), so 2**cap_bits > base**window
@@ -484,6 +502,10 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
             required: bool = True) -> None:
         checks.append(CheckResult(name, passed, required, detail))
 
+    def report(tail_bound_met: bool = False) -> VerificationReport:
+        return VerificationReport(index=i, checks=tuple(checks),
+                                  tail_bound_met=tail_bound_met)
+
     n_i = cert.block_end
     i = cert.index
     base = cert.base
@@ -494,32 +516,29 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     if i < 1 or i - 1 >= len(digits).bit_length():
         add("block_layout", False,
             f"block {brief(i)} cannot end inside a {len(digits)}-digit stream")
-        return VerificationReport(index=i, checks=tuple(checks),
-                                  tail_bound_met=False)
+        return report()
     size_num = n_i - 4 * (i - 1)
     size_den = 1 << (i - 1)
     block_size = size_num // size_den if size_num % size_den == 0 else 0
     add("block_layout",
         block_size >= 2 and block_size % 2 == 0
         and block_boundary(block_size, i) == n_i,
-        f"boundary {n_i} implies block size {block_size or '?'}")
+        f"boundary {brief(n_i)} implies block size "
+        f"{brief(block_size or '?')}")
     if n_i < 1:
         # No convergent precedes the first digit.
-        return VerificationReport(index=i, checks=tuple(checks),
-                                  tail_bound_met=False)
+        return report()
     scheduled = base_schedule(i)
     add("scheduled_base", base == scheduled,
         f"block {i} is scheduled for base {scheduled}")
     if base != scheduled:
         # Every later power of the base would be sized by the claim alone.
-        return VerificationReport(index=i, checks=tuple(checks),
-                                  tail_bound_met=False)
+        return report()
 
     if len(digits) < n_i + 4:
         add("stream_length", False,
-            f"need {n_i + 4} digits, stream has {len(digits)}")
-        return VerificationReport(index=i, checks=tuple(checks),
-                                  tail_bound_met=False)
+            f"need {brief(n_i + 4)} digits, stream has {len(digits)}")
+        return report()
     add("stream_length", True, f"{len(digits)} digits available")
 
     inserted = tuple(digits[n_i:n_i + 4])
@@ -593,11 +612,9 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
         required=(mode.kind == MODE_PAPER))
 
     window = sample_window
-    r = Fraction(p3, q3)
     tail_span = min(k * k, window)
     if tail_span > k:
-        r_digits = base_expansion(r, base, tail_span,
-                                  NON_TERMINATING).digits
+        r_digits = _convergent_digits(p3, q3, base, tail_span)
         structure_ok = all(d == base - 1 for d in r_digits[k:])
         add("radix_tail_structure", structure_ok,
             f"digits {k + 1}..{tail_span} of the convergent all equal "
@@ -609,8 +626,7 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
 
     if tail < 1:
         # A claimed gap bound of 1/(tail * q**2) <= 0 pins no place.
-        return VerificationReport(index=i, checks=tuple(checks),
-                                  tail_bound_met=tail_met)
+        return report(tail_met)
 
     # Past 2**cap_bits > base**window no tail changes a verdict or a
     # detail; a window below 1 raises below, max() only keeps 1 << valid.
@@ -629,20 +645,11 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     end_a, end_b = (digits_of_int(c + (e * q - det * power) // (q3 * q),
                                   base, span)
                     for q in (q4, q4 + q3))
-    agreed = 0
-    for a, b in zip(end_a, end_b):
-        if a != b:
-            break
-        agreed += 1
+    agreed = span if end_a == end_b else next(
+        j for j, (a, b) in enumerate(zip(end_a, end_b)) if a != b)
     y_digits = end_a[:agreed]
-    r_window = base_expansion(r, base, max(agreed, 1),
-                              NON_TERMINATING).digits[:agreed]
-    matched = 0
-    for a, b in zip(y_digits, r_window):
-        if a != b:
-            break
-        matched += 1
-    add("radix_window_match", matched == agreed,
+    add("radix_window_match",
+        y_digits == _convergent_digits(p3, q3, base, span)[:agreed],
         f"stream digits match the convergent's repeating-tail expansion "
         f"through all {agreed} pinched places (window {span})")
 
@@ -657,8 +664,7 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
             f"only {agreed} digits pinned; the {probe}-digit window "
             "needs a larger tail", required=False)
 
-    return VerificationReport(index=i, checks=tuple(checks),
-                              tail_bound_met=tail_met)
+    return report(tail_met)
 
 
 @dataclass(frozen=True)

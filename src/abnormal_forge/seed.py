@@ -89,12 +89,6 @@ def _threshold(m: int) -> int:
 
 
 @functools.lru_cache(maxsize=1 << 20)
-def _measure_of_state(j: int) -> int:
-    """Fixed-point Gauss measure of the one-digit cylinder of j."""
-    return _interval_measure64(1, j + 1, 1, j)
-
-
-@functools.lru_cache(maxsize=1 << 20)
 def _tail_weight(j: int, m: int) -> int:
     """Fixed-point measure of the part of j's cylinder with next digit >= m."""
     return _interval_measure64(m, j * m + 1, 1, j)
@@ -127,7 +121,7 @@ def conditional_digit(u_fixed: int, prev: int, cap: int = DEFAULT_DIGIT_CAP) -> 
         raise ValueError("u_fixed must lie strictly between 0 and 2**64")
     if prev < 1 or cap < 1:
         raise ValueError("previous digit and cap must be >= 1")
-    measure = _measure_of_state(prev)
+    measure = _tail_weight(prev, 1)  # W(j, 1) = M(j)
     scaled = u_fixed * measure
     # Float starting guess: invert the conditional CDF in the tail variable.
     q = u_fixed / 2.0**64

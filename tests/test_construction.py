@@ -126,6 +126,20 @@ def test_mode_parsing():
         Mode.parse("strict")
     with pytest.raises(ValueError):
         Mode.parse("relaxed:0")
+    for label in ("relaxed:3/2", "relaxed:2", "relaxed:1/3"):
+        assert Mode.parse(label).label() == label
+    assert Mode.parse("relaxed:2").scale == Fraction(2)
+    assert Mode.parse("relaxed:0.25").scale == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("relaxed:1/0", "divides by zero"), ("relaxed:0/0", "divides by zero"),
+    ("relaxed:1e100000000", "has an exponent"),
+    ("relaxed:1.5E-3", "has an exponent")])
+def test_mode_refuses_hostile_scales(text, message):
+    # Fraction("1e100000000") would form 10**100000000 before failing.
+    with pytest.raises(ValueError, match=message):
+        Mode.parse(text)
 
 
 def test_config_validation():
@@ -368,13 +382,14 @@ def _evidence_cases(draw):
     (with windows small enough to put the clamp below them). The claimed
     tail is the stream's own, one off, a multiple or a fraction of it,
     unrelated, or below 1. The claimed exponent ranges past the window
-    so that spans below k occur, and a window of 0 pins no place.
+    so that spans below k occur, and down to -3 so that the tail-structure
+    slice counts from the end; a window of 0 or -1 pins no place.
     """
     n_i = draw(st.integers(1, 9))
     digits = draw(st.lists(st.integers(1, 60), min_size=n_i + 3,
                            max_size=n_i + 3))
     base = draw(st.sampled_from([2, 3, 5, 6, 8, 10]))
-    window = draw(st.one_of(st.integers(0, 400), st.integers(0, 12)))
+    window = draw(st.one_of(st.integers(-1, 400), st.integers(-1, 12)))
     clamp = 1 << (max(window, 1) * base.bit_length())
     stream_tail = draw(st.one_of(
         st.integers(1, 1 << 300),
@@ -386,7 +401,7 @@ def _evidence_cases(draw):
         stream_tail * factor, stream_tail // factor,
         draw(st.integers(1, 1 << 300)),
         0, -5, -stream_tail, -stream_tail - 1]))
-    k = draw(st.integers(0, 40))
+    k = draw(st.integers(-3, 40))
     return digits + [stream_tail], n_i, tail, base, k, window
 
 
@@ -406,6 +421,13 @@ def _evidence_cases(draw):
 @example(([2, 1, 1, 3, 1, 7, 10**16 + 1], 3, 10**16 + 1, 10, 4, 50))
 @example(([1, 1, 1, 1, 1], 1, 1, 10, 1, 5))
 @example(([1, 1, 1, 1, 1], 1, 1, 10, 1, 0))
+@example(([2, 1, 1, 3, 1, 7, 1 << 90], 3, 1 << 90, 3, -3, 0))
+@example(([2, 1, 1, 3, 1, 7, 1 << 90], 3, 1 << 90, 3, -3, -1))
+@example(([2, 1, 1, 3, 1, 7, 1 << 90], 3, 1 << 90, 3, -3, 50))
+@example(([2, 1, 1, 3, 1, 7, 1 << 90], 3, 0, 3, -3, -1))
+@example(([2, 1, 1, 3, 1, 7, 1 << 90], 3, 1 << 90, 3, 0, 0))
+@example(([2, 1, 1, 3, 1, 7, 1 << 90], 3, 1 << 90, 3, 0, -1))
+@example(([2, 1, 1, 3, 1, 7, 1 << 90], 3, 1 << 90, 3, 0, 50))
 def test_evidence_matches_fraction_reference(case):
     """Integer evidence checks agree with Fraction arithmetic on any stream."""
     digits, n_i, tail, base, k, window = case
@@ -427,8 +449,21 @@ def test_evidence_matches_fraction_reference(case):
     while base ** (guaranteed + 1) <= scale:
         guaranteed += 1
     span = min(window, guaranteed)
+    tail_span = min(k * k, window)
+    structure_error = None
+    if tail_span > k:
+        try:
+            r_tail = base_expansion(r, base, tail_span,
+                                    NON_TERMINATING).digits
+        except ValueError as exc:
+            structure_error = str(exc)
     # The evidence does not depend on which block a base is scheduled for.
     with mock.patch.object(construction, "base_schedule", lambda i: base):
+        if structure_error is not None:
+            with pytest.raises(ValueError) as info:
+                verify_certificate(cert, digits, sample_window=window)
+            assert str(info.value) == structure_error
+            return
         if tail >= 1 and span < 1:
             with pytest.raises(ValueError):
                 verify_certificate(cert, digits, sample_window=window)
@@ -441,6 +476,12 @@ def test_evidence_matches_fraction_reference(case):
                                           and (r - hi) * scale <= 1)
     assert report.tail_bound_met == (tail > base ** (k * k))
     assert checks["gap_resolution"].passed == (scale > base ** (k * k))
+    structure = checks["radix_tail_structure"]
+    if tail_span > k:
+        # A negative k slices from the end, as Python does.
+        assert structure.passed == all(d == base - 1 for d in r_tail[k:])
+    else:
+        assert structure.passed is None
     if tail < 1:
         # A claimed tail below 1 pins no place.
         assert report.checks[-1].name == "radix_tail_structure"
@@ -489,6 +530,20 @@ def test_verify_requires_enough_digits(worked_number):
     report = verify_certificate(worked_number.certificates[0],
                                 worked_number.digits_through_blocks[:6])
     assert not report.passed
+
+
+def test_verify_reports_a_block_end_past_the_digit_limit(worked_number):
+    # Details render the claimed end by bit size, so no str() of it fails.
+    cert = dataclasses.replace(worked_number.certificates[0],
+                               block_end=10**5000)
+    report = verify_certificate(cert, worked_number.digits_through_blocks)
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("block_layout", True), ("scheduled_base", True),
+        ("stream_length", False)]
+    assert report.checks[0].detail == ("boundary <16610-bit integer> implies "
+                                       "block size <16610-bit integer>")
+    assert report.checks[2].detail == ("need <16610-bit integer> digits, "
+                                       "stream has 8")
 
 
 def test_insertion_density_examples():

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abnormal_forge import (BlockCertificate, ConstructionConfig, Mode,
-                            RngDigitSource, _dectext, construct)
+                            RngDigitSource, _dectext, construct,
+                            verify_certificate)
 from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS,
                                      int_to_text, text_to_int)
 from abnormal_forge.cli import main
@@ -555,6 +556,59 @@ def test_cli_verify_fails_an_exponent_past_the_digit_limit(tmp_path, capsys,
     assert checks["digit_bound"]["passed"] is False
 
 
+@pytest.mark.parametrize("width,flags", [
+    (5000, ()), (641, ("-X", "int_max_str_digits=640"))])
+def test_cli_verify_block_end_past_the_digit_limit(tmp_path, width, flags):
+    # The "digit file too short" message renders the need by bit size.
+    seed = _write_seed(tmp_path)
+    digits = tmp_path / "y.cf"
+    cert = tmp_path / "y.json"
+    assert main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "1", "--mode", "paper",
+                 "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    payload["blocks"][0]["block_end"] = "9" * width
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    result = _verify_child(cert, digits, *flags)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(
+        "error: digit file too short: certificates need <")
+    assert "Exceeds the limit" not in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("scale,message", [
+    ("1/0", "divides by zero"), ("1e100000000", "has an exponent")])
+def test_cli_refuses_hostile_relaxed_scales(tmp_path, capsys, scale, message):
+    # Fraction("1e100000000") would run for well over 30 s; "1/0" raised
+    # ZeroDivisionError, a traceback.
+    seed = _write_seed(tmp_path)
+    digits = tmp_path / "y.cf"
+    cert = tmp_path / "y.json"
+    construct_args = ["construct", "--seed-file", str(seed),
+                      "--block-size", "4", "--blocks", "1",
+                      "--out-digits", str(digits), "--out-cert", str(cert)]
+    assert main([*construct_args, "--mode", f"relaxed:{scale}"]) == 2
+    assert message in capsys.readouterr().err
+    child = subprocess.run(
+        [sys.executable, "-m", "abnormal_forge.cli", *construct_args,
+         "--mode", f"relaxed:{scale}"],
+        capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert message in child.stderr and "Traceback" not in child.stderr
+
+    assert main([*construct_args, "--mode", "paper"]) == 0
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    payload["blocks"][0]["mode"] = f"relaxed:{scale}"
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 2
+    assert message in capsys.readouterr().err
+    result = _verify_child(cert, digits)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert message in result.stderr and "Traceback" not in result.stderr
+
+
 def _paper_files(tmp_path, seed, block_size):
     digits = tmp_path / f"paper-{seed}.cf"
     cert = tmp_path / f"paper-{seed}.json"
@@ -595,6 +649,30 @@ def test_cli_verify_reuses_a_parse_only_for_identical_text(tmp_path, capsys):
         assert verify(form, tail) == (0, set()), form[:5]
         assert verify(tail, form) == (0, set()), form[:5]
     assert verify(tail, tail) == (0, set())
+
+
+def test_verify_path_uses_no_fraction_and_no_expansion(tmp_path, capsys,
+                                                      monkeypatch,
+                                                      worked_number):
+    # The verifier works on integer identities alone: with Fraction and
+    # base_expansion refused in every module that holds either name, a
+    # paper certificate still verifies, in the library and through the CLI.
+    digits, cert = _paper_files(tmp_path, 1, 4)
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verify path left integer arithmetic")
+
+    for name, module in list(sys.modules.items()):
+        if name == "abnormal_forge" or name.startswith("abnormal_forge."):
+            for attr in ("Fraction", "base_expansion"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    report = verify_certificate(worked_number.certificates[0],
+                                worked_number.digits_through_blocks)
+    assert report.passed and report.tail_bound_met
+    assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
 
 
 @pytest.fixture
