@@ -24,11 +24,11 @@ from .construction import (BlockCertificate, BlockPlan, CheckResult,
                            tail_digit, verify_certificate)
 from .errors import (InfeasibleError, InputFormatError,
                      ResourceBudgetExceeded, SearchExhausted)
-from .nt import (ArtinPrime, FactoredInteger, LenstraVerdict, PrimalityPolicy,
+from .nt import (ArtinPrime, FactoredInteger, LenstraVerdict,
                  coprimizing_multiplier, corollary_hypotheses, crt_min_solution,
                  discrete_log, factorize, field_discriminant, find_artin_prime,
-                 gcd, is_prime, is_primitive_root, kronecker_symbol,
-                 lift_exponent, mod_pow, squarefree_kernel)
+                 is_prime, is_primitive_root, kronecker_symbol, lift_exponent,
+                 squarefree_kernel)
 from .radix import (BaseDigits, DigitStats, RunStats, base_expansion,
                     cf_normality_report, count_occurrences, max_run)
 from .seed import (FileDigitSource, ListDigitSource, RngDigitSource,

@@ -96,8 +96,8 @@ def text_to_int(text) -> int:
     """``int(text)``, exact past the digit limit and subquadratic in length.
 
     Strings of more than ``INT_FAST_CHARS`` characters are parsed here;
-    anything else (short strings, and the ints and floats of JSON) goes
-    to ``int()`` as it is.
+    anything else (short strings, and the ints of JSON) goes to ``int()``
+    as it is.
     """
     if type(text) is not str or len(text) <= INT_FAST_CHARS:
         return int(text)

@@ -84,9 +84,6 @@ class CylinderInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo < x < self.hi
-
 
 def cylinder_interval(digits: Sequence[int]) -> CylinderInterval:
     """Interval spanned by all continuations of a finite digit string.
@@ -109,12 +106,15 @@ def cylinder_interval(digits: Sequence[int]) -> CylinderInterval:
     return CylinderInterval(lo=lo, hi=hi, depth=len(digits))
 
 
-def log2_fixed(num: int, den: int, precision_bits: int, guard_bits: int = 48) -> int:
+_LOG2_GUARD_BITS = 48  # headroom of log2_fixed's working values
+
+
+def log2_fixed(num: int, den: int, precision_bits: int) -> int:
     """Fixed-point log2(num/den) for num >= den >= 1: ~floor(2**prec * log2).
 
     Classic digit extraction: normalize the mantissa into [1, 2), then
     repeatedly square, pulling one output bit per squaring. Working
-    values are truncated integers with ``guard_bits`` of headroom, so
+    values are truncated integers with 48 guard bits of headroom, so
     the result is deterministic and within 2 ulp of the true value
     (exact for exact powers of two). No floating point anywhere.
     """
@@ -127,7 +127,7 @@ def log2_fixed(num: int, den: int, precision_bits: int, guard_bits: int = 48) ->
         shift -= 1
     if num == den << shift:
         return shift << precision_bits
-    work = precision_bits + guard_bits
+    work = precision_bits + _LOG2_GUARD_BITS
     x = (num << work) // (den << shift)
     frac = 0
     top = 1 << (work + 1)

@@ -358,6 +358,8 @@ class ConstructedNumber:
         return self._digits[:end] if end else list(self._digits)
 
     def prefix(self, n: int) -> list[int]:
+        if n < 0:
+            raise ValueError(f"prefix length must be >= 0, got {n}")
         while len(self._digits) < n:
             chunk = min(4096, n - len(self._digits))
             self._digits.extend(self._source.next_digits(chunk))

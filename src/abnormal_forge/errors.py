@@ -29,15 +29,12 @@ class InfeasibleError(ValueError):
 class SearchExhausted(RuntimeError):
     """A bounded search ran out of candidates before finding a hit.
 
-    ``candidates_tested`` and ``last_candidate`` record progress so a
-    caller can resume or report how far the scan went.
+    ``candidates_tested`` records how far the scan went.
     """
 
-    def __init__(self, message: str, *, candidates_tested: int = 0,
-                 last_candidate: int | None = None):
+    def __init__(self, message: str, *, candidates_tested: int = 0):
         super().__init__(message)
         self.candidates_tested = candidates_tested
-        self.last_candidate = last_candidate
 
 
 class ResourceBudgetExceeded(RuntimeError):

@@ -30,7 +30,9 @@ header's config echo) go through :mod:`json` under the interpreter's
 limit: a certificate file holding a longer one is refused with
 :class:`InputFormatError`, and a header holding one, which only a
 library caller's ``tail_offset`` can give, makes ``write_digit_file``
-raise ``ValueError`` before it opens its file.
+raise ``ValueError`` before it opens its file. A certificate integer
+field is a JSON integer or a decimal string; a JSON float or boolean
+there is refused with :class:`InputFormatError`, never truncated.
 """
 
 from __future__ import annotations
@@ -118,21 +120,37 @@ def _cert_to_json(cert: BlockCertificate) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """A certificate integer: a JSON integer (not a bool) or a decimal string."""
+    if type(value) in (int, str):
+        return text_to_int(value)
+    int(value)  # what int() refuses (None, lists, infinities) keeps its message
+    raise TypeError(f"expected an integer or a decimal string, got {value!r}")
+
+
+def _integers(record: dict, key: str, arity: int) -> tuple[int, ...]:
+    values = record[key]
+    if type(values) is not list or len(values) != arity:
+        raise InputFormatError(f"{key} must be a list of {arity} integers")
+    return tuple(_integer(v) for v in values)
+
+
 def _cert_from_json(record: dict) -> BlockCertificate:
     try:
-        inserted = tuple(text_to_int(v) for v in record["inserted"])
-        before = tuple(text_to_int(v) for v in record["denoms_before"])
-        after = tuple(text_to_int(v) for v in record["denoms_after"])
-        if len(inserted) != 4 or len(before) != 2 or len(after) != 3:
-            raise InputFormatError("certificate arrays have the wrong arity")
+        inserted = _integers(record, "inserted", 4)
+        before = _integers(record, "denoms_before", 2)
+        after = _integers(record, "denoms_after", 3)
+        if type(record["mode"]) is not str:
+            raise TypeError("mode must be a string, got "
+                            f"{type(record['mode']).__name__}")
         return BlockCertificate(
-            index=text_to_int(record["index"]),
-            base=text_to_int(record["base"]),
-            block_end=text_to_int(record["block_end"]), inserted=inserted,
+            index=_integer(record["index"]),
+            base=_integer(record["base"]),
+            block_end=_integer(record["block_end"]), inserted=inserted,
             denoms_before=before, denoms_after=after,
-            prime=text_to_int(record["prime"]),
-            exponent=text_to_int(record["exponent"]),
-            digit_bound=text_to_int(record["digit_bound"]),
+            prime=_integer(record["prime"]),
+            exponent=_integer(record["exponent"]),
+            digit_bound=_integer(record["digit_bound"]),
             mode=record["mode"])
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad certificate record: {exc}") from None
@@ -156,7 +174,7 @@ def read_certificate_file(path) -> tuple[list[BlockCertificate], dict]:
         payload = json.loads(text)
     except ValueError as exc:  # not JSON, or a number past the limit
         raise InputFormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "blocks" not in payload:
+    if not isinstance(payload, dict) or type(payload.get("blocks")) is not list:
         raise InputFormatError("missing certificate block list")
     if payload.get("format") != f"{TOOL_NAME}-certificates":
         raise InputFormatError("not a certificate file")

@@ -5,6 +5,10 @@ and discrete-log computations, Kronecker symbols, and the finiteness
 tests that decide whether a residue class can keep supplying primes
 with a prescribed primitive root (Lenstra's criterion, assuming GRH).
 
+Primality follows one fixed rule: deterministic Miller-Rabin below
+~3.3e24; above it, Baillie-PSW, then 32 Miller-Rabin rounds whose bases
+come from a PRNG seeded by the number under test.
+
 Everything here is a pure function of its arguments; values are plain
 Python ints and frozen dataclasses. The one piece of state,
 :func:`discrete_log`'s kept baby-step table, changes only what a repeat
@@ -19,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InfeasibleError, ResourceBudgetExceeded, SearchExhausted
-
-gcd = math.gcd
 
 _SMALL_PRIME_LIMIT = 1 << 16
 
@@ -41,15 +43,11 @@ _SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
 # comfortably past 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by square-and-multiply; modulus must be >= 2."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError("negative exponents are not supported")
-    return pow(base, exp, modulus)
+# Seeded Miller-Rabin rounds after Baillie-PSW above that bound.
+_EXTRA_MR_ROUNDS = 32
+# Caps on the coprimizing-multiplier scan and on CRT residue combinations.
+_COPRIMIZER_SCAN_LIMIT = 1 << 20
+_CRT_COMBINATION_LIMIT = 1 << 20
 
 
 def iroot(n: int, k: int) -> int:
@@ -78,23 +76,6 @@ def is_perfect_square(n: int) -> bool:
 def is_perfect_power(n: int, k: int) -> bool:
     """True iff n = m**k for some integer m."""
     return iroot(n, k) ** k == n
-
-
-@dataclass(frozen=True)
-class PrimalityPolicy:
-    """Strength of probable-prime testing above the deterministic range.
-
-    Below ~3.3e24 the answer is unconditionally correct. Above, a
-    Baillie-PSW combination (base-2 Miller-Rabin plus a strong Lucas
-    test) runs first, followed by ``extra_rounds`` Miller-Rabin rounds
-    whose bases are drawn from a PRNG seeded by the number under test,
-    so results are reproducible run to run.
-    """
-
-    extra_rounds: int = 32
-
-
-DEFAULT_PRIMALITY_POLICY = PrimalityPolicy()
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -171,12 +152,16 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_PRIMALITY_POLICY) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test; deterministic below ~3.3e24, strong-PRP above.
 
-    A ``False`` answer is always correct. Above the deterministic range
-    the failure probability of a ``True`` answer is far below 2**-64
-    under the default policy.
+    Below ~3.3e24, Miller-Rabin with the first twelve prime bases gives
+    an unconditionally correct answer. Above, a Baillie-PSW combination
+    (base-2 Miller-Rabin plus a strong Lucas test) runs first, then 32
+    Miller-Rabin rounds whose bases come from a PRNG seeded by n, so
+    results are reproducible run to run. A ``False`` answer is always
+    correct; the failure probability of a ``True`` answer is far below
+    2**-64.
     """
     if n < 2:
         return False
@@ -199,7 +184,7 @@ def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_PRIMALITY_POLICY) -> bool
     if not _strong_lucas_prp(n):
         return False
     rng = random.Random(n)
-    for _ in range(policy.extra_rounds):
+    for _ in range(_EXTRA_MR_ROUNDS):
         a = rng.randrange(2, n - 1)
         if _mr_witness(n, a, d, s):
             return False
@@ -268,8 +253,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
         # unlucky cycle; retry with new parameters
 
 
-def factorize(n: int, *, effort: int = 1 << 22,
-              policy: PrimalityPolicy = DEFAULT_PRIMALITY_POLICY) -> FactoredInteger:
+def factorize(n: int, *, effort: int = 1 << 22) -> FactoredInteger:
     """Complete factorization: trial division, then Brent-cycle rho.
 
     ``effort`` bounds the total number of rho iterations; a hard
@@ -291,7 +275,7 @@ def factorize(n: int, *, effort: int = 1 << 22,
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m, policy):
+        if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
         # Perfect powers first: rho behaves poorly on them.
@@ -314,11 +298,11 @@ def factorize(n: int, *, effort: int = 1 << 22,
     return result
 
 
-def squarefree_kernel(g: int, *, effort: int = 1 << 22) -> int:
+def squarefree_kernel(g: int) -> int:
     """Product of the distinct primes dividing g (its largest squarefree divisor)."""
     if g < 2:
         raise ValueError(f"squarefree_kernel requires g >= 2, got {g}")
-    return math.prod(factorize(g, effort=effort).primes())
+    return math.prod(factorize(g).primes())
 
 
 def field_discriminant(g: int) -> int:
@@ -359,15 +343,13 @@ def kronecker_symbol(d: int, n: int) -> int:
     return result * _jacobi(d % n, n)
 
 
-def is_primitive_root(g: int, p: int, *,
-                      policy: PrimalityPolicy = DEFAULT_PRIMALITY_POLICY,
-                      effort: int = 1 << 22) -> bool:
+def is_primitive_root(g: int, p: int, *, effort: int = 1 << 22) -> bool:
     """True iff g generates the full multiplicative group mod prime p.
 
     Checks g**((p-1)/r) != 1 for every prime r dividing p - 1, which
     requires factoring p - 1; oversized p - 1 raises a resource error.
     """
-    if not is_prime(p, policy):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     g %= p
     if g == 0:
@@ -398,8 +380,7 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return x, m
 
 
-def crt_min_solution(constraints: Sequence[tuple[int, ResidueSpec]], *,
-                     combination_limit: int = 1 << 20) -> int:
+def crt_min_solution(constraints: Sequence[tuple[int, ResidueSpec]]) -> int:
     """Smallest positive integer meeting one admitted residue per modulus.
 
     Moduli must be pairwise coprime. The minimum is global: every
@@ -420,7 +401,7 @@ def crt_min_solution(constraints: Sequence[tuple[int, ResidueSpec]], *,
                     f"moduli {moduli[i]} and {moduli[j]} are not coprime")
     admitted = [_admitted_residues(m, spec) for m, spec in constraints]
     combos = math.prod(len(a) for a in admitted)
-    if combos > combination_limit:
+    if combos > _CRT_COMBINATION_LIMIT:
         raise ResourceBudgetExceeded(
             f"{combos} residue combinations exceed the enumeration limit")
     total = math.prod(moduli)
@@ -435,8 +416,7 @@ def crt_min_solution(constraints: Sequence[tuple[int, ResidueSpec]], *,
     return min(solutions(0, 0, 1))
 
 
-def coprimizing_multiplier(q: int, q_prev: int, avoid: int, *,
-                           scan_limit: int = 1 << 20) -> int:
+def coprimizing_multiplier(q: int, q_prev: int, avoid: int) -> int:
     """Least ell >= 1 making ell*q + q_prev coprime to ``avoid``.
 
     Requires gcd(q, q_prev) = 1, which guarantees that for each prime r
@@ -448,13 +428,14 @@ def coprimizing_multiplier(q: int, q_prev: int, avoid: int, *,
         raise ValueError(f"avoid must be >= 1, got {avoid}")
     if math.gcd(q, q_prev) != 1:
         raise ValueError("q and q_prev must be coprime")
-    for ell in range(1, scan_limit + 1):
+    for ell in range(1, _COPRIMIZER_SCAN_LIMIT + 1):
         if math.gcd(ell * q + q_prev, avoid) == 1:
             return ell
     # Unreachable for honest inputs: valid multipliers have positive
     # density under the coprimality precondition.
     raise InfeasibleError(
-        f"no coprimizing multiplier below {scan_limit}; preconditions violated?")
+        f"no coprimizing multiplier below {_COPRIMIZER_SCAN_LIMIT}; "
+        "preconditions violated?")
 
 
 @dataclass(frozen=True)
@@ -534,7 +515,6 @@ class ArtinPrime:
 
 
 def find_artin_prime(g: int, f: int, a: int, search_limit: int = 100_000, *,
-                     policy: PrimalityPolicy = DEFAULT_PRIMALITY_POLICY,
                      effort: int = 1 << 22) -> ArtinPrime:
     """Least ell >= 1 with ell*f + a prime and g a primitive root mod it.
 
@@ -557,23 +537,21 @@ def find_artin_prime(g: int, f: int, a: int, search_limit: int = 100_000, *,
         if g % candidate == 0:
             continue  # g = 0 mod p can never generate the group
 
-        if is_prime(candidate, policy) and is_primitive_root(
-                g, candidate, policy=policy, effort=effort):
+        if is_prime(candidate) and is_primitive_root(
+                g, candidate, effort=effort):
             return ArtinPrime(ell=ell, prime=candidate, candidates_tested=tested)
     raise SearchExhausted(
         f"no prime with primitive root {g} in {a} mod {f} within "
-        f"{search_limit} candidates",
-        candidates_tested=tested, last_candidate=search_limit * f + a)
+        f"{search_limit} candidates", candidates_tested=tested)
 
 
 @dataclass(frozen=True, slots=True)
 class _BabySteps:
     """Baby-step table ``g**j mod p -> j`` for ``0 <= j < size``, with the
-    giant step ``g**(-size) mod p``. ``p`` is prime under ``policy``."""
+    giant step ``g**(-size) mod p``. ``p`` passed :func:`is_prime`."""
 
     g: int
     p: int
-    policy: PrimalityPolicy
     table: dict[int, int]
     size: int
     giant: int
@@ -591,8 +569,7 @@ class _BabySteps:
         for j in range(self.size, size):
             table[e] = j
             e = e * g % p
-        return _BabySteps(g, p, self.policy, table, size,
-                          pow(g, p - 1 - size, p))
+        return _BabySteps(g, p, table, size, pow(g, p - 1 - size, p))
 
 
 # The table of the latest discrete_log query: one slot, so memory stays
@@ -601,26 +578,25 @@ _last_baby_steps: _BabySteps | None = None
 
 
 def discrete_log(g: int, h: int, p: int, *,
-                 max_table_entries: int = 1 << 24,
-                 policy: PrimalityPolicy = DEFAULT_PRIMALITY_POLICY) -> int:
+                 max_table_entries: int = 1 << 24) -> int:
     """Baby-step giant-step discrete log: the k in [0, p-2] with g**k = h (mod p).
 
     Expects prime p and a generator g (unique answer). A first query for
     (g, p) builds a table of ceil(sqrt(p-1)) entries; instances needing
     more than ``max_table_entries`` raise a resource error instead of
-    thrashing. The table of the latest (g, p, policy) is kept: a repeat
-    query reuses it and doubles it, up to p - 1 entries, so a sweep over
-    every h ends in single lookups. The retained table never exceeds the
+    thrashing. The table of the latest (g, p) is kept: a repeat query
+    reuses it and doubles it, up to p - 1 entries, so a sweep over every
+    h ends in single lookups. The retained table never exceeds the
     calling query's ``max_table_entries`` (the cap that
     ``ABNORMAL_FORGE_MEM_BUDGET`` sets through ``SearchBudget.bsgs_entries``).
     The primality of p is re-tested unless the kept table is for the same
-    p and policy. Every result is confirmed by modular exponentiation
-    before returning.
+    p. Every result is confirmed by modular exponentiation before
+    returning.
     """
     global _last_baby_steps
     last = _last_baby_steps
-    same_modulus = last is not None and (last.p, last.policy) == (p, policy)
-    if not same_modulus and not is_prime(p, policy):
+    same_modulus = last is not None and last.p == p
+    if not same_modulus and not is_prime(p):
         raise ValueError(f"{p} is not prime")
     g %= p
     h %= p
@@ -642,7 +618,7 @@ def discrete_log(g: int, h: int, p: int, *,
                 f"baby-step table would need {size} entries "
                 f"(limit {max_table_entries}); modulus too large")
         last = _last_baby_steps = None  # free the old table before building
-        steps = _BabySteps(g, p, policy, {}, 0, 1).grow(size)
+        steps = _BabySteps(g, p, {}, 0, 1).grow(size)
         _last_baby_steps = steps
     m = steps.size
     giant = steps.giant

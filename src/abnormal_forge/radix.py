@@ -147,14 +147,12 @@ def max_run(digits: Sequence[int], symbol: int, prefix_len: int) -> RunStats:
 
 
 def cf_normality_report(digits: Sequence[int], patterns: Sequence[Sequence[int]],
-                        prefix_len: int,
-                        precision_bits: int = 64) -> list[DigitStats]:
+                        prefix_len: int) -> list[DigitStats]:
     """Occurrence statistics of partial-quotient strings against Gauss-measure targets."""
     if not patterns:
         raise ValueError("at least one pattern is required")
     report = []
     for pattern in patterns:
-        reference = gauss_measure(cylinder_interval(list(pattern)),
-                                  precision_bits=precision_bits)
+        reference = gauss_measure(cylinder_interval(list(pattern)))
         report.append(count_occurrences(digits, pattern, prefix_len, reference))
     return report

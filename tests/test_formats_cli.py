@@ -745,11 +745,62 @@ def test_cli_verify_exit_2_on_truncated_digits(tmp_path, capsys):
     assert "too short" in capsys.readouterr().err
 
 
+def _construct_worked(tmp_path):
+    """Digit and certificate files of the worked example in paper mode."""
+    digits = tmp_path / "y.cf"
+    cert = tmp_path / "y.json"
+    assert main(["construct", "--seed-file", str(_write_seed(tmp_path)),
+                 "--block-size", "4", "--blocks", "1", "--mode", "paper",
+                 "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
+    return digits, cert
+
+
 def test_cli_verify_exit_2_on_bad_cert(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     digits = _write_seed(tmp_path)
     assert main(["verify", "--cert", str(bad), "--digits", str(digits)]) == 2
+    # A block list or a mode of the wrong JSON type is refused the same way.
+    digits, cert = _construct_worked(tmp_path)
+    for key, value in [("blocks", 5), ("blocks", None),
+                       ("mode", 5), ("mode", None)]:
+        payload = json.loads(cert.read_text(encoding="utf-8"))
+        record = payload if key == "blocks" else payload["blocks"][0]
+        record[key] = value
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["verify", "--cert", str(bad), "--digits", str(digits)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), (key, value)
+        assert captured.err.startswith("error: "), (key, value)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("block_end", 4.7), ("base", 2.5), ("index", True)])
+def test_cli_verify_refuses_non_integer_numbers(tmp_path, capsys, key, value):
+    # A float or a boolean is not read as the integer it truncates to.
+    digits, cert = _construct_worked(tmp_path)
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    payload["blocks"][0][key] = value
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: bad certificate record: expected an "
+                            f"integer or a decimal string, got {value!r}\n")
+
+
+def test_cli_construct_refuses_negative_total_digits(tmp_path, capsys):
+    digits = tmp_path / "d.cf"
+    cert = tmp_path / "c.json"
+    code = main(["construct", "--seed-rng", "1", "--block-size", "4",
+                 "--blocks", "1", "--mode", "toy", "--total-digits", "-2",
+                 "--out-digits", str(digits), "--out-cert", str(cert)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: prefix length must be >= 0, got -2\n"
+    assert not digits.exists() and not cert.exists()
 
 
 def test_cli_construct_exhausted_seed_file_exits_2(tmp_path, capsys):
