@@ -25,12 +25,11 @@ from .construction import (BlockCertificate, BlockPlan, CheckResult,
 from .errors import (InfeasibleError, InputFormatError,
                      ResourceBudgetExceeded, SearchExhausted)
 from .nt import (ArtinPrime, FactoredInteger, LenstraVerdict,
-                 coprimizing_multiplier, corollary_hypotheses, crt_min_solution,
-                 discrete_log, factorize, field_discriminant, find_artin_prime,
-                 is_prime, is_primitive_root, kronecker_symbol, lift_exponent,
+                 coprimizing_multiplier, corollary_hypotheses, discrete_log,
+                 factorize, field_discriminant, find_artin_prime, is_prime,
+                 is_primitive_root, kronecker_symbol, lift_exponent,
                  squarefree_kernel)
 from .radix import (BaseDigits, DigitStats, RunStats, base_expansion,
                     cf_normality_report, count_occurrences, max_run)
 from .seed import (FileDigitSource, ListDigitSource, RngDigitSource,
-                   SplitMix64, conditional_digit, digit_from_unit,
-                   gauss_kuzmin_digit)
+                   SplitMix64, conditional_digit, digit_from_unit)

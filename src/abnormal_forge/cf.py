@@ -22,9 +22,6 @@ class Convergent:
     p: int
     q: int
 
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 def convergent_stream(digits: Iterable[int]) -> Iterator[Convergent]:
     """Yield the convergents of a digit sequence, one per digit.

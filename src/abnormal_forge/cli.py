@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import nt
-from ._dectext import brief, int_to_text, text_to_int
+from ._dectext import brief, int_to_text
 from .construction import (ConstructionAborted, ConstructionConfig, Mode,
                            SearchBudget, block_boundary, construct,
                            verify_certificate)
@@ -86,8 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="recheck certificates from the digits")
     ver.add_argument("--cert", required=True, metavar="PATH")
     ver.add_argument("--digits", required=True, metavar="PATH")
-    ver.add_argument("--sample-window", type=int, default=10_000, metavar="W",
-                     help="cap on the base-digit comparison length")
 
     ana = sub.add_parser("analyze", help="digit statistics")
     ana_sub = ana.add_subparsers(dest="analyze_kind", required=True)
@@ -130,11 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lenstra.add_argument("--g", type=int, required=True)
     lenstra.add_argument("--f", type=int, required=True)
     lenstra.add_argument("--a", type=int, required=True)
-    crt = nt_sub.add_parser("crt", help="least positive solution of residue "
-                                        "constraints")
-    crt.add_argument("--constraint", action="append", required=True,
-                     metavar="M:R1[,R2...]",
-                     help="modulus and admitted residues; repeatable")
     return parser
 
 
@@ -209,8 +202,7 @@ def _cmd_verify(args) -> int:
     blocks = []
     all_passed = True
     for cert in certs:
-        report = verify_certificate(cert, digits,
-                                    sample_window=args.sample_window)
+        report = verify_certificate(cert, digits)
         all_passed = all_passed and report.passed
         blocks.append({
             "index": report.index,
@@ -276,23 +268,9 @@ def _cmd_analyze_base(args) -> int:
     return EXIT_OK
 
 
-def _parse_crt_constraints(specs):
-    constraints = []
-    for spec in specs:
-        try:
-            mod_text, residue_text = spec.split(":", 1)
-            modulus = text_to_int(mod_text)
-            residues = [text_to_int(r) for r in residue_text.split(",")]
-        except ValueError:
-            raise InputFormatError(
-                f"constraint must look like M:R1[,R2...], got {spec!r}") from None
-        constraints.append((modulus, residues))
-    return constraints
-
-
 def _cmd_nt(args) -> int:
     # A result can outgrow the digit limit its inputs passed (p = ell*f + a,
-    # a product of moduli), so those go out through int_to_text.
+    # a discriminant 4g'), so those go out through int_to_text.
     budget = _budget_from_env()
     if args.nt_kind == "dlog":
         print(nt.discrete_log(args.g, args.h, args.p,
@@ -317,9 +295,6 @@ def _cmd_nt(args) -> int:
         else:
             print(f"infinite (no finiteness condition fires; "
                   f"GRH-conditional) discriminant={discriminant}")
-    elif args.nt_kind == "crt":
-        print(int_to_text(nt.crt_min_solution(
-            _parse_crt_constraints(args.constraint))))
     else:  # pragma: no cover - argparse enforces choices
         raise InputFormatError(f"unknown nt subcommand {args.nt_kind!r}")
     return EXIT_OK

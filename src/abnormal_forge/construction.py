@@ -322,15 +322,13 @@ class ConstructionAborted(RuntimeError):
     """A block could not be completed; partial results are attached."""
 
     def __init__(self, cause: Exception, failed_block: int,
-                 digits: list[int], certificates: list[BlockCertificate],
-                 insertion_positions: list[int]):
+                 digits: list[int], certificates: list[BlockCertificate]):
         super().__init__(
             f"block {failed_block} failed: {cause}")
         self.cause = cause
         self.failed_block = failed_block
         self.digits = digits
         self.certificates = certificates
-        self.insertion_positions = insertion_positions
 
 
 class ConstructedNumber:
@@ -402,8 +400,7 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
                               offset=config.tail_offset,
                               max_bits=config.budget.tail_bits)
         except (SearchExhausted, ResourceBudgetExceeded, InputFormatError) as exc:
-            raise ConstructionAborted(exc, i, digits, certificates,
-                                      insertion_positions) from exc
+            raise ConstructionAborted(exc, i, digits, certificates) from exc
         before = (q_prev, q_cur)
         for d in (plan.ell1, plan.ell2, plan.ell3):
             insertion_positions.append(len(digits) + 1)

@@ -23,7 +23,7 @@ class InputFormatError(ValueError):
 
 
 class InfeasibleError(ValueError):
-    """A constraint system admits no solution (e.g. an empty residue set)."""
+    """No solution exists (the coprimizing-multiplier scan finds none)."""
 
 
 class SearchExhausted(RuntimeError):

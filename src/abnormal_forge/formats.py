@@ -30,9 +30,12 @@ header's config echo) go through :mod:`json` under the interpreter's
 limit: a certificate file holding a longer one is refused with
 :class:`InputFormatError`, and a header holding one, which only a
 library caller's ``tail_offset`` can give, makes ``write_digit_file``
-raise ``ValueError`` before it opens its file. A certificate integer
-field is a JSON integer or a decimal string; a JSON float or boolean
-there is refused with :class:`InputFormatError`, never truncated.
+raise ``ValueError`` before it opens its file. JSON nested past the
+interpreter's recursion limit, in a certificate file or a digit file's
+header, is refused with :class:`InputFormatError` too. A certificate
+integer field is a JSON integer or a decimal string; a JSON float or
+boolean there is refused with :class:`InputFormatError`, never
+truncated.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def read_digit_file(path) -> tuple[list[int], dict | None]:
         if line.startswith("# header:"):
             try:
                 header = json.loads(line[len("# header:"):])
-            except ValueError:  # not JSON, or a number past the limit
+            except (ValueError, RecursionError):  # not JSON, or past a limit
                 raise InputFormatError("malformed header comment") from None
             break
     return parse_digit_file(iter(lines)), header
@@ -172,7 +175,7 @@ def read_certificate_file(path) -> tuple[list[BlockCertificate], dict]:
         text = fh.read()  # a decoding error is not a JSON error
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # not JSON, or a number past the limit
+    except (ValueError, RecursionError) as exc:  # not JSON, or past a limit
         raise InputFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or type(payload.get("blocks")) is not list:
         raise InputFormatError("missing certificate block list")

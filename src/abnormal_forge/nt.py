@@ -1,7 +1,7 @@
 """Arbitrary-precision number theory kernel.
 
-Primality testing, integer factorization, CRT solving, primitive-root
-and discrete-log computations, Kronecker symbols, and the finiteness
+Primality testing, integer factorization, primitive-root and
+discrete-log computations, Kronecker symbols, and the finiteness
 tests that decide whether a residue class can keep supplying primes
 with a prescribed primitive root (Lenstra's criterion, assuming GRH).
 
@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
 
+from ._dectext import brief
 from .errors import InfeasibleError, ResourceBudgetExceeded, SearchExhausted
 
 _SMALL_PRIME_LIMIT = 1 << 16
@@ -45,9 +45,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 # Seeded Miller-Rabin rounds after Baillie-PSW above that bound.
 _EXTRA_MR_ROUNDS = 32
-# Caps on the coprimizing-multiplier scan and on CRT residue combinations.
+# Cap on the coprimizing-multiplier scan.
 _COPRIMIZER_SCAN_LIMIT = 1 << 20
-_CRT_COMBINATION_LIMIT = 1 << 20
 
 
 def iroot(n: int, k: int) -> int:
@@ -241,7 +240,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
             budget[0] -= r
             if budget[0] < 0:
                 raise ResourceBudgetExceeded(
-                    f"factorization effort budget exhausted on {n}"
+                    f"factorization effort budget exhausted on {brief(n)}"
                 )
         if g == n:
             g = 1
@@ -350,7 +349,7 @@ def is_primitive_root(g: int, p: int, *, effort: int = 1 << 22) -> bool:
     requires factoring p - 1; oversized p - 1 raises a resource error.
     """
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{brief(p)} is not prime")
     g %= p
     if g == 0:
         raise ValueError("g must be a unit modulo p")
@@ -359,61 +358,6 @@ def is_primitive_root(g: int, p: int, *, effort: int = 1 << 22) -> bool:
     order = p - 1
     return all(pow(g, order // r, p) != 1
                for r in factorize(order, effort=effort).primes())
-
-
-ResidueSpec = Iterable[int] | Callable[[int], bool]
-
-
-def _admitted_residues(modulus: int, spec: ResidueSpec) -> list[int]:
-    if callable(spec):
-        admitted = [r for r in range(modulus) if spec(r)]
-    else:
-        admitted = sorted({r % modulus for r in spec})
-    if not admitted:
-        raise InfeasibleError(f"no admitted residue modulo {modulus}")
-    return admitted
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    m = m1 * m2
-    x = (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % m
-    return x, m
-
-
-def crt_min_solution(constraints: Sequence[tuple[int, ResidueSpec]]) -> int:
-    """Smallest positive integer meeting one admitted residue per modulus.
-
-    Moduli must be pairwise coprime. The minimum is global: every
-    combination of admitted residues is CRT-combined and the best
-    positive representative kept. Residue specs may be collections or
-    predicates on [0, modulus).
-    """
-    if not constraints:
-        raise ValueError("at least one constraint is required")
-    moduli = [m for m, _ in constraints]
-    for m in moduli:
-        if m < 1:
-            raise ValueError(f"modulus must be positive, got {m}")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if math.gcd(moduli[i], moduli[j]) != 1:
-                raise ValueError(
-                    f"moduli {moduli[i]} and {moduli[j]} are not coprime")
-    admitted = [_admitted_residues(m, spec) for m, spec in constraints]
-    combos = math.prod(len(a) for a in admitted)
-    if combos > _CRT_COMBINATION_LIMIT:
-        raise ResourceBudgetExceeded(
-            f"{combos} residue combinations exceed the enumeration limit")
-    total = math.prod(moduli)
-
-    def solutions(idx: int, x: int, m: int) -> Iterator[int]:
-        if idx == len(constraints):
-            yield x if x > 0 else total
-            return
-        for r in admitted[idx]:
-            yield from solutions(idx + 1, *_crt_pair(x, m, r, moduli[idx]))
-
-    return min(solutions(0, 0, 1))
 
 
 def coprimizing_multiplier(q: int, q_prev: int, avoid: int) -> int:
@@ -597,7 +541,7 @@ def discrete_log(g: int, h: int, p: int, *,
     last = _last_baby_steps
     same_modulus = last is not None and last.p == p
     if not same_modulus and not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{brief(p)} is not prime")
     g %= p
     h %= p
     if g == 0:
@@ -631,7 +575,8 @@ def discrete_log(g: int, h: int, p: int, *,
             if pow(g, k, p) == h:
                 return k
         y = y * giant % p
-    raise ValueError(f"{h} is outside the subgroup generated by {g} mod {p}")
+    raise ValueError(f"{brief(h)} is outside the subgroup generated by "
+                     f"{brief(g)} mod {brief(p)}")
 
 
 def pow_exceeds(g: int, exponent: int, bound: int, *,

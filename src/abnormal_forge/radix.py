@@ -102,10 +102,7 @@ def count_occurrences(digits: Sequence[int], pattern: Sequence[int],
     if k == 1:
         symbol = pattern[0]
         segment = digits if prefix_len == len(digits) else digits[:prefix_len]
-        try:
-            count = segment.count(symbol)
-        except AttributeError:
-            count = sum(1 for d in segment if d == symbol)
+        count = segment.count(symbol)
     else:
         target = tuple(pattern)
         count = 0

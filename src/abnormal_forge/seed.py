@@ -34,6 +34,7 @@ the exact integer comparisons decide every digit.
 from __future__ import annotations
 
 import functools
+import io
 import math
 from typing import Iterator
 
@@ -49,7 +50,7 @@ DEFAULT_DIGIT_CAP = 10**6
 
 
 class SplitMix64:
-    """The splitmix64 generator; 64-bit outputs, splittable."""
+    """The splitmix64 generator; 64-bit outputs."""
 
     __slots__ = ("state",)
 
@@ -62,10 +63,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
-
-    def split(self) -> "SplitMix64":
-        """Independent child generator derived from the current stream."""
-        return SplitMix64(self.next_u64())
 
     def next_unit(self) -> int:
         """Non-zero 64-bit draw: u = value / 2**64 lies in (0, 1)."""
@@ -137,11 +134,6 @@ def conditional_digit(u_fixed: int, prev: int, cap: int = DEFAULT_DIGIT_CAP) -> 
     while k > 1 and scaled > _tail_weight(prev, k) << 64:
         k -= 1
     return k
-
-
-def gauss_kuzmin_digit(rng: SplitMix64, cap: int = DEFAULT_DIGIT_CAP) -> int:
-    """Draw one partial quotient with the Gauss-Kuzmin single-digit law."""
-    return digit_from_unit(rng.next_unit(), cap)
 
 
 class RngDigitSource:
@@ -239,16 +231,22 @@ class ListDigitSource:
 
 
 class FileDigitSource(ListDigitSource):
-    """Seed digits read from a digit file (one per line, ``#`` comments allowed)."""
+    """Seed digits read from a digit file (one per line, ``#`` comments allowed).
+
+    The file is read once: the descriptor's ``sha256`` hashes the bytes
+    the digits were parsed from, split into lines as a text-mode
+    ``open()`` splits them (universal newlines).
+    """
 
     def __init__(self, path):
+        import hashlib
         self.path = str(path)
         self._name = f"digit file {self.path}"
-        with open(path, "r", encoding="utf-8") as fh:
-            super().__init__(parse_digit_file(fh))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self._sha256 = hashlib.sha256(data).hexdigest()
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        super().__init__(parse_digit_file(text))
 
     def descriptor(self) -> dict:
-        import hashlib
-        with open(self.path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        return {"kind": "file", "path": self.path, "sha256": digest}
+        return {"kind": "file", "path": self.path, "sha256": self._sha256}

@@ -4,10 +4,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from abnormal_forge import (Convergent, approx_bound, cf_to_rational,
-                            convergent_sign, convergent_stream,
-                            cylinder_interval, gauss_measure, log2_fixed,
-                            rational_to_cf)
+from abnormal_forge import (approx_bound, cf_to_rational, convergent_sign,
+                            convergent_stream, cylinder_interval,
+                            gauss_measure, log2_fixed, rational_to_cf)
 
 
 def test_convergent_stream_examples():
@@ -205,7 +204,3 @@ def test_approximation_inequality_and_sign():
             assert gap != 0
             assert (1 if gap > 0 else -1) == convergent_sign(conv.index)
             assert abs(gap) <= approx_bound(conv.q, digits[conv.index])
-
-
-def test_convergent_value_helper():
-    assert Convergent(3, 7, 10).value() == Fraction(7, 10)

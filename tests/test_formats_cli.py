@@ -1,8 +1,10 @@
 import gc
 import json
 import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from abnormal_forge import (BlockCertificate, ConstructionConfig, Mode,
                             verify_certificate)
 from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS,
                                      int_to_text, text_to_int)
-from abnormal_forge.cli import main
+from abnormal_forge.cli import _build_parser, main
 from abnormal_forge.errors import InputFormatError
 from abnormal_forge.formats import (_cert_from_json, _cert_to_json,
                                     read_certificate_file, read_digit_file,
@@ -773,6 +775,42 @@ def test_cli_verify_exit_2_on_bad_cert(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), (key, value)
         assert captured.err.startswith("error: "), (key, value)
+    # JSON nested past the recursion limit, as a certificate file and as a
+    # digit file's header comment: exit 2, not a RecursionError traceback.
+    nested = "[" * 200_000 + "]" * 200_000
+    bad.write_text(nested, encoding="utf-8")
+    result = _verify_child(bad, digits)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: not valid JSON: ")
+    lines = digits.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].startswith("# header: ")
+    lines[1] = f"# header: {nested}\n"
+    digits.write_text("".join(lines), encoding="utf-8")
+    for args in (["verify", "--cert", str(cert), "--digits", str(digits)],
+                 ["analyze", "cf", "--digits", str(digits), "--strings", "1",
+                  "--prefix", "4"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "abnormal_forge.cli", *args],
+            capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout) == (2, ""), args
+        assert result.stderr == "error: malformed header comment\n", args
+
+
+def test_cli_verify_details_render_a_large_prime_by_size(tmp_path, capsys):
+    # ell2 = 10**450 makes the stream's q2 a 1,500-bit composite: both the
+    # prime check and the primitive-root check name it by bit size.
+    digits, cert = _construct_worked(tmp_path)
+    lines = digits.read_text(encoding="utf-8").splitlines(keepends=True)
+    body = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    lines[body[5]] = f"{10**450}\n"
+    digits.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 1
+    checks = {c["name"]: c for c in
+              json.loads(capsys.readouterr().out)["blocks"][0]["checks"]}
+    assert checks["prime"]["detail"] == "<1500-bit integer>"
+    assert checks["primitive_root"]["detail"] == (
+        "could not certify: <1500-bit integer> is not prime")
 
 
 @pytest.mark.parametrize("key,value", [
@@ -914,15 +952,22 @@ def test_cli_nt_surface(capsys):
     assert capsys.readouterr().out.strip() == "1"
     assert main(["nt", "primroot", "--g", "2", "--p", "11"]) == 0
     assert capsys.readouterr().out.strip() == "true"
-    assert main(["nt", "crt", "--constraint", "5:3", "--constraint", "7:2"]) == 0
-    assert capsys.readouterr().out.strip() == "23"
-    # Moduli past the int<->str digit limit, and a solution twice as long.
-    m1, m2 = 10**5000 + 1, 10**5000 + 3
-    with lifted_int_limit():
-        texts = [str(m1), str(m2), str(m1 * m2 - 1)]
-    assert main(["nt", "crt", "--constraint", f"{texts[0]}:{texts[0][:-1]}0",
-                 "--constraint", f"{texts[1]}:{texts[1][:-1]}2"]) == 0
-    assert capsys.readouterr().out.strip() == texts[2]
+
+
+def test_readme_cli_block_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) >= 9
+    parser = _build_parser()
+    for command in commands:
+        words = shlex.split(command)
+        assert words[0] == "abnormal-forge", command
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_cli_nt_domain_error_exit_codes(capsys):

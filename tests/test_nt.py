@@ -5,10 +5,9 @@ import pytest
 import sympy
 
 from abnormal_forge import nt
-from abnormal_forge import (ArtinPrime, InfeasibleError,
-                            ResourceBudgetExceeded, SearchExhausted,
-                            coprimizing_multiplier, corollary_hypotheses,
-                            crt_min_solution, discrete_log, factorize,
+from abnormal_forge import (ArtinPrime, ResourceBudgetExceeded,
+                            SearchExhausted, coprimizing_multiplier,
+                            corollary_hypotheses, discrete_log, factorize,
                             field_discriminant, find_artin_prime, is_prime,
                             is_primitive_root, kronecker_symbol,
                             lift_exponent, squarefree_kernel)
@@ -85,8 +84,20 @@ def test_factorize_handles_perfect_powers():
 def test_factorize_budget_error():
     p = sympy.nextprime(1 << 70)
     q = sympy.nextprime(p + 10**6)
-    with pytest.raises(ResourceBudgetExceeded):
+    with pytest.raises(ResourceBudgetExceeded) as info:
         factorize(p * q, effort=500)
+    # The message names the cofactor by bit size, not digit by digit.
+    assert str(info.value) == ("factorization effort budget exhausted on "
+                               f"<{(p * q).bit_length()}-bit integer>")
+
+
+def test_not_prime_messages_render_large_moduli_by_size(no_kept_table):
+    composite = 10**450 + 1  # divisible by 101
+    for call in (lambda: is_primitive_root(2, composite),
+                 lambda: discrete_log(2, 3, composite)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "<1495-bit integer> is not prime"
 
 
 def test_iroot_and_squares():
@@ -125,53 +136,6 @@ def test_is_primitive_root_matches_order_computation():
                 e = e * g % p
                 order += 1
             assert is_primitive_root(g, p) == (order == p - 1), (g, p)
-
-
-def test_crt_examples():
-    assert crt_min_solution([(2, {1}), (3, {1})]) == 1
-    assert crt_min_solution([(2, {1}), (3, {2})]) == 5
-    assert crt_min_solution([(5, {3}), (7, {2})]) == 23
-
-
-def test_crt_global_minimum_not_per_modulus_combine():
-    # The least admitted residue per modulus would CRT-combine to 3 mod 6;
-    # the true global minimum uses residue 1 at both moduli.
-    assert crt_min_solution([(2, {1}), (3, {0, 1})]) == 1
-
-
-def test_crt_accepts_predicates():
-    assert crt_min_solution([(4, lambda r: r % 2 == 1), (9, {5})]) == 5
-
-
-def test_crt_all_zero_residues():
-    assert crt_min_solution([(2, {0}), (3, {0})]) == 6
-
-
-def test_crt_vs_linear_scan():
-    rng = random.Random(7)
-    for _ in range(150):
-        while True:
-            moduli = [rng.randint(2, 30) for _ in range(rng.randint(1, 4))]
-            if all(math.gcd(a, b) == 1
-                   for i, a in enumerate(moduli) for b in moduli[i + 1:]):
-                break
-        constraints = [(m, {rng.randrange(m)
-                            for _ in range(rng.randint(1, m))})
-                       for m in moduli]
-        got = crt_min_solution(constraints)
-        limit = math.prod(moduli)
-        expected = next(x for x in range(1, limit + 1)
-                        if all(x % m in rs for m, rs in constraints))
-        assert got == expected, constraints
-
-
-def test_crt_errors():
-    with pytest.raises(InfeasibleError):
-        crt_min_solution([(3, set())])
-    with pytest.raises(ValueError):
-        crt_min_solution([(4, {1}), (6, {1})])  # moduli share a factor
-    with pytest.raises(ValueError):
-        crt_min_solution([])
 
 
 def test_coprimizing_examples():

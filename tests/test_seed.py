@@ -1,11 +1,11 @@
 import collections
+import hashlib
 import math
 
 import pytest
 
 from abnormal_forge import (InputFormatError, SplitMix64, conditional_digit,
-                            cylinder_interval, digit_from_unit, gauss_measure,
-                            gauss_kuzmin_digit)
+                            cylinder_interval, digit_from_unit, gauss_measure)
 from abnormal_forge.seed import (DEFAULT_DIGIT_CAP, FileDigitSource,
                                  ListDigitSource, RngDigitSource,
                                  parse_digit_file)
@@ -34,14 +34,6 @@ def test_rng_source_reproducible_and_incremental():
     pieces = src.next_digits(1) + src.next_digits(999) + src.next_digits(1000)
     assert whole == pieces
     assert src.position == 2000
-
-
-def test_split_streams_differ():
-    rng = SplitMix64(123)
-    child = rng.split()
-    a = [rng.next_u64() for _ in range(10)]
-    b = [child.next_u64() for _ in range(10)]
-    assert a != b
 
 
 def test_digit_from_unit_inverse_cdf_examples():
@@ -93,12 +85,6 @@ def test_pair_frequencies_match_gauss_measure():
         assert abs(got - expected) < 0.01, pattern
 
 
-def test_gauss_kuzmin_digit_stateless_marginal():
-    rng = SplitMix64(5)
-    digits = [gauss_kuzmin_digit(rng) for _ in range(50)]
-    assert all(d >= 1 for d in digits)
-
-
 def test_digit_cap_applies():
     src = RngDigitSource(9, cap=7)
     assert all(1 <= d <= 7 for d in src.next_digits(5000))
@@ -136,6 +122,18 @@ def test_file_source(tmp_path):
         src.next_digits(1)
     descriptor = FileDigitSource(path).descriptor()
     assert descriptor["kind"] == "file" and len(descriptor["sha256"]) == 64
+
+
+def test_file_source_hashes_the_bytes_it_parsed(tmp_path):
+    # Lines split as a text-mode open() splits them: \r\n and \r end a
+    # line, U+2028 does not (str.splitlines would read a 5 here).
+    parsed = "# seed\u2028 5\r\n1\r2\n3\n".encode("utf-8")
+    path = tmp_path / "digits.cf"
+    path.write_bytes(parsed)
+    src = FileDigitSource(path)
+    path.write_bytes(b"7\n7\n7\n")  # the file changes after it was read
+    assert src.next_digits(3) == [1, 2, 3]
+    assert src.descriptor()["sha256"] == hashlib.sha256(parsed).hexdigest()
 
 
 def test_file_source_reads_lines_past_the_str_limit(tmp_path):
