@@ -10,7 +10,8 @@ error, 3 search exhaustion or resource budget exceeded (partial outputs
 are flushed with a ``partial: true`` header).
 
 The environment variable ``ABNORMAL_FORGE_MEM_BUDGET`` (bytes) caps the
-tail-digit size and the discrete-log table.
+tail-digit size, the discrete-log table, ``analyze base --places`` and,
+with an rng seed, ``construct --total-digits``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ def _budget_from_env() -> SearchBudget:
         return SearchBudget.from_mem_bytes(int(raw))
     except ValueError as exc:
         raise InputFormatError(f"bad {MEM_BUDGET_ENV}: {exc}") from None
+
+
+def _refuse_past_budget(count: int, item_bytes: int, what: str) -> None:
+    """Raise before ``count`` items of ``item_bytes`` each pass the budget."""
+    budget = _budget_from_env().tail_bits // 8  # from_mem_bytes, inverted
+    if count * item_bytes > budget:
+        raise ResourceBudgetExceeded(
+            f"{brief(count)} {what} need about {brief(count * item_bytes)} "
+            f"bytes, past the {budget}-byte memory budget")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,6 +160,9 @@ def _cmd_construct(args) -> int:
     source = _make_source(args)
     seed_descriptor = source.descriptor()
     header_config = dict(config.echo(), total_digits=args.total_digits)
+    if args.seed_rng is not None and args.total_digits is not None:
+        # Measured peak: about 18 B per sampled digit written.
+        _refuse_past_budget(args.total_digits, 18, "digits")
 
     try:
         result = construct(config, source)
@@ -252,6 +265,8 @@ def _cmd_analyze_cf(args) -> int:
 def _cmd_analyze_base(args) -> int:
     if args.den < 1:
         raise InputFormatError(f"denominator must be >= 1, got {args.den}")
+    # Measured peak: about 80 B per place (base**places and the digits).
+    _refuse_past_budget(args.places, 80, "places")
     x = Fraction(args.num, args.den)
     expansion = base_expansion(x, args.base, args.places,
                                convention=args.convention)

@@ -65,10 +65,8 @@ class Mode:
 
     @staticmethod
     def parse(text: str) -> "Mode":
-        if text == MODE_PAPER:
-            return Mode(MODE_PAPER)
-        if text == MODE_TOY:
-            return Mode(MODE_TOY)
+        if text in (MODE_PAPER, MODE_TOY):
+            return Mode(text)
         if text.startswith(MODE_RELAXED + ":"):
             scale = text.split(":", 1)[1]
             if "e" in scale.lower():  # Fraction would form 10**exponent
@@ -403,13 +401,12 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
             raise ConstructionAborted(exc, i, digits, certificates) from exc
         before = (q_prev, q_cur)
         for d in (plan.ell1, plan.ell2, plan.ell3):
-            insertion_positions.append(len(digits) + 1)
             emit(d)
         if (q_prev, q_cur) != (plan.q2, plan.q3):
             raise RuntimeError(f"block {i}: the emitted digits do not "
                                "reproduce the planned denominators")
-        insertion_positions.append(len(digits) + 1)
         digits.append(tail)
+        insertion_positions.extend(range(boundary + 1, boundary + 5))
         certificates.append(BlockCertificate(
             index=i, base=base, block_end=boundary,
             inserted=(plan.ell1, plan.ell2, plan.ell3, tail),
@@ -652,15 +649,14 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
         f"stream digits match the convergent's repeating-tail expansion "
         f"through all {agreed} pinched places (window {span})")
 
-    probe = min(k * k, window)
-    if agreed >= probe:
-        differing = sum(1 for d in y_digits[:probe] if d != base - 1)
+    if agreed >= tail_span:
+        differing = sum(1 for d in y_digits[:tail_span] if d != base - 1)
         add("window_differing_bound", differing <= cert.digit_bound,
-            f"{differing} of the first {probe} digits differ from "
+            f"{differing} of the first {tail_span} digits differ from "
             f"{base - 1} (bound {brief(cert.digit_bound)})")
     else:
         add("window_differing_bound", None,
-            f"only {agreed} digits pinned; the {probe}-digit window "
+            f"only {agreed} digits pinned; the {tail_span}-digit window "
             "needs a larger tail", required=False)
 
     return report(tail_met)

@@ -45,7 +45,7 @@ import os
 from datetime import datetime, timezone
 from typing import Sequence
 
-from . import __version__ as TOOL_VERSION
+from . import __version__
 from ._dectext import TEXT_FAST_LIMIT, int_to_text, text_to_int
 from .construction import BlockCertificate
 from .errors import InputFormatError
@@ -67,7 +67,7 @@ def _timestamp() -> str:
 
 def run_header(config_echo: dict, seed_descriptor: dict,
                partial: bool = False) -> dict:
-    return {"tool": TOOL_NAME, "version": TOOL_VERSION,
+    return {"tool": TOOL_NAME, "version": __version__,
             "format_version": FORMAT_VERSION, "timestamp": _timestamp(),
             "config": config_echo, "seed": seed_descriptor,
             "partial": partial}

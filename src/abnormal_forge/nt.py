@@ -261,6 +261,7 @@ def factorize(n: int, *, effort: int = 1 << 22) -> FactoredInteger:
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
+    value = n  # trial division below shrinks n
     counts: dict[int, int] = {}
     for p in SMALL_PRIMES:
         if p * p > n:
@@ -290,11 +291,7 @@ def factorize(n: int, *, effort: int = 1 << 22) -> FactoredInteger:
         f = _brent_rho(m, budget)
         stack.append(f)
         stack.append(m // f)
-    value = 1
-    for p, e in counts.items():
-        value *= p**e
-    result = FactoredInteger(value=value, factors=tuple(sorted(counts.items())))
-    return result
+    return FactoredInteger(value=value, factors=tuple(sorted(counts.items())))
 
 
 def squarefree_kernel(g: int) -> int:

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from abnormal_forge import ConstructionConfig, Mode, construct
+from abnormal_forge.construction import ConstructionConfig, Mode, construct
 from abnormal_forge.seed import ListDigitSource
 
 # Hand-checked demonstration case: seed digits [1,2,3,1], one block of

@@ -15,17 +15,21 @@ from fractions import Fraction
 
 import pytest
 
-from abnormal_forge import (ConstructionAborted, ConstructionConfig, Mode,
-                            SearchBudget, approx_bound, base_expansion,
-                            cf_normality_report, cf_to_rational,
-                            convergent_sign, convergent_stream, construct,
-                            discrete_log, insertion_density,
-                            is_primitive_root, kronecker_symbol,
-                            pure_power_exponent, verify_certificate)
+from abnormal_forge.cf import (approx_bound, cf_to_rational, convergent_sign,
+                               convergent_stream)
 from abnormal_forge.cli import main
+from abnormal_forge.construction import (ConstructionAborted,
+                                         ConstructionConfig, Mode,
+                                         SearchBudget, construct,
+                                         insertion_density,
+                                         pure_power_exponent,
+                                         verify_certificate)
 from abnormal_forge.nt import (SMALL_PRIMES, corollary_hypotheses,
-                               is_perfect_square, lenstra_finiteness)
-from abnormal_forge.radix import NON_TERMINATING
+                               discrete_log, is_perfect_square,
+                               is_primitive_root, kronecker_symbol,
+                               lenstra_finiteness)
+from abnormal_forge.radix import (NON_TERMINATING, base_expansion,
+                                  cf_normality_report)
 from abnormal_forge.seed import RngDigitSource
 
 

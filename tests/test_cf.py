@@ -4,9 +4,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from abnormal_forge import (approx_bound, cf_to_rational, convergent_sign,
-                            convergent_stream, cylinder_interval,
-                            gauss_measure, log2_fixed, rational_to_cf)
+from abnormal_forge.cf import (approx_bound, cf_to_rational, convergent_sign,
+                               convergent_stream, cylinder_interval,
+                               gauss_measure, log2_fixed, rational_to_cf)
 
 
 def test_convergent_stream_examples():

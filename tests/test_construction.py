@@ -11,16 +11,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import abnormal_forge
-from abnormal_forge import (BlockCertificate, ConstructionAborted,
-                            ConstructionConfig, Mode,
-                            ResourceBudgetExceeded, SearchBudget,
-                            SearchExhausted, base_expansion, base_schedule,
-                            block_boundary, construct, construction,
-                            convergent_stream, count_occurrences,
-                            insertion_density, plan_block, pure_power_exponent,
-                            seed_block, tail_digit, verify_certificate)
+from abnormal_forge import construction
+from abnormal_forge.cf import convergent_stream
+from abnormal_forge.construction import (BlockCertificate, ConstructionAborted,
+                                         ConstructionConfig, Mode,
+                                         SearchBudget, base_schedule,
+                                         block_boundary, construct,
+                                         insertion_density, plan_block,
+                                         pure_power_exponent, seed_block,
+                                         tail_digit, verify_certificate)
+from abnormal_forge.errors import ResourceBudgetExceeded, SearchExhausted
 from abnormal_forge.nt import is_perfect_square
-from abnormal_forge.radix import NON_TERMINATING
+from abnormal_forge.radix import (NON_TERMINATING, base_expansion,
+                                  count_occurrences)
 from abnormal_forge.seed import ListDigitSource, RngDigitSource
 
 from conftest import WORKED_SEED

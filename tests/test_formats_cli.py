@@ -10,18 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abnormal_forge import (BlockCertificate, ConstructionConfig, Mode,
-                            RngDigitSource, _dectext, construct,
-                            verify_certificate)
+from abnormal_forge import _dectext
 from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS,
                                      int_to_text, text_to_int)
 from abnormal_forge.cli import _build_parser, main
+from abnormal_forge.construction import (BlockCertificate, ConstructionConfig,
+                                         Mode, construct, verify_certificate)
 from abnormal_forge.errors import InputFormatError
 from abnormal_forge.formats import (_cert_from_json, _cert_to_json,
                                     read_certificate_file, read_digit_file,
                                     run_header, write_certificate_file,
                                     write_digit_file)
-from abnormal_forge.seed import parse_digit_file
+from abnormal_forge.seed import RngDigitSource, parse_digit_file
 
 from conftest import WORKED_SEED, lifted_int_limit
 
@@ -1012,3 +1012,42 @@ def test_mem_budget_env_is_honored(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "table" in err
+
+
+def test_mem_budget_caps_analyze_base_places(monkeypatch, capsys):
+    # 10**6 places take about 80 MB; the 1 MiB budget refuses them before
+    # base**places is formed.
+    monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", str(1 << 20))
+    code = main(["analyze", "base", "--num", "1", "--den", "3",
+                 "--base", "2", "--places", "1000000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("error: 1000000 places need about 80000000 "
+                            "bytes, past the 1048576-byte memory budget\n")
+
+
+def test_mem_budget_caps_construct_total_digits(tmp_path, monkeypatch, capsys):
+    # An rng seed samples until it has every digit asked for; under the
+    # 1 MiB budget 10**6 digits are refused before sampling or writing.
+    monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", str(1 << 20))
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    code = main(["construct", "--seed-rng", "1", "--block-size", "4",
+                 "--blocks", "1", "--mode", "toy",
+                 "--total-digits", "1000000",
+                 "--out-digits", str(digits), "--out-cert", str(cert)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("error: 1000000 digits need about 18000000 "
+                            "bytes, past the 1048576-byte memory budget\n")
+    assert not digits.exists() and not cert.exists()
+
+
+def test_package_root_loads_no_submodule():
+    # Every name is imported from the module that defines it, so importing
+    # the package alone loads none of its submodules.
+    code = ("import abnormal_forge, sys; print(sorted(m for m in sys.modules "
+            "if m.startswith('abnormal_forge.')))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

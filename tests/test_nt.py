@@ -5,14 +5,14 @@ import pytest
 import sympy
 
 from abnormal_forge import nt
-from abnormal_forge import (ArtinPrime, ResourceBudgetExceeded,
-                            SearchExhausted, coprimizing_multiplier,
-                            corollary_hypotheses, discrete_log, factorize,
-                            field_discriminant, find_artin_prime, is_prime,
-                            is_primitive_root, kronecker_symbol,
-                            lift_exponent, squarefree_kernel)
-from abnormal_forge.nt import (SMALL_PRIMES, iroot, is_perfect_square,
-                               lenstra_finiteness, pow_exceeds)
+from abnormal_forge.errors import ResourceBudgetExceeded, SearchExhausted
+from abnormal_forge.nt import (SMALL_PRIMES, ArtinPrime,
+                               coprimizing_multiplier, corollary_hypotheses,
+                               discrete_log, factorize, field_discriminant,
+                               find_artin_prime, iroot, is_perfect_square,
+                               is_prime, is_primitive_root, kronecker_symbol,
+                               lenstra_finiteness, lift_exponent, pow_exceeds,
+                               squarefree_kernel)
 
 
 def test_is_prime_examples():

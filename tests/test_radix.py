@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from abnormal_forge import (base_expansion, cf_normality_report,
-                            count_occurrences, gauss_measure, max_run)
-from abnormal_forge.radix import NON_TERMINATING
+from abnormal_forge.cf import gauss_measure
+from abnormal_forge.radix import (NON_TERMINATING, base_expansion,
+                                  cf_normality_report, count_occurrences,
+                                  max_run)
 
 
 def test_base_expansion_examples():

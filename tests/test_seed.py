@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from abnormal_forge import (InputFormatError, SplitMix64, conditional_digit,
-                            cylinder_interval, digit_from_unit, gauss_measure)
+from abnormal_forge.cf import cylinder_interval, gauss_measure
+from abnormal_forge.errors import InputFormatError
 from abnormal_forge.seed import (DEFAULT_DIGIT_CAP, FileDigitSource,
-                                 ListDigitSource, RngDigitSource,
+                                 ListDigitSource, RngDigitSource, SplitMix64,
+                                 conditional_digit, digit_from_unit,
                                  parse_digit_file)
 
 # Frozen stream prefix for the documented sampler (version
