@@ -76,10 +76,6 @@ class CylinderInterval:
 
     lo: Fraction
     hi: Fraction
-    depth: int
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 def cylinder_interval(digits: Sequence[int]) -> CylinderInterval:
@@ -100,7 +96,7 @@ def cylinder_interval(digits: Sequence[int]) -> CylinderInterval:
     own = Fraction(p, q)
     bumped = Fraction(p + p_prev, q + q_prev)
     lo, hi = (bumped, own) if len(digits) % 2 else (own, bumped)
-    return CylinderInterval(lo=lo, hi=hi, depth=len(digits))
+    return CylinderInterval(lo=lo, hi=hi)
 
 
 _LOG2_GUARD_BITS = 48  # headroom of log2_fixed's working values

@@ -11,7 +11,8 @@ are flushed with a ``partial: true`` header).
 
 The environment variable ``ABNORMAL_FORGE_MEM_BUDGET`` (bytes) caps the
 tail-digit size, the discrete-log table, ``analyze base --places`` and,
-with an rng seed, ``construct --total-digits``.
+with an rng seed, ``construct --total-digits``. It counts the data a
+command builds, not the interpreter's own ~18 MiB.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .construction import (ConstructionAborted, ConstructionConfig, Mode,
                            verify_certificate)
 from .errors import (InfeasibleError, InputFormatError,
                      ResourceBudgetExceeded, SearchExhausted)
-from .formats import (read_certificate_file, read_digit_file, run_header,
-                      write_certificate_file, write_digit_file)
+from .formats import (FileDigitSource, read_certificate_file, read_digit_file,
+                      run_header, write_certificate_file, write_digit_file)
 from .radix import NON_TERMINATING, TERMINATING, base_expansion, max_run
 from .radix import cf_normality_report
-from .seed import DEFAULT_DIGIT_CAP, FileDigitSource, RngDigitSource
+from .seed import DEFAULT_DIGIT_CAP, RngDigitSource
 
 MEM_BUDGET_ENV = "ABNORMAL_FORGE_MEM_BUDGET"
 
@@ -268,15 +269,15 @@ def _cmd_analyze_base(args) -> int:
     # Measured peak: about 80 B per place (base**places and the digits).
     _refuse_past_budget(args.places, 80, "places")
     x = Fraction(args.num, args.den)
-    expansion = base_expansion(x, args.base, args.places,
-                               convention=args.convention)
+    digits = base_expansion(x, args.base, args.places,
+                            convention=args.convention)
     symbol = args.symbol if args.symbol is not None else args.base - 1
-    runs = max_run(expansion.digits, symbol, args.places)
+    runs = max_run(digits, symbol, args.places)
     if args.base <= 10:
-        rendered = "".join(str(d) for d in expansion.digits)
+        rendered = "".join(str(d) for d in digits)
     else:
-        rendered = ",".join(str(d) for d in expansion.digits)
-    print(json.dumps({"base": args.base, "convention": expansion.convention,
+        rendered = ",".join(str(d) for d in digits)
+    print(json.dumps({"base": args.base, "convention": args.convention,
                       "places": args.places, "digits": rendered,
                       "symbol": symbol, "longest_run": runs.longest_run,
                       "differing": runs.differing}, indent=2))

@@ -180,16 +180,6 @@ def seed_block(source, i: int, block_size: int) -> list[int]:
     return source.next_digits(length)
 
 
-def pure_power_exponent(n: int, base: int) -> int | None:
-    """The e with base**e = n, or None if n is not a pure power of base."""
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if n < 1:
-        return None
-    e = ilog_floor(n, base)  # base**e <= n < base**(e + 1)
-    return e if nt.pow_exceeds(base, e, n, or_equal=True) else None
-
-
 def ilog_floor(x: int, base: int) -> int:
     """Largest t >= 0 with base**t <= x, for x >= 1."""
     if x < 1:
@@ -576,7 +566,9 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
         add("primitive_root", False, f"could not certify: {exc}")
 
     k = cert.exponent
-    add("power_hit", pure_power_exponent(q3, base) == k,
+    # q3 == base**k, for any claimed k, with no power formed.
+    add("power_hit", nt.pow_exceeds(base, k, q3, or_equal=True)
+        and not nt.pow_exceeds(base, k, q3),
         f"third denominator is {base}**{brief(k)}")
     add("power_clears_modulus", nt.pow_exceeds(base, k, 2 * q2),
         f"{base}**{brief(k)} > 2 * prime")
@@ -665,7 +657,6 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
 @dataclass(frozen=True)
 class InsertionDensity:
     inserted: int
-    prefix_len: int
     bound: int
 
     @property
@@ -686,5 +677,4 @@ def insertion_density(positions: Sequence[int], prefix_len: int,
     inserted = sum(1 for p in positions if p <= prefix_len)
     ratio = max(prefix_len, block_size) // block_size
     bound = 4 * ((ratio.bit_length() - 1) + 2)
-    return InsertionDensity(inserted=inserted, prefix_len=prefix_len,
-                            bound=bound)
+    return InsertionDensity(inserted=inserted, bound=bound)

@@ -40,6 +40,7 @@ truncated.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from datetime import datetime, timezone
@@ -49,7 +50,7 @@ from . import __version__
 from ._dectext import TEXT_FAST_LIMIT, int_to_text, text_to_int
 from .construction import BlockCertificate
 from .errors import InputFormatError
-from .seed import parse_digit_file
+from .seed import ListDigitSource, parse_digit_file
 
 FORMAT_VERSION = "1"
 TOOL_NAME = "abnormal-forge"
@@ -94,9 +95,12 @@ def write_digit_file(path, digits: Sequence[int], header: dict | None = None) ->
 
 def read_digit_file(path) -> tuple[list[int], dict | None]:
     """Digits plus the parsed header comment, if one is present."""
-    header = None
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+        return _parse_digit_lines(fh.readlines())
+
+
+def _parse_digit_lines(lines: list[str]) -> tuple[list[int], dict | None]:
+    header = None
     for raw in lines:
         line = raw.strip()
         if line.startswith("# header:"):
@@ -106,6 +110,24 @@ def read_digit_file(path) -> tuple[list[int], dict | None]:
                 raise InputFormatError("malformed header comment") from None
             break
     return parse_digit_file(iter(lines)), header
+
+
+class FileDigitSource(ListDigitSource):
+    """Seed digits from a digit file, read once and parsed as read_digit_file
+    parses it (universal newlines); ``sha256`` hashes the bytes read."""
+
+    def __init__(self, path):
+        import hashlib
+        self.path = str(path)
+        self._name = f"digit file {self.path}"
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self._sha256 = hashlib.sha256(data).hexdigest()
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        super().__init__(_parse_digit_lines(text.readlines())[0])
+
+    def descriptor(self) -> dict:
+        return {"kind": "file", "path": self.path, "sha256": self._sha256}
 
 
 def _cert_to_json(cert: BlockCertificate) -> dict:
@@ -181,5 +203,7 @@ def read_certificate_file(path) -> tuple[list[BlockCertificate], dict]:
         raise InputFormatError("missing certificate block list")
     if payload.get("format") != f"{TOOL_NAME}-certificates":
         raise InputFormatError("not a certificate file")
+    if payload.get("format_version") != FORMAT_VERSION:
+        raise InputFormatError(f"format_version must be {FORMAT_VERSION!r}")
     certs = [_cert_from_json(rec) for rec in payload["blocks"]]
     return certs, payload.get("header", {})

@@ -190,31 +190,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """An integer together with its complete prime factorization.
-
-    ``factors`` is sorted by prime; the product of prime**exponent
-    equals ``value``.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def check(self) -> bool:
-        prod = 1
-        last = 0
-        for p, e in self.factors:
-            if p <= last or e < 1 or not is_prime(p):
-                return False
-            last = p
-            prod *= p**e
-        return prod == self.value
-
-
 def _brent_rho(n: int, budget: list[int]) -> int:
     """One proper factor of composite odd n, or raise on blown budget."""
     rng = random.Random(n ^ 0xC0FFEE)
@@ -252,8 +227,11 @@ def _brent_rho(n: int, budget: list[int]) -> int:
         # unlucky cycle; retry with new parameters
 
 
-def factorize(n: int, *, effort: int = 1 << 22) -> FactoredInteger:
-    """Complete factorization: trial division, then Brent-cycle rho.
+def factorize(n: int, *,
+              effort: int = 1 << 22) -> tuple[tuple[int, int], ...]:
+    """Complete factorization as (prime, exponent) pairs sorted by prime.
+
+    Trial division, then Brent-cycle rho.
 
     ``effort`` bounds the total number of rho iterations; a hard
     composite raises :class:`ResourceBudgetExceeded` rather than
@@ -261,7 +239,6 @@ def factorize(n: int, *, effort: int = 1 << 22) -> FactoredInteger:
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    value = n  # trial division below shrinks n
     counts: dict[int, int] = {}
     for p in SMALL_PRIMES:
         if p * p > n:
@@ -291,14 +268,14 @@ def factorize(n: int, *, effort: int = 1 << 22) -> FactoredInteger:
         f = _brent_rho(m, budget)
         stack.append(f)
         stack.append(m // f)
-    return FactoredInteger(value=value, factors=tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def squarefree_kernel(g: int) -> int:
     """Product of the distinct primes dividing g (its largest squarefree divisor)."""
     if g < 2:
         raise ValueError(f"squarefree_kernel requires g >= 2, got {g}")
-    return math.prod(factorize(g).primes())
+    return math.prod(p for p, _ in factorize(g))
 
 
 def field_discriminant(g: int) -> int:
@@ -354,7 +331,7 @@ def is_primitive_root(g: int, p: int, *, effort: int = 1 << 22) -> bool:
         return True
     order = p - 1
     return all(pow(g, order // r, p) != 1
-               for r in factorize(order, effort=effort).primes())
+               for r, _ in factorize(order, effort=effort))
 
 
 def coprimizing_multiplier(q: int, q_prev: int, avoid: int) -> int:
@@ -383,20 +360,18 @@ def coprimizing_multiplier(q: int, q_prev: int, avoid: int) -> int:
 class LenstraVerdict:
     """Outcome of the finiteness test for primes p = a mod f with g a primitive root.
 
-    ``finite`` is True iff one of the three structural conditions fired;
-    ``condition`` is 1, 2 or 3 (None when infinite under GRH), and
-    ``prime_witness`` carries the prime q for condition 1.
+    ``condition`` is the structural condition that fired, 1, 2 or 3
+    (None when infinite under GRH), and ``prime_witness`` carries the
+    prime q for condition 1.
     """
 
-    finite: bool
     condition: int | None
     prime_witness: int | None
     discriminant: int
 
-    def __post_init__(self):
-        if self.finite != (self.condition is not None):
-            raise ValueError("a finite verdict needs a condition and an "
-                             "infinite one none")
+    @property
+    def finite(self) -> bool:
+        return self.condition is not None
 
 
 def lenstra_finiteness(g: int, f: int, a: int) -> LenstraVerdict:
@@ -424,13 +399,13 @@ def lenstra_finiteness(g: int, f: int, a: int) -> LenstraVerdict:
         if q > g.bit_length():
             break
         if f % q == 0 and a % q == 1 and is_perfect_power(g, q):
-            return LenstraVerdict(True, 1, q, d)
+            return LenstraVerdict(1, q, d)
     if f % d == 0 and kronecker_symbol(d, a) == 1:
-        return LenstraVerdict(True, 2, None, d)
+        return LenstraVerdict(2, None, d)
     if (3 * f) % d == 0 and d % 3 == 0 \
             and kronecker_symbol(-(d // 3), a) == -1 and is_perfect_power(g, 3):
-        return LenstraVerdict(True, 3, None, d)
-    return LenstraVerdict(False, None, None, d)
+        return LenstraVerdict(3, None, d)
+    return LenstraVerdict(None, None, d)
 
 
 def corollary_hypotheses(g: int, f: int, a: int) -> bool:
@@ -471,19 +446,17 @@ def find_artin_prime(g: int, f: int, a: int, search_limit: int = 100_000, *,
         raise ValueError(
             f"residue class {a} mod {f} admits only finitely many primes with "
             f"{g} as a primitive root (condition {verdict.condition})")
-    tested = 0
     for ell in range(1, search_limit + 1):
         candidate = ell * f + a
-        tested += 1
         if g % candidate == 0:
             continue  # g = 0 mod p can never generate the group
 
         if is_prime(candidate) and is_primitive_root(
                 g, candidate, effort=effort):
-            return ArtinPrime(ell=ell, prime=candidate, candidates_tested=tested)
+            return ArtinPrime(ell=ell, prime=candidate, candidates_tested=ell)
     raise SearchExhausted(
         f"no prime with primitive root {g} in {a} mod {f} within "
-        f"{search_limit} candidates", candidates_tested=tested)
+        f"{search_limit} candidates", candidates_tested=max(search_limit, 0))
 
 
 @dataclass(frozen=True, slots=True)

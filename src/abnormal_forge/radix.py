@@ -18,15 +18,6 @@ TERMINATING = "terminating"
 NON_TERMINATING = "non-terminating"
 
 
-@dataclass(frozen=True)
-class BaseDigits:
-    """The first ``len(digits)`` base-``base`` places of a number in [0, 1)."""
-
-    base: int
-    digits: tuple[int, ...]
-    convention: str
-
-
 def digits_of_int(value: int, base: int, places: int) -> tuple[int, ...]:
     """``places`` base-``base`` digits of value, most significant first."""
     if base == 2:
@@ -41,7 +32,7 @@ def digits_of_int(value: int, base: int, places: int) -> tuple[int, ...]:
 
 
 def base_expansion(x: Fraction, base: int, places: int,
-                   convention: str = TERMINATING) -> BaseDigits:
+                   convention: str = TERMINATING) -> tuple[int, ...]:
     """First ``places`` digits of x in [0, 1) after the radix point.
 
     ``terminating`` gives the standard expansion (trailing zeros for
@@ -65,8 +56,7 @@ def base_expansion(x: Fraction, base: int, places: int,
         prefix = -(-scaled // x.denominator) - 1  # ceil(x * b**places) - 1
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    return BaseDigits(base=base, digits=digits_of_int(prefix, base, places),
-                      convention=convention)
+    return digits_of_int(prefix, base, places)
 
 
 @dataclass(frozen=True)
@@ -120,8 +110,6 @@ def count_occurrences(digits: Sequence[int], pattern: Sequence[int],
 class RunStats:
     """Longest run of a symbol in a prefix, plus how many positions differ from it."""
 
-    symbol: int
-    prefix_len: int
     longest_run: int
     differing: int
 
@@ -139,8 +127,7 @@ def max_run(digits: Sequence[int], symbol: int, prefix_len: int) -> RunStats:
         else:
             current = 0
             differing += 1
-    return RunStats(symbol=symbol, prefix_len=prefix_len,
-                    longest_run=longest, differing=differing)
+    return RunStats(longest_run=longest, differing=differing)
 
 
 def cf_normality_report(digits: Sequence[int], patterns: Sequence[Sequence[int]],

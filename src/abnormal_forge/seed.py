@@ -1,4 +1,4 @@
-"""Seed digit sources: a reproducible Gauss-measure sampler and a file reader.
+"""Seed digit sources: a reproducible Gauss-measure sampler and a digit list.
 
 The sampler stands in for a statistically typical partial-quotient
 stream. Independent draws from the single-digit law would get pair
@@ -34,7 +34,6 @@ the exact integer comparisons decide every digit.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from typing import Iterator
 
@@ -228,25 +227,3 @@ class ListDigitSource:
 
     def descriptor(self) -> dict:
         return {"kind": "list", "length": len(self._digits)}
-
-
-class FileDigitSource(ListDigitSource):
-    """Seed digits read from a digit file (one per line, ``#`` comments allowed).
-
-    The file is read once: the descriptor's ``sha256`` hashes the bytes
-    the digits were parsed from, split into lines as a text-mode
-    ``open()`` splits them (universal newlines).
-    """
-
-    def __init__(self, path):
-        import hashlib
-        self.path = str(path)
-        self._name = f"digit file {self.path}"
-        with open(path, "rb") as fh:
-            data = fh.read()
-        self._sha256 = hashlib.sha256(data).hexdigest()
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-        super().__init__(parse_digit_file(text))
-
-    def descriptor(self) -> dict:
-        return {"kind": "file", "path": self.path, "sha256": self._sha256}

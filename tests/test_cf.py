@@ -90,7 +90,7 @@ def test_round_trip_value_any_form():
 
 def test_cylinder_examples():
     iv = cylinder_interval([1])
-    assert (iv.lo, iv.hi, iv.depth) == (Fraction(1, 2), Fraction(1), 1)
+    assert (iv.lo, iv.hi) == (Fraction(1, 2), Fraction(1))
     iv = cylinder_interval([2])
     assert (iv.lo, iv.hi) == (Fraction(1, 3), Fraction(1, 2))
     iv = cylinder_interval([1, 2])
@@ -104,7 +104,7 @@ def test_cylinder_nesting_and_width_decay():
         outer = cylinder_interval(digits)
         inner = cylinder_interval(digits + [rng.randint(1, 8)])
         assert outer.lo <= inner.lo and inner.hi <= outer.hi
-        assert inner.width() < outer.width()
+        assert inner.hi - inner.lo < outer.hi - outer.lo
         # Reference: the endpoints are the string's value and the value
         # with its last digit raised, and the width is 1/(q_n (q_n + q_{n-1})).
         a = cf_to_rational(digits)
@@ -113,7 +113,7 @@ def test_cylinder_nesting_and_width_decay():
         q_prev, q = 0, 1
         for conv in convergent_stream(digits):
             q_prev, q = q, conv.q
-        assert outer.width() == Fraction(1, q * (q + q_prev))
+        assert outer.hi - outer.lo == Fraction(1, q * (q + q_prev))
 
 
 def test_gauss_measure_examples():

@@ -762,12 +762,14 @@ def test_cli_verify_exit_2_on_bad_cert(tmp_path, capsys):
     bad.write_text("{")
     digits = _write_seed(tmp_path)
     assert main(["verify", "--cert", str(bad), "--digits", str(digits)]) == 2
-    # A block list or a mode of the wrong JSON type is refused the same way.
+    # A block list or a mode of the wrong JSON type, or a format version
+    # this reader does not know, is refused the same way.
     digits, cert = _construct_worked(tmp_path)
     for key, value in [("blocks", 5), ("blocks", None),
-                       ("mode", 5), ("mode", None)]:
+                       ("mode", 5), ("mode", None),
+                       ("format_version", "2"), ("format_version", None)]:
         payload = json.loads(cert.read_text(encoding="utf-8"))
-        record = payload if key == "blocks" else payload["blocks"][0]
+        record = payload if key != "mode" else payload["blocks"][0]
         record[key] = value
         bad.write_text(json.dumps(payload), encoding="utf-8")
         capsys.readouterr()
@@ -788,7 +790,10 @@ def test_cli_verify_exit_2_on_bad_cert(tmp_path, capsys):
     digits.write_text("".join(lines), encoding="utf-8")
     for args in (["verify", "--cert", str(cert), "--digits", str(digits)],
                  ["analyze", "cf", "--digits", str(digits), "--strings", "1",
-                  "--prefix", "4"]):
+                  "--prefix", "4"],
+                 ["construct", "--seed-file", str(digits), "--block-size", "4",
+                  "--blocks", "1", "--out-digits", str(tmp_path / "re.cf"),
+                  "--out-cert", str(tmp_path / "re.json")]):
         result = subprocess.run(
             [sys.executable, "-m", "abnormal_forge.cli", *args],
             capture_output=True, text=True, timeout=120)

@@ -53,3 +53,58 @@ def test_construct_and_verify_bytes_are_pinned(seed_args, mode, expected,
                _sha256((tmp_path / "out.json").read_bytes()),
                _sha256(report))
     assert digests == expected
+
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr when the code is
+# not 0) for the analysis and number-theory commands, run in-process in a
+# temporary cwd. "y.cf" is the worked seed's paper-mode digit file, as
+# README's `construct ... --out-digits y.cf` writes it.
+COMMANDS = [
+    (["analyze", "base", "--num", "23", "--den", "32768", "--base", "2",
+      "--places", "225", "--symbol", "1"], 0,
+     "452ce4774fd956728da8c87400fd3edb0ed540b03f77250f942f3fc2f255fe80", None),
+    (["analyze", "cf", "--digits", "y.cf", "--strings", "1;2;1,1",
+      "--prefix", "8"], 0,
+     "2d8315cafc3c0e570e7437c3753f404b0e030f00f06ca3d3edaaeff674ebec34", None),
+    (["nt", "dlog", "--g", "2", "--h", "23", "--p", "59"], 0,
+     "238903180cc104ec2c5d8b3f20c5bc61b389ec0a967df8cc208cdc7cd454174f", None),
+    (["nt", "artin", "--g", "2", "--f", "23", "--a", "13"], 0,
+     "0c2c395d35790da095963d350bfbb5e5e5183085f5d93dd094eb5c9f66f6c28a", None),
+    (["nt", "primroot", "--g", "2", "--p", "11"], 0,
+     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74", None),
+    (["nt", "kronecker", "--d", "5", "--n", "11"], 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865", None),
+    # Finite by condition 1, by condition 2, and infinite.
+    (["nt", "lenstra", "--g", "8", "--f", "3", "--a", "1"], 0,
+     "b479d996ea4511b7555f00c2d88798936e1e0e9682edcdea53b65ab37eee5a89", None),
+    (["nt", "lenstra", "--g", "2", "--f", "8", "--a", "1"], 0,
+     "c8b45cacd53b2ab6e8cf30f82fc77322eb3bc4c4938a10f8c3993a831aeb522b", None),
+    (["nt", "lenstra", "--g", "3", "--f", "7", "--a", "2"], 0,
+     "074ae084fbde6d024ded719c709e4a2295d426d9d3496ab642595616a1499b04", None),
+    (["nt", "artin", "--g", "2", "--f", "23", "--a", "13",
+      "--search-limit", "1"], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "a563b27efa36c7088296aa1ced7b0463f7a10e7a57ad77d27f2c2d40526bbdd9"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out_sha,err_sha", COMMANDS, ids=[
+    "analyze-base", "analyze-cf", "nt-dlog", "nt-artin", "nt-primroot",
+    "nt-kronecker", "nt-lenstra-1", "nt-lenstra-2", "nt-lenstra-infinite",
+    "nt-artin-exhausted"])
+def test_command_bytes_are_pinned(argv, code, out_sha, err_sha,
+                                  tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    if "y.cf" in argv:
+        (tmp_path / "seed.cf").write_text(
+            "".join(f"{d}\n" for d in WORKED_SEED), encoding="utf-8")
+        assert main(["construct", "--seed-file", "seed.cf", "--block-size",
+                     "4", "--blocks", "1", "--out-digits", "y.cf",
+                     "--out-cert", "y.json"]) == 0
+        capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert _sha256(captured.out.encode("utf-8")) == out_sha
+    if code:
+        assert _sha256(captured.err.encode("utf-8")) == err_sha

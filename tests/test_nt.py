@@ -56,9 +56,9 @@ def test_is_prime_policy_is_reproducible():
 
 
 def test_factorize_examples():
-    assert factorize(12).factors == ((2, 2), (3, 1))
-    assert factorize(58).factors == ((2, 1), (29, 1))
-    assert factorize(1).factors == ()
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(58) == ((2, 1), (29, 1))
+    assert factorize(1) == ()
 
 
 def test_factorize_rejects_zero():
@@ -70,15 +70,12 @@ def test_factorize_random_vs_sympy():
     rng = random.Random(99)
     for _ in range(120):
         n = rng.randint(2, 10**12)
-        result = factorize(n)
-        assert result.value == n
-        assert result.check()
-        assert dict(result.factors) == sympy.factorint(n)
+        assert factorize(n) == tuple(sorted(sympy.factorint(n).items()))
 
 
 def test_factorize_handles_perfect_powers():
     p = sympy.nextprime(10**7)
-    assert factorize(p**3).factors == ((p, 3),)
+    assert factorize(p**3) == ((p, 3),)
 
 
 def test_factorize_budget_error():

@@ -10,11 +10,11 @@ from abnormal_forge.radix import (NON_TERMINATING, base_expansion,
 
 
 def test_base_expansion_examples():
-    assert base_expansion(Fraction(7, 10), 10, 3).digits == (7, 0, 0)
+    assert base_expansion(Fraction(7, 10), 10, 3) == (7, 0, 0)
     assert base_expansion(Fraction(7, 10), 10, 3,
-                          NON_TERMINATING).digits == (6, 9, 9)
+                          NON_TERMINATING) == (6, 9, 9)
     assert base_expansion(Fraction(1, 2), 2, 4,
-                          NON_TERMINATING).digits == (0, 1, 1, 1)
+                          NON_TERMINATING) == (0, 1, 1, 1)
 
 
 def test_base_expansion_validates():
@@ -40,12 +40,12 @@ def test_base_expansion_reconstruction():
         places = rng.randint(1, 40)
         term = base_expansion(x, base, places)
         value = sum(d * Fraction(1, base) ** (i + 1)
-                    for i, d in enumerate(term.digits))
+                    for i, d in enumerate(term))
         assert 0 <= x - value < Fraction(1, base) ** places
         if x != 0:
             nonterm = base_expansion(x, base, places, NON_TERMINATING)
             value = sum(d * Fraction(1, base) ** (i + 1)
-                        for i, d in enumerate(nonterm.digits))
+                        for i, d in enumerate(nonterm))
             assert 0 < x - value <= Fraction(1, base) ** places
 
 
@@ -62,10 +62,10 @@ def test_base_expansion_power_denominator_structure():
             num //= base
         x = Fraction(num, base**m)
         places = m + rng.randint(1, 10)
-        term = base_expansion(x, base, places).digits
+        term = base_expansion(x, base, places)
         assert all(d == 0 for d in term[m:])
         assert term[m - 1] != 0
-        nonterm = base_expansion(x, base, places, NON_TERMINATING).digits
+        nonterm = base_expansion(x, base, places, NON_TERMINATING)
         assert all(d == base - 1 for d in nonterm[m:])
 
 

@@ -6,8 +6,9 @@ import pytest
 
 from abnormal_forge.cf import cylinder_interval, gauss_measure
 from abnormal_forge.errors import InputFormatError
-from abnormal_forge.seed import (DEFAULT_DIGIT_CAP, FileDigitSource,
-                                 ListDigitSource, RngDigitSource, SplitMix64,
+from abnormal_forge.formats import FileDigitSource
+from abnormal_forge.seed import (DEFAULT_DIGIT_CAP, ListDigitSource,
+                                 RngDigitSource, SplitMix64,
                                  conditional_digit, digit_from_unit,
                                  parse_digit_file)
 
