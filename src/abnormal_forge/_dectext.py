@@ -42,7 +42,6 @@ digit, and past 2**2000 bits the inserted digits and denominators too).
 
 from __future__ import annotations
 
-import decimal
 import functools
 
 # Below these sizes the builtins are fast and within any digit limit
@@ -73,23 +72,24 @@ def int_to_text(n: int) -> str:
 @functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
 def _split_text(n: int) -> str:
     """str(n) for n >= TEXT_FAST_LIMIT, through an exact Decimal."""
+    import decimal
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        return str(_to_decimal(n, n.bit_length(), {}))
+        return str(_to_decimal(n, n.bit_length(), {}, decimal.Decimal))
 
 
-def _to_decimal(n: int, bits: int, powers: dict) -> decimal.Decimal:
+def _to_decimal(n: int, bits: int, powers: dict, Decimal: type):
     """Decimal(n) for 0 <= n < 2**bits, splitting on bits."""
     if bits <= _DECIMAL_LEAF_BITS:
-        return decimal.Decimal(n)
+        return Decimal(n)
     low_bits = bits >> 1
     hi = n >> low_bits
     lo = n & ((1 << low_bits) - 1)
-    return (_to_decimal(hi, bits - low_bits, powers)
-            * _power(decimal.Decimal(2), low_bits, powers)
-            + _to_decimal(lo, low_bits, powers))
+    return (_to_decimal(hi, bits - low_bits, powers, Decimal)
+            * _power(Decimal(2), low_bits, powers)
+            + _to_decimal(lo, low_bits, powers, Decimal))
 
 
 def text_to_int(text) -> int:

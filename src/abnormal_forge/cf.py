@@ -4,14 +4,18 @@ Convergents via the standard recurrence, conversion between rationals
 and digit sequences, cylinder intervals, the Gauss measure, and the
 classical approximation facts. All arithmetic is exact: integers and
 ``fractions.Fraction`` throughout, with the Gauss measure delivered as
-a fixed-point binary value of configurable precision.
+a fixed-point binary value of configurable precision. ``fractions`` is
+imported by the helpers that build a Fraction, so the convergent walk,
+``log2_fixed`` and ``digits_of_int`` load no more than they use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,7 @@ def convergent_stream(digits: Iterable[int]) -> Iterator[Convergent]:
 
 def cf_to_rational(digits: Sequence[int]) -> Fraction:
     """Exact value of a finite continued fraction (digits all >= 1)."""
+    from fractions import Fraction
     if not digits:
         raise ValueError("empty digit sequence has no value")
     last = None
@@ -88,6 +93,7 @@ def cylinder_interval(digits: Sequence[int]) -> CylinderInterval:
     when n is odd. By p_n q_{n-1} - p_{n-1} q_n = (-1)**(n-1), the width
     is 1/(q_n (q_n + q_{n-1})).
     """
+    from fractions import Fraction
     if not digits:
         raise ValueError("cylinder of the empty string is the whole space")
     p_prev, q_prev, p, q = 1, 0, 0, 1
@@ -97,6 +103,19 @@ def cylinder_interval(digits: Sequence[int]) -> CylinderInterval:
     bumped = Fraction(p + p_prev, q + q_prev)
     lo, hi = (bumped, own) if len(digits) % 2 else (own, bumped)
     return CylinderInterval(lo=lo, hi=hi)
+
+
+def digits_of_int(value: int, base: int, places: int) -> tuple[int, ...]:
+    """``places`` base-``base`` digits of value, most significant first."""
+    if base == 2:
+        bits = bin(value)[2:] if value else ""
+        padded = bits.rjust(places, "0")
+        return tuple(1 if c == "1" else 0 for c in padded)
+    out = []
+    for _ in range(places):
+        value, d = divmod(value, base)
+        out.append(d)
+    return tuple(reversed(out))
 
 
 _LOG2_GUARD_BITS = 48  # headroom of log2_fixed's working values
@@ -140,6 +159,7 @@ def gauss_measure(lo, hi=None, precision_bits: int = 64) -> Fraction:
     rationals. The result is a dyadic rational with denominator
     2**precision_bits, within 2 ulp of the exact measure.
     """
+    from fractions import Fraction
     if isinstance(lo, CylinderInterval):
         lo, hi = lo.lo, lo.hi
     lo = Fraction(lo)
@@ -153,6 +173,7 @@ def gauss_measure(lo, hi=None, precision_bits: int = 64) -> Fraction:
 
 def approx_bound(q_n: int, a_next: int) -> Fraction:
     """Bound 1/(a_{n+1} q_n**2) on the gap between a number and its n-th convergent."""
+    from fractions import Fraction
     if q_n < 1 or a_next < 1:
         raise ValueError("q_n and a_next must be positive")
     return Fraction(1, a_next * q_n * q_n)

@@ -13,6 +13,10 @@ The environment variable ``ABNORMAL_FORGE_MEM_BUDGET`` (bytes) caps the
 tail-digit size, the discrete-log table, ``analyze base --places`` and,
 with an rng seed, ``construct --total-digits``. It counts the data a
 command builds, not the interpreter's own ~18 MiB.
+
+Each process runs one subcommand, so each handler imports the modules it
+runs: importing this module, or running ``verify``, loads no more of the
+package than that needs.
 """
 
 from __future__ import annotations
@@ -21,20 +25,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import nt
 from ._dectext import brief, int_to_text
-from .construction import (ConstructionAborted, ConstructionConfig, Mode,
-                           SearchBudget, block_boundary, construct,
-                           verify_certificate)
 from .errors import (InfeasibleError, InputFormatError,
                      ResourceBudgetExceeded, SearchExhausted)
-from .formats import (FileDigitSource, read_certificate_file, read_digit_file,
-                      run_header, write_certificate_file, write_digit_file)
-from .radix import NON_TERMINATING, TERMINATING, base_expansion, max_run
-from .radix import cf_normality_report
-from .seed import DEFAULT_DIGIT_CAP, RngDigitSource
 
 MEM_BUDGET_ENV = "ABNORMAL_FORGE_MEM_BUDGET"
 
@@ -44,7 +38,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _budget_from_env() -> SearchBudget:
+def _budget_from_env():
+    from .construction import SearchBudget
     raw = os.environ.get(MEM_BUDGET_ENV)
     if raw is None:
         return SearchBudget()
@@ -87,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="add T to every tail digit (distinct valid streams)")
     con.add_argument("--search-limit", type=int, default=100_000,
                      metavar="COUNT", help="candidate cap for prime searches")
-    con.add_argument("--digit-cap", type=int, default=DEFAULT_DIGIT_CAP,
-                     metavar="CAP", help="clamp sampled seed digits at CAP")
+    con.add_argument("--digit-cap", type=int, metavar="CAP",
+                     help="clamp sampled seed digits at CAP")
     con.add_argument("--total-digits", type=int, default=None, metavar="M",
                      help="digits to write (default: through the last tail)")
     con.add_argument("--out-digits", required=True, metavar="PATH")
@@ -113,8 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     base_p.add_argument("--places", type=int, required=True)
     base_p.add_argument("--symbol", type=int, default=None,
                         help="symbol for the run report (default: base-1)")
-    base_p.add_argument("--convention", default=NON_TERMINATING,
-                        choices=[TERMINATING, NON_TERMINATING])
+    # radix.TERMINATING and radix.NON_TERMINATING, without importing radix.
+    base_p.add_argument("--convention", default="non-terminating",
+                        choices=["terminating", "non-terminating"])
 
     ntp = sub.add_parser("nt", help="number-theory utilities")
     nt_sub = ntp.add_subparsers(dest="nt_kind", required=True)
@@ -144,14 +140,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _make_source(args):
     if args.seed_file is not None:
+        from .formats import FileDigitSource
         return FileDigitSource(args.seed_file)
     if args.seed_rng is None:
         raise InputFormatError("a seed source is required")
-    return RngDigitSource(args.seed_rng, cap=args.digit_cap)
+    from .seed import DEFAULT_DIGIT_CAP, RngDigitSource
+    cap = DEFAULT_DIGIT_CAP if args.digit_cap is None else args.digit_cap
+    return RngDigitSource(args.seed_rng, cap=cap)
 
 
 def _cmd_construct(args) -> int:
     from dataclasses import replace
+
+    from .construction import (ConstructionAborted, ConstructionConfig, Mode,
+                               block_boundary, construct)
+    from .formats import run_header, write_certificate_file, write_digit_file
     budget = replace(_budget_from_env(), artin_limit=args.search_limit)
     config = ConstructionConfig(block_size=args.block_size,
                                 blocks=args.blocks,
@@ -160,15 +163,17 @@ def _cmd_construct(args) -> int:
                                 budget=budget)
     source = _make_source(args)
     seed_descriptor = source.descriptor()
-    header_config = dict(config.echo(), total_digits=args.total_digits)
     if args.seed_rng is not None and args.total_digits is not None:
         # Measured peak: about 18 B per sampled digit written.
         _refuse_past_budget(args.total_digits, 18, "digits")
+    # Built before the run, so a bad SOURCE_DATE_EPOCH costs no construction.
+    header = run_header(dict(config.echo(), total_digits=args.total_digits),
+                        seed_descriptor)
 
     try:
         result = construct(config, source)
     except ConstructionAborted as aborted:
-        header = run_header(header_config, seed_descriptor, partial=True)
+        header = dict(header, partial=True)
         write_digit_file(args.out_digits, aborted.digits, header)
         write_certificate_file(args.out_cert, aborted.certificates, header)
         print(f"error: {aborted}", file=sys.stderr)
@@ -189,7 +194,6 @@ def _cmd_construct(args) -> int:
                 "--total-digits is required for blocks=0 with an rng seed")
     digits = result.prefix(total)
 
-    header = run_header(header_config, seed_descriptor, partial=False)
     write_digit_file(args.out_digits, digits, header)
     write_certificate_file(args.out_cert, result.certificates, header)
 
@@ -206,6 +210,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .construction import verify_certificate
+    from .formats import read_certificate_file, read_digit_file
     certs, _header = read_certificate_file(args.cert)
     digits, _ = read_digit_file(args.digits)
     needed = max((c.block_end + 4 for c in certs), default=0)
@@ -249,6 +255,8 @@ def _parse_patterns(text: str) -> list[list[int]]:
 
 
 def _cmd_analyze_cf(args) -> int:
+    from .formats import read_digit_file
+    from .radix import cf_normality_report
     digits, _ = read_digit_file(args.digits)
     if args.prefix > len(digits):
         raise InputFormatError(
@@ -264,6 +272,9 @@ def _cmd_analyze_cf(args) -> int:
 
 
 def _cmd_analyze_base(args) -> int:
+    from fractions import Fraction
+
+    from .radix import base_expansion, max_run
     if args.den < 1:
         raise InputFormatError(f"denominator must be >= 1, got {args.den}")
     # Measured peak: about 80 B per place (base**places and the digits).
@@ -285,6 +296,8 @@ def _cmd_analyze_base(args) -> int:
 
 
 def _cmd_nt(args) -> int:
+    from . import nt
+
     # A result can outgrow the digit limit its inputs passed (p = ell*f + a,
     # a discriminant 4g'), so those go out through int_to_text.
     budget = _budget_from_env()

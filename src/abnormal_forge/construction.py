@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import nt
 from ._dectext import brief
-from .cf import convergent_stream, log2_fixed
+from .cf import convergent_stream, digits_of_int, log2_fixed
 from .errors import InputFormatError, ResourceBudgetExceeded, SearchExhausted
-from .radix import digits_of_int
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MODE_PAPER = "paper"
 MODE_RELAXED = "relaxed"
@@ -68,6 +69,7 @@ class Mode:
         if text in (MODE_PAPER, MODE_TOY):
             return Mode(text)
         if text.startswith(MODE_RELAXED + ":"):
+            from fractions import Fraction
             scale = text.split(":", 1)[1]
             if "e" in scale.lower():  # Fraction would form 10**exponent
                 raise ValueError(
@@ -259,7 +261,9 @@ def plan_block(q_prev: int, q_cur: int, base: int,
     until the power clears 2*q2; the recurrence then forces
     ell3 = (base**k - q1)/q2 exactly. The power is refused with
     :class:`ResourceBudgetExceeded` before it is formed when its size
-    estimate passes ``budget.tail_bits``.
+    estimate passes ``budget.tail_bits``, and step 2 before it scans when
+    the discrete-log table of its least candidate, q1 + 1, would pass
+    ``budget.bsgs_entries``.
     """
     if math.gcd(q_prev, q_cur) != 1:
         raise ValueError("consecutive denominators must be coprime")
@@ -273,6 +277,13 @@ def plan_block(q_prev: int, q_cur: int, base: int,
     if not nt.corollary_hypotheses(base, q1, q_cur):
         raise RuntimeError(f"q1 = {brief(q1)} is not coprime to the base "
                            "and to q_cur - 1")
+    # Every candidate prime is at least q1 + 1, so discrete_log would refuse
+    # the table of any prime the scan finds; refuse before scanning.
+    size = math.isqrt(q1 - 1) + 1
+    if size > budget.bsgs_entries:
+        raise ResourceBudgetExceeded(
+            f"baby-step table would need {brief(size)} entries "
+            f"(limit {budget.bsgs_entries}); modulus too large")
     hit = nt.find_artin_prime(base, q1, q_cur % q1, budget.artin_limit,
                               effort=budget.factor_effort)
     ell2, q2 = hit.ell, hit.prime

@@ -43,7 +43,6 @@ from __future__ import annotations
 import io
 import json
 import os
-from datetime import datetime, timezone
 from typing import Sequence
 
 from . import __version__
@@ -58,11 +57,15 @@ _LINES_PER_WRITE = 4096
 
 
 def _timestamp() -> str:
+    from datetime import datetime, timezone
     pinned = os.environ.get("SOURCE_DATE_EPOCH")
-    if pinned is not None:
-        moment = datetime.fromtimestamp(int(pinned), tz=timezone.utc)
-    else:
+    if pinned is None:
         moment = datetime.now(tz=timezone.utc)
+    else:
+        try:
+            moment = datetime.fromtimestamp(int(pinned), tz=timezone.utc)
+        except (ValueError, OverflowError, OSError) as exc:
+            raise InputFormatError(f"bad SOURCE_DATE_EPOCH: {exc}") from None
     return moment.replace(microsecond=0).isoformat()
 
 

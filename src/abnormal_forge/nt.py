@@ -17,6 +17,7 @@ query costs; every answer is still confirmed before it is returned.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -27,17 +28,19 @@ from .errors import InfeasibleError, ResourceBudgetExceeded, SearchExhausted
 _SMALL_PRIME_LIMIT = 1 << 16
 
 
-def _sieve(limit: int) -> list[int]:
+def _sieve(limit: int) -> bytearray:
+    """Flags ``f`` with ``f[n] == 1`` exactly for the primes n below limit."""
     flags = bytearray([1]) * limit
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(limit) if flags[i]]
+    return flags
 
 
-SMALL_PRIMES: tuple[int, ...] = tuple(_sieve(_SMALL_PRIME_LIMIT))
-_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+_SMALL_PRIME_FLAGS = _sieve(_SMALL_PRIME_LIMIT)
+SMALL_PRIMES: tuple[int, ...] = tuple(
+    itertools.compress(range(_SMALL_PRIME_LIMIT), _SMALL_PRIME_FLAGS))
 
 # Miller-Rabin with these bases is deterministic for n < 3.3 * 10**24,
 # comfortably past 2**64.
@@ -165,7 +168,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < _SMALL_PRIME_LIMIT:
-        return n in _SMALL_PRIME_SET
+        return _SMALL_PRIME_FLAGS[n] == 1
     for p in SMALL_PRIMES[:64]:
         if n % p == 0:
             return False

@@ -12,23 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cf import cylinder_interval, gauss_measure
+from .cf import cylinder_interval, digits_of_int, gauss_measure
 
 TERMINATING = "terminating"
 NON_TERMINATING = "non-terminating"
-
-
-def digits_of_int(value: int, base: int, places: int) -> tuple[int, ...]:
-    """``places`` base-``base`` digits of value, most significant first."""
-    if base == 2:
-        bits = bin(value)[2:] if value else ""
-        padded = bits.rjust(places, "0")
-        return tuple(1 if c == "1" else 0 for c in padded)
-    out = []
-    for _ in range(places):
-        value, d = divmod(value, base)
-        out.append(d)
-    return tuple(reversed(out))
 
 
 def base_expansion(x: Fraction, base: int, places: int,

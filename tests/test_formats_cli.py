@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import random
 import shlex
 import subprocess
@@ -1056,3 +1057,75 @@ def test_package_root_loads_no_submodule():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def _loaded_after(code: str) -> list[str]:
+    """Package submodules and watched stdlib modules loaded by a child."""
+    watched = ("dataclasses", "fractions", "decimal", "datetime")
+    script = (f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+              f"sys.modules if m.startswith('abnormal_forge.') "
+              f"or m in {watched!r})), file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stderr.splitlines()[-1])
+
+
+def test_cli_import_loads_only_what_every_subcommand_needs():
+    # Each handler imports the modules it runs, so the CLI module alone
+    # loads no construction, number theory, formats or heavy stdlib module.
+    assert _loaded_after("import abnormal_forge.cli") == [
+        "abnormal_forge._dectext", "abnormal_forge.cli",
+        "abnormal_forge.errors"]
+
+
+def test_cli_verify_loads_no_fraction_decimal_datetime_or_radix(tmp_path,
+                                                                 capsys):
+    # A verify process parses and checks with integers alone: it loads no
+    # module that builds a Fraction, renders a Decimal or stamps a time.
+    digits, cert = _paper_files(tmp_path, 1, 4)
+    argv = ["verify", "--cert", str(cert), "--digits", str(digits)]
+    loaded = _loaded_after(
+        "from abnormal_forge.cli import main\n"
+        f"assert main({argv!r}) == 0")
+    assert "abnormal_forge.construction" in loaded
+    for name in ("fractions", "decimal", "datetime", "abnormal_forge.radix"):
+        assert name not in loaded
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999999999",
+                                   "253402300800", "-62135596801"])
+def test_bad_source_date_epoch_is_a_usage_error(epoch, tmp_path):
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "abnormal_forge.cli", "construct",
+         "--seed-rng", "1", "--block-size", "4", "--blocks", "1",
+         "--mode", "toy", "--out-digits", str(digits),
+         "--out-cert", str(cert)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, SOURCE_DATE_EPOCH=epoch))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: bad SOURCE_DATE_EPOCH: ")
+    assert "Traceback" not in result.stderr and result.stdout == ""
+    assert not digits.exists() and not cert.exists()
+
+
+def test_multi_block_construct_fails_fast_with_partial_outputs(tmp_path):
+    # Block 2's modulus q1 has 26,483 bits, so every prime the scan could
+    # find needs a baby-step table past the budget: the block is refused
+    # before the scan instead of testing candidates of that size for hours.
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "abnormal_forge.cli", "construct",
+         "--seed-rng", "3", "--block-size", "4", "--blocks", "2",
+         "--mode", "toy", "--out-digits", str(digits),
+         "--out-cert", str(cert)],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 3
+    assert result.stderr.startswith(
+        "error: block 2 failed: baby-step table would need <13242-bit "
+        "integer> entries (limit 16777216); modulus too large\n")
+    certs, header = read_certificate_file(cert)
+    assert header["partial"] is True and [c.index for c in certs] == [1]
+    written, digit_header = read_digit_file(digits)
+    assert digit_header["partial"] is True and len(written) == 12

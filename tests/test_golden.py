@@ -108,3 +108,37 @@ def test_command_bytes_are_pinned(argv, code, out_sha, err_sha,
     assert _sha256(captured.out.encode("utf-8")) == out_sha
     if code:
         assert _sha256(captured.err.encode("utf-8")) == err_sha
+
+
+# sha256 of `--help` for the top level and every leaf subcommand, at 80
+# columns (argparse wraps to the terminal width, read from COLUMNS). These
+# pin the help text across changes to how the parser gets its defaults.
+HELP = [
+    ([], "d2271981aedf8402b0015b0f0c10a84b93508f394e880dad2b3964887d4c83b3"),
+    (["construct"],
+     "9d5bc96cfaff278245a057ead06cb33334f1b07b0902491ff1559b12503b107a"),
+    (["verify"],
+     "f819dd01633a8eb89621b57a3f5c9ed1d7e73d3d930ba6f9819f74a534fd10ee"),
+    (["analyze", "cf"],
+     "f7187ab268a333abc8b0510dc0856e471b0b01f0acbd57832217b36e5b722445"),
+    (["analyze", "base"],
+     "1478fef490f492478e656382c5429187df6f57d8749a9e7fc0139fb37f9922c5"),
+    (["nt", "dlog"],
+     "9a6cb9fb6ad1c8c778afd1f8726746419b7f34719178de54e47e5939b945aabd"),
+    (["nt", "primroot"],
+     "38145b1515d0ae7c0a2bf96042bbfbe657e9a830790f9ff000b8ffbd8ff88b5a"),
+    (["nt", "artin"],
+     "9b14660bb697fbaeab589bae92119412f4a286ee1a0de896897290d47839813d"),
+    (["nt", "kronecker"],
+     "c1c235df44330ccced8535658fa70577f3580837f6761ea8fcdac823a6ac2e00"),
+    (["nt", "lenstra"],
+     "617f9bde5da5ffcd045cf054d901c16b8b68403f9a469e826772b8b995f444e7"),
+]
+
+
+@pytest.mark.parametrize("argv,out_sha", HELP,
+                         ids=[" ".join(argv) or "top" for argv, _ in HELP])
+def test_help_bytes_are_pinned(argv, out_sha, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*argv, "--help"]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == out_sha
