@@ -2,8 +2,8 @@
 
 Subcommands: ``construct`` (run the pipeline, write digit + certificate
 files), ``verify`` (recheck certificates against a digit stream),
-``analyze`` (digit statistics for partial quotients or base digits),
-and ``nt`` (number-theory utilities).
+and ``analyze`` (digit statistics for partial quotients or base
+digits).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse/domain
 error, 3 search exhaustion or resource budget exceeded (partial outputs
@@ -26,9 +26,8 @@ import json
 import os
 import sys
 
-from ._dectext import brief, int_to_text
-from .errors import (InfeasibleError, InputFormatError,
-                     ResourceBudgetExceeded, SearchExhausted)
+from ._dectext import brief
+from .errors import InputFormatError, ResourceBudgetExceeded, SearchExhausted
 
 MEM_BUDGET_ENV = "ABNORMAL_FORGE_MEM_BUDGET"
 
@@ -112,29 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     base_p.add_argument("--convention", default="non-terminating",
                         choices=["terminating", "non-terminating"])
 
-    ntp = sub.add_parser("nt", help="number-theory utilities")
-    nt_sub = ntp.add_subparsers(dest="nt_kind", required=True)
-    dlog = nt_sub.add_parser("dlog", help="discrete logarithm (BSGS)")
-    dlog.add_argument("--g", type=int, required=True)
-    dlog.add_argument("--h", type=int, required=True)
-    dlog.add_argument("--p", type=int, required=True)
-    primroot = nt_sub.add_parser("primroot", help="primitive-root test")
-    primroot.add_argument("--g", type=int, required=True)
-    primroot.add_argument("--p", type=int, required=True)
-    artin = nt_sub.add_parser("artin", help="least prime in a class with a "
-                                            "prescribed primitive root")
-    artin.add_argument("--g", type=int, required=True)
-    artin.add_argument("--f", type=int, required=True)
-    artin.add_argument("--a", type=int, required=True)
-    artin.add_argument("--search-limit", type=int, default=100_000)
-    kron = nt_sub.add_parser("kronecker", help="Kronecker symbol (d/n)")
-    kron.add_argument("--d", type=int, required=True)
-    kron.add_argument("--n", type=int, required=True)
-    lenstra = nt_sub.add_parser("lenstra", help="finiteness test for the "
-                                                "primitive-root prime class")
-    lenstra.add_argument("--g", type=int, required=True)
-    lenstra.add_argument("--f", type=int, required=True)
-    lenstra.add_argument("--a", type=int, required=True)
     return parser
 
 
@@ -142,8 +118,6 @@ def _make_source(args):
     if args.seed_file is not None:
         from .formats import FileDigitSource
         return FileDigitSource(args.seed_file)
-    if args.seed_rng is None:
-        raise InputFormatError("a seed source is required")
     from .seed import DEFAULT_DIGIT_CAP, RngDigitSource
     cap = DEFAULT_DIGIT_CAP if args.digit_cap is None else args.digit_cap
     return RngDigitSource(args.seed_rng, cap=cap)
@@ -161,6 +135,12 @@ def _cmd_construct(args) -> int:
                                 mode=Mode.parse(args.mode),
                                 tail_offset=args.tail_offset,
                                 budget=budget)
+    # verify reads up to the last tail; a negative count meets prefix's check.
+    needed = (block_boundary(config.block_size, config.blocks) + 4
+              if config.blocks else 0)
+    if args.total_digits is not None and 0 <= args.total_digits < needed:
+        raise InputFormatError(f"--total-digits {args.total_digits} is below "
+                               f"the {needed} digits the certificates need")
     source = _make_source(args)
     seed_descriptor = source.descriptor()
     if args.seed_rng is not None and args.total_digits is not None:
@@ -185,8 +165,8 @@ def _cmd_construct(args) -> int:
 
     total = args.total_digits
     if total is None:
-        if config.blocks:
-            total = block_boundary(config.block_size, config.blocks) + 4
+        if needed:
+            total = needed
         elif args.seed_file is not None:
             total = len(source)
         else:
@@ -283,6 +263,9 @@ def _cmd_analyze_base(args) -> int:
     digits = base_expansion(x, args.base, args.places,
                             convention=args.convention)
     symbol = args.symbol if args.symbol is not None else args.base - 1
+    if not 0 <= symbol < args.base:
+        raise InputFormatError(
+            f"symbol {symbol} is not a base-{args.base} digit")
     runs = max_run(digits, symbol, args.places)
     if args.base <= 10:
         rendered = "".join(str(d) for d in digits)
@@ -292,40 +275,6 @@ def _cmd_analyze_base(args) -> int:
                       "places": args.places, "digits": rendered,
                       "symbol": symbol, "longest_run": runs.longest_run,
                       "differing": runs.differing}, indent=2))
-    return EXIT_OK
-
-
-def _cmd_nt(args) -> int:
-    from . import nt
-
-    # A result can outgrow the digit limit its inputs passed (p = ell*f + a,
-    # a discriminant 4g'), so those go out through int_to_text.
-    budget = _budget_from_env()
-    if args.nt_kind == "dlog":
-        print(nt.discrete_log(args.g, args.h, args.p,
-                              max_table_entries=budget.bsgs_entries))
-    elif args.nt_kind == "primroot":
-        print("true" if nt.is_primitive_root(args.g, args.p) else "false")
-    elif args.nt_kind == "artin":
-        hit = nt.find_artin_prime(args.g, args.f, args.a,
-                                  args.search_limit)
-        print(f"ell={hit.ell} p={int_to_text(hit.prime)} "
-              f"candidates_tested={hit.candidates_tested}")
-    elif args.nt_kind == "kronecker":
-        print(nt.kronecker_symbol(args.d, args.n))
-    elif args.nt_kind == "lenstra":
-        verdict = nt.lenstra_finiteness(args.g, args.f, args.a)
-        discriminant = int_to_text(verdict.discriminant)
-        if verdict.finite:
-            witness = (f" q={verdict.prime_witness}"
-                       if verdict.prime_witness is not None else "")
-            print(f"finite condition={verdict.condition}{witness} "
-                  f"discriminant={discriminant}")
-        else:
-            print(f"infinite (no finiteness condition fires; "
-                  f"GRH-conditional) discriminant={discriminant}")
-    else:  # pragma: no cover - argparse enforces choices
-        raise InputFormatError(f"unknown nt subcommand {args.nt_kind!r}")
     return EXIT_OK
 
 
@@ -340,14 +289,10 @@ def main(argv=None) -> int:
             return _cmd_construct(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "analyze":
-            if args.analyze_kind == "cf":
-                return _cmd_analyze_cf(args)
-            return _cmd_analyze_base(args)
-        if args.command == "nt":
-            return _cmd_nt(args)
-        raise InputFormatError(f"unknown command {args.command!r}")
-    except (InputFormatError, InfeasibleError, ValueError, OSError) as exc:
+        if args.analyze_kind == "cf":  # argparse leaves only analyze
+            return _cmd_analyze_cf(args)
+        return _cmd_analyze_base(args)
+    except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SearchExhausted, ResourceBudgetExceeded) as exc:

@@ -143,6 +143,9 @@ class RngDigitSource:
     """
 
     def __init__(self, seed: int, cap: int = DEFAULT_DIGIT_CAP):
+        # SplitMix64 keeps 64 bits, so any other seed would alias one in range.
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         self.seed = seed
         self.cap = cap
         self.position = 0

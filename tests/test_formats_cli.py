@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -847,6 +848,40 @@ def test_cli_construct_refuses_negative_total_digits(tmp_path, capsys):
     assert not digits.exists() and not cert.exists()
 
 
+def test_cli_construct_refuses_total_digits_below_the_certificates(
+        tmp_path, capsys):
+    # verify needs block_end + 4 = 8 digits for this one-block run, so a
+    # shorter file is refused before the run instead of written.
+    seed = _write_seed(tmp_path)
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    argv = ["construct", "--seed-file", str(seed), "--block-size", "4",
+            "--blocks", "1", "--out-digits", str(digits),
+            "--out-cert", str(cert), "--total-digits"]
+    assert main([*argv, "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --total-digits 3 is below the 8 digits "
+                            "the certificates need\n")
+    assert not digits.exists() and not cert.exists()
+    assert main([*argv, "8"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 0
+
+
+def test_cli_construct_refuses_seeds_outside_64_bits(tmp_path, capsys):
+    # -1 and 2**64 would alias 2**64 - 1 and 0 in the 64-bit generator.
+    argv = ["construct", "--block-size", "4", "--blocks", "1",
+            "--mode", "toy", "--out-digits", str(tmp_path / "d.cf"),
+            "--out-cert", str(tmp_path / "c.json"), "--seed-rng"]
+    for seed in (-1, 1 << 64):
+        assert main([*argv, str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: seed must lie in [0, 2**64), "
+                                f"got {seed}\n")
+    assert main([*argv, str((1 << 64) - 1)]) == 0
+
+
 def test_cli_construct_exhausted_seed_file_exits_2(tmp_path, capsys):
     seed = _write_seed(tmp_path, digits=[1, 2])  # too short for one block
     code = main(["construct", "--seed-file", str(seed), "--block-size", "4",
@@ -945,19 +980,15 @@ def test_cli_analyze_base_wide_base_uses_commas(capsys):
 def test_cli_analyze_base_rejects_zero_denominator(capsys):
     assert main(["analyze", "base", "--num", "1", "--den", "0",
                  "--base", "2", "--places", "5"]) == 2
-
-
-def test_cli_nt_surface(capsys):
-    assert main(["nt", "dlog", "--g", "2", "--h", "23", "--p", "59"]) == 0
-    assert capsys.readouterr().out.strip() == "15"
-    assert main(["nt", "lenstra", "--g", "8", "--f", "3", "--a", "1"]) == 0
-    assert "finite condition=1 q=3" in capsys.readouterr().out
-    assert main(["nt", "artin", "--g", "2", "--f", "23", "--a", "13"]) == 0
-    assert "ell=2 p=59" in capsys.readouterr().out
-    assert main(["nt", "kronecker", "--d", "5", "--n", "11"]) == 0
-    assert capsys.readouterr().out.strip() == "1"
-    assert main(["nt", "primroot", "--g", "2", "--p", "11"]) == 0
-    assert capsys.readouterr().out.strip() == "true"
+    # A symbol that is no base-2 digit has no run to report.
+    for symbol in ("7", "-1"):
+        capsys.readouterr()
+        assert main(["analyze", "base", "--num", "1", "--den", "3",
+                     "--base", "2", "--places", "4", "--symbol", symbol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: symbol {symbol} is not a base-2 "
+                                "digit\n")
 
 
 def test_readme_cli_block_matches_the_parser():
@@ -965,8 +996,9 @@ def test_readme_cli_block_matches_the_parser():
         encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
     commands = block.replace("\\\n", " ").splitlines()
-    assert len(commands) >= 9
     parser = _build_parser()
+    leaves = _leaf_commands(parser)
+    named = set()
     for command in commands:
         words = shlex.split(command)
         assert words[0] == "abnormal-forge", command
@@ -974,11 +1006,19 @@ def test_readme_cli_block_matches_the_parser():
             parser.parse_args(words[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+        named.update(leaf for leaf in leaves
+                     if tuple(words[1:1 + len(leaf)]) == leaf)
+    # README shows every leaf subcommand, and no command the parser lacks.
+    assert named == leaves
 
 
-def test_cli_nt_domain_error_exit_codes(capsys):
-    assert main(["nt", "dlog", "--g", "2", "--h", "0", "--p", "11"]) == 2
-    assert main(["nt", "lenstra", "--g", "4", "--f", "3", "--a", "1"]) == 2
+def _leaf_commands(parser, path=()):
+    """Word paths, such as ("analyze", "cf"), of the leaf subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {leaf for name, sub in action.choices.items()
+                    for leaf in _leaf_commands(sub, (*path, name))}
+    return {path}
 
 
 def test_cli_usage_error_exit_code(capsys):
@@ -1004,20 +1044,25 @@ def test_cli_rng_needs_total_digits_for_zero_blocks(tmp_path, capsys):
 
 def test_console_entry_point_runs():
     result = subprocess.run(
-        [sys.executable, "-m", "abnormal_forge.cli", "nt", "dlog",
-         "--g", "2", "--h", "3", "--p", "11"],
+        [sys.executable, "-m", "abnormal_forge.cli", "analyze", "base",
+         "--num", "1", "--den", "3", "--base", "2", "--places", "4"],
         capture_output=True, text=True)
     assert result.returncode == 0
-    assert result.stdout.strip() == "8"
+    assert '"digits": "0101"' in result.stdout
 
 
-def test_mem_budget_env_is_honored(monkeypatch, capsys):
+def test_mem_budget_env_is_honored(tmp_path, monkeypatch, capsys):
+    # The budget caps plan_block's baby-step table: 200 KiB allows 2133
+    # entries, and this seed's first candidate prime needs far more.
     monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", str(200 * 1024))
-    code = main(["nt", "dlog", "--g", "5", "--h", "7",
-                 "--p", "100000007"])
+    seed = _write_seed(tmp_path, digits=[1000, 1000, 1000, 1000])
+    code = main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "1", "--mode", "toy",
+                 "--out-digits", str(tmp_path / "d.cf"),
+                 "--out-cert", str(tmp_path / "c.json")])
     err = capsys.readouterr().err
     assert code == 3
-    assert "table" in err
+    assert "baby-step table would need 1000502 entries (limit 2133)" in err
 
 
 def test_mem_budget_caps_analyze_base_places(monkeypatch, capsys):

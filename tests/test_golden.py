@@ -56,9 +56,10 @@ def test_construct_and_verify_bytes_are_pinned(seed_args, mode, expected,
 
 
 # (argv, exit code, sha256 of stdout, sha256 of stderr when the code is
-# not 0) for the analysis and number-theory commands, run in-process in a
-# temporary cwd. "y.cf" is the worked seed's paper-mode digit file, as
-# README's `construct ... --out-digits y.cf` writes it.
+# not 0) for the analysis commands and an exhausted search, run in-process
+# in a temporary cwd. "seed.cf" holds the worked seed, and "y.cf" is its
+# paper-mode digit file, as README's `construct ... --out-digits y.cf`
+# writes it.
 COMMANDS = [
     (["analyze", "base", "--num", "23", "--den", "32768", "--base", "2",
       "--places", "225", "--symbol", "1"], 0,
@@ -66,39 +67,24 @@ COMMANDS = [
     (["analyze", "cf", "--digits", "y.cf", "--strings", "1;2;1,1",
       "--prefix", "8"], 0,
      "2d8315cafc3c0e570e7437c3753f404b0e030f00f06ca3d3edaaeff674ebec34", None),
-    (["nt", "dlog", "--g", "2", "--h", "23", "--p", "59"], 0,
-     "238903180cc104ec2c5d8b3f20c5bc61b389ec0a967df8cc208cdc7cd454174f", None),
-    (["nt", "artin", "--g", "2", "--f", "23", "--a", "13"], 0,
-     "0c2c395d35790da095963d350bfbb5e5e5183085f5d93dd094eb5c9f66f6c28a", None),
-    (["nt", "primroot", "--g", "2", "--p", "11"], 0,
-     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74", None),
-    (["nt", "kronecker", "--d", "5", "--n", "11"], 0,
-     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865", None),
-    # Finite by condition 1, by condition 2, and infinite.
-    (["nt", "lenstra", "--g", "8", "--f", "3", "--a", "1"], 0,
-     "b479d996ea4511b7555f00c2d88798936e1e0e9682edcdea53b65ab37eee5a89", None),
-    (["nt", "lenstra", "--g", "2", "--f", "8", "--a", "1"], 0,
-     "c8b45cacd53b2ab6e8cf30f82fc77322eb3bc4c4938a10f8c3993a831aeb522b", None),
-    (["nt", "lenstra", "--g", "3", "--f", "7", "--a", "2"], 0,
-     "074ae084fbde6d024ded719c709e4a2295d426d9d3496ab642595616a1499b04", None),
-    (["nt", "artin", "--g", "2", "--f", "23", "--a", "13",
-      "--search-limit", "1"], 3,
+    # A prime search that runs out of candidates: SearchExhausted, exit 3.
+    (["construct", "--seed-file", "seed.cf", "--block-size", "4",
+      "--blocks", "1", "--search-limit", "1", "--out-digits", "out.cf",
+      "--out-cert", "out.json"], 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "a563b27efa36c7088296aa1ced7b0463f7a10e7a57ad77d27f2c2d40526bbdd9"),
+     "51b0d38088ceb0765114913aede2e22d3ebe2651194bd920b3e7aa2b485ea298"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,out_sha,err_sha", COMMANDS, ids=[
-    "analyze-base", "analyze-cf", "nt-dlog", "nt-artin", "nt-primroot",
-    "nt-kronecker", "nt-lenstra-1", "nt-lenstra-2", "nt-lenstra-infinite",
-    "nt-artin-exhausted"])
+    "analyze-base", "analyze-cf", "construct-search-exhausted"])
 def test_command_bytes_are_pinned(argv, code, out_sha, err_sha,
                                   tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    (tmp_path / "seed.cf").write_text("".join(f"{d}\n" for d in WORKED_SEED),
+                                      encoding="utf-8")
     if "y.cf" in argv:
-        (tmp_path / "seed.cf").write_text(
-            "".join(f"{d}\n" for d in WORKED_SEED), encoding="utf-8")
         assert main(["construct", "--seed-file", "seed.cf", "--block-size",
                      "4", "--blocks", "1", "--out-digits", "y.cf",
                      "--out-cert", "y.json"]) == 0
@@ -114,7 +100,7 @@ def test_command_bytes_are_pinned(argv, code, out_sha, err_sha,
 # columns (argparse wraps to the terminal width, read from COLUMNS). These
 # pin the help text across changes to how the parser gets its defaults.
 HELP = [
-    ([], "d2271981aedf8402b0015b0f0c10a84b93508f394e880dad2b3964887d4c83b3"),
+    ([], "cc11fa1a23391f43e013cb07a0129ab659a0becb4fea8d10036ec9c8e3cc5e80"),
     (["construct"],
      "9d5bc96cfaff278245a057ead06cb33334f1b07b0902491ff1559b12503b107a"),
     (["verify"],
@@ -123,16 +109,6 @@ HELP = [
      "f7187ab268a333abc8b0510dc0856e471b0b01f0acbd57832217b36e5b722445"),
     (["analyze", "base"],
      "1478fef490f492478e656382c5429187df6f57d8749a9e7fc0139fb37f9922c5"),
-    (["nt", "dlog"],
-     "9a6cb9fb6ad1c8c778afd1f8726746419b7f34719178de54e47e5939b945aabd"),
-    (["nt", "primroot"],
-     "38145b1515d0ae7c0a2bf96042bbfbe657e9a830790f9ff000b8ffbd8ff88b5a"),
-    (["nt", "artin"],
-     "9b14660bb697fbaeab589bae92119412f4a286ee1a0de896897290d47839813d"),
-    (["nt", "kronecker"],
-     "c1c235df44330ccced8535658fa70577f3580837f6761ea8fcdac823a6ac2e00"),
-    (["nt", "lenstra"],
-     "617f9bde5da5ffcd045cf054d901c16b8b68403f9a469e826772b8b995f444e7"),
 ]
 
 
