@@ -4,7 +4,8 @@ Convergents via the standard recurrence, conversion between rationals
 and digit sequences, cylinder intervals, the Gauss measure, and the
 classical approximation facts. All arithmetic is exact: integers and
 ``fractions.Fraction`` throughout, with the Gauss measure delivered as
-a fixed-point binary value of configurable precision. ``fractions`` is
+a fixed-point binary value with :data:`LOG2_BITS` (64) fractional
+bits, the one precision every caller uses. ``fractions`` is
 imported by the helpers that build a Fraction, so the convergent walk,
 ``log2_fixed`` and ``digits_of_int`` load no more than they use.
 """
@@ -118,11 +119,12 @@ def digits_of_int(value: int, base: int, places: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+LOG2_BITS = 64  # fractional bits of every log2_fixed result
 _LOG2_GUARD_BITS = 48  # headroom of log2_fixed's working values
 
 
-def log2_fixed(num: int, den: int, precision_bits: int) -> int:
-    """Fixed-point log2(num/den) for num >= den >= 1: ~floor(2**prec * log2).
+def log2_fixed(num: int, den: int) -> int:
+    """Fixed-point log2(num/den) for num >= den >= 1: ~floor(2**64 * log2).
 
     Classic digit extraction: normalize the mantissa into [1, 2), then
     repeatedly square, pulling one output bit per squaring. Working
@@ -132,43 +134,37 @@ def log2_fixed(num: int, den: int, precision_bits: int) -> int:
     """
     if den < 1 or num < den:
         raise ValueError("log2_fixed requires num >= den >= 1")
-    if precision_bits < 1:
-        raise ValueError("precision must be at least one bit")
     shift = num.bit_length() - den.bit_length()
     if num < (den << shift):
         shift -= 1
     if num == den << shift:
-        return shift << precision_bits
-    work = precision_bits + _LOG2_GUARD_BITS
+        return shift << LOG2_BITS
+    work = LOG2_BITS + _LOG2_GUARD_BITS
     x = (num << work) // (den << shift)
     frac = 0
     top = 1 << (work + 1)
-    for _ in range(precision_bits):
+    for _ in range(LOG2_BITS):
         x = (x * x) >> work
         frac <<= 1
         if x >= top:
             frac |= 1
             x >>= 1
-    return (shift << precision_bits) | frac
+    return (shift << LOG2_BITS) | frac
 
 
-def gauss_measure(lo, hi=None, precision_bits: int = 64) -> Fraction:
+def gauss_measure(lo: Fraction, hi: Fraction) -> Fraction:
     """Gauss measure of an interval in [0, 1]: log2((1 + hi)/(1 + lo)).
 
-    Accepts a :class:`CylinderInterval` or an explicit (lo, hi) pair of
-    rationals. The result is a dyadic rational with denominator
-    2**precision_bits, within 2 ulp of the exact measure.
+    The result is a dyadic rational with denominator 2**64, within 2
+    ulp of the exact measure.
     """
     from fractions import Fraction
-    if isinstance(lo, CylinderInterval):
-        lo, hi = lo.lo, lo.hi
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    lo, hi = Fraction(lo), Fraction(hi)
     if not (0 <= lo < hi <= 1):
         raise ValueError(f"need 0 <= lo < hi <= 1, got ({lo}, {hi})")
     ratio = (1 + hi) / (1 + lo)
-    value = log2_fixed(ratio.numerator, ratio.denominator, precision_bits)
-    return Fraction(value, 1 << precision_bits)
+    value = log2_fixed(ratio.numerator, ratio.denominator)
+    return Fraction(value, 1 << LOG2_BITS)
 
 
 def approx_bound(q_n: int, a_next: int) -> Fraction:

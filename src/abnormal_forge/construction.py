@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import nt
 from ._dectext import brief
-from .cf import convergent_stream, digits_of_int, log2_fixed
+from .cf import LOG2_BITS, convergent_stream, digits_of_int, log2_fixed
 from .errors import InputFormatError, ResourceBudgetExceeded, SearchExhausted
 
 if TYPE_CHECKING:
@@ -92,16 +92,17 @@ class Mode:
 class SearchBudget:
     """Effort and memory caps for the per-block searches.
 
-    ``tail_bits`` caps every materialized power of the base (the
-    power-hit denominator and the tail digit), checked from an estimate
-    of its bit length before the power is formed; ``bsgs_entries`` caps
-    the discrete-log table; ``factor_effort`` bounds rho iterations when
-    factoring group orders.
+    ``artin_limit`` caps the prime search's candidates; ``tail_bits``
+    caps every materialized power of the base (the power-hit
+    denominator and the tail digit), checked from an estimate of its
+    bit length before the power is formed; ``bsgs_entries`` caps the
+    discrete-log table. Factoring group orders is capped by the fixed
+    ``nt.FACTOR_EFFORT``, which the run header echoes as
+    ``factor_effort``.
     """
 
     artin_limit: int = 100_000
     bsgs_entries: int = 1 << 24
-    factor_effort: int = 1 << 22
     tail_bits: int = 1 << 31
 
     @staticmethod
@@ -138,7 +139,7 @@ class ConstructionConfig:
                 "mode": self.mode.label(), "tail_offset": self.tail_offset,
                 "artin_limit": self.budget.artin_limit,
                 "bsgs_entries": self.budget.bsgs_entries,
-                "factor_effort": self.budget.factor_effort,
+                "factor_effort": nt.FACTOR_EFFORT,
                 "tail_bits": self.budget.tail_bits}
 
 
@@ -186,8 +187,7 @@ def ilog_floor(x: int, base: int) -> int:
     """Largest t >= 0 with base**t <= x, for x >= 1."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    scaled_log_base = log2_fixed(base, 1, 64)
-    t = ((x.bit_length() - 1) << 64) // scaled_log_base
+    t = ((x.bit_length() - 1) << LOG2_BITS) // log2_fixed(base, 1)
     while nt.pow_exceeds(base, t, x):  # base**t > x: too far
         t -= 1
     while not nt.pow_exceeds(base, t + 1, x):  # base**(t+1) <= x: can grow
@@ -199,9 +199,15 @@ def _bounded_power(base: int, exponent: int, max_bits: int, what: str,
                    advice: str = "") -> int:
     """base**exponent, refused before it is formed if it passes ``max_bits``.
 
-    The size estimate is exponent * log2(base) in 32-bit fixed point.
+    The size estimate is exponent * log2(base) in 64-bit fixed point,
+    exact for base 2. The refusal keeps the estimate rather than an exact
+    ``nt.pow_exceeds(base, exponent, 1 << max_bits)``: at the default
+    budget ``1 << max_bits`` is itself a 2**31-bit integer, and for a
+    base that is not a power of two ``pow_exceeds`` forms
+    ``base**exponent`` whenever bit lengths leave the comparison open,
+    so the check would allocate what it guards.
     """
-    approx_bits = (exponent * log2_fixed(base, 1, 32)) >> 32
+    approx_bits = (exponent * log2_fixed(base, 1)) >> LOG2_BITS
     if approx_bits > max_bits:
         raise ResourceBudgetExceeded(
             f"{what} needs ~{approx_bits} bits which exceeds the "
@@ -284,8 +290,7 @@ def plan_block(q_prev: int, q_cur: int, base: int,
         raise ResourceBudgetExceeded(
             f"baby-step table would need {brief(size)} entries "
             f"(limit {budget.bsgs_entries}); modulus too large")
-    hit = nt.find_artin_prime(base, q1, q_cur % q1, budget.artin_limit,
-                              effort=budget.factor_effort)
+    hit = nt.find_artin_prime(base, q1, q_cur % q1, budget.artin_limit)
     ell2, q2 = hit.ell, hit.prime
 
     k0 = nt.discrete_log(base, q1 % q2, q2,
@@ -340,13 +345,18 @@ class ConstructedNumber:
     """
 
     def __init__(self, config: ConstructionConfig, source,
-                 digits: list[int], certificates: Sequence[BlockCertificate],
-                 insertion_positions: Sequence[int]):
+                 digits: list[int], certificates: Sequence[BlockCertificate]):
         self.config = config
         self.certificates = tuple(certificates)
-        self.insertion_positions = tuple(insertion_positions)
         self._source = source
         self._digits = list(digits)
+
+    @property
+    def insertion_positions(self) -> tuple[int, ...]:
+        """Stream indices of the inserted digits: four after each block end."""
+        return tuple(position for cert in self.certificates
+                     for position in range(cert.block_end + 1,
+                                           cert.block_end + 5))
 
     @property
     def digits_through_blocks(self) -> list[int]:
@@ -372,7 +382,6 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
     """
     digits: list[int] = []
     certificates: list[BlockCertificate] = []
-    insertion_positions: list[int] = []
     q_prev, q_cur = 0, 1
 
     def emit(d: int) -> None:
@@ -407,7 +416,6 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
             raise RuntimeError(f"block {i}: the emitted digits do not "
                                "reproduce the planned denominators")
         digits.append(tail)
-        insertion_positions.extend(range(boundary + 1, boundary + 5))
         certificates.append(BlockCertificate(
             index=i, base=base, block_end=boundary,
             inserted=(plan.ell1, plan.ell2, plan.ell3, tail),
@@ -416,8 +424,7 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
             prime=plan.q2, exponent=plan.exponent,
             digit_bound=plan.exponent,
             mode=config.mode.label()))
-    return ConstructedNumber(config, source, digits, certificates,
-                             insertion_positions)
+    return ConstructedNumber(config, source, digits, certificates)
 
 
 @dataclass(frozen=True)

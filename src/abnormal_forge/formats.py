@@ -69,18 +69,17 @@ def _timestamp() -> str:
     return moment.replace(microsecond=0).isoformat()
 
 
-def run_header(config_echo: dict, seed_descriptor: dict,
-               partial: bool = False) -> dict:
+def run_header(config_echo: dict, seed_descriptor: dict) -> dict:
+    """A complete run's header; an aborted run's copy sets ``partial``."""
     return {"tool": TOOL_NAME, "version": __version__,
             "format_version": FORMAT_VERSION, "timestamp": _timestamp(),
             "config": config_echo, "seed": seed_descriptor,
-            "partial": partial}
+            "partial": False}
 
 
-def write_digit_file(path, digits: Sequence[int], header: dict | None = None) -> None:
-    head = f"# {TOOL_NAME} digit file v{FORMAT_VERSION}\n"
-    if header is not None:
-        head += f"# header: {json.dumps(header, sort_keys=True)}\n"
+def write_digit_file(path, digits: Sequence[int], header: dict) -> None:
+    head = (f"# {TOOL_NAME} digit file v{FORMAT_VERSION}\n"
+            f"# header: {json.dumps(header, sort_keys=True)}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
         for start in range(0, len(digits), _LINES_PER_WRITE):

@@ -7,7 +7,9 @@ with a prescribed primitive root (Lenstra's criterion, assuming GRH).
 
 Primality follows one fixed rule: deterministic Miller-Rabin below
 ~3.3e24; above it, Baillie-PSW, then 32 Miller-Rabin rounds whose bases
-come from a PRNG seeded by the number under test.
+come from a PRNG seeded by the number under test. Factoring follows
+one too: trial division, then Brent rho, which gives up after
+:data:`FACTOR_EFFORT` iterations per number.
 
 Everything here is a pure function of its arguments; values are plain
 Python ints and frozen dataclasses. The one piece of state,
@@ -50,6 +52,8 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _EXTRA_MR_ROUNDS = 32
 # Cap on the coprimizing-multiplier scan.
 _COPRIMIZER_SCAN_LIMIT = 1 << 20
+# Rho iterations one factorization may spend before it gives up.
+FACTOR_EFFORT = 1 << 22
 
 
 def iroot(n: int, k: int) -> int:
@@ -230,14 +234,13 @@ def _brent_rho(n: int, budget: list[int]) -> int:
         # unlucky cycle; retry with new parameters
 
 
-def factorize(n: int, *,
-              effort: int = 1 << 22) -> tuple[tuple[int, int], ...]:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Complete factorization as (prime, exponent) pairs sorted by prime.
 
     Trial division, then Brent-cycle rho.
 
-    ``effort`` bounds the total number of rho iterations; a hard
-    composite raises :class:`ResourceBudgetExceeded` rather than
+    :data:`FACTOR_EFFORT` bounds the total number of rho iterations; a
+    hard composite raises :class:`ResourceBudgetExceeded` rather than
     spinning forever.
     """
     if n < 1:
@@ -249,7 +252,7 @@ def factorize(n: int, *,
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    budget = [effort]
+    budget = [FACTOR_EFFORT]
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -319,7 +322,7 @@ def kronecker_symbol(d: int, n: int) -> int:
     return result * _jacobi(d % n, n)
 
 
-def is_primitive_root(g: int, p: int, *, effort: int = 1 << 22) -> bool:
+def is_primitive_root(g: int, p: int) -> bool:
     """True iff g generates the full multiplicative group mod prime p.
 
     Checks g**((p-1)/r) != 1 for every prime r dividing p - 1, which
@@ -334,7 +337,7 @@ def is_primitive_root(g: int, p: int, *, effort: int = 1 << 22) -> bool:
         return True
     order = p - 1
     return all(pow(g, order // r, p) != 1
-               for r, _ in factorize(order, effort=effort))
+               for r, _ in factorize(order))
 
 
 def coprimizing_multiplier(q: int, q_prev: int, avoid: int) -> int:
@@ -433,15 +436,18 @@ class ArtinPrime:
     candidates_tested: int
 
 
-def find_artin_prime(g: int, f: int, a: int, search_limit: int = 100_000, *,
-                     effort: int = 1 << 22) -> ArtinPrime:
+def find_artin_prime(g: int, f: int, a: int,
+                     search_limit: int = 100_000) -> ArtinPrime:
     """Least ell >= 1 with ell*f + a prime and g a primitive root mod it.
 
     The class is first screened with :func:`lenstra_finiteness`; a
     provably finite class is rejected since the scan could never be
     trusted to terminate. (On GRH an unscreened class yields infinitely
     many hits; ``search_limit`` protects desk-scale runs regardless.)
+    A limit below 1 allows no candidate and is refused.
     """
+    if search_limit < 1:
+        raise ValueError(f"search limit must be >= 1, got {search_limit}")
     if not 1 <= a < f:
         raise ValueError(f"need 1 <= a < f, got a={a}, f={f}")
     verdict = lenstra_finiteness(g, f, a)
@@ -454,12 +460,11 @@ def find_artin_prime(g: int, f: int, a: int, search_limit: int = 100_000, *,
         if g % candidate == 0:
             continue  # g = 0 mod p can never generate the group
 
-        if is_prime(candidate) and is_primitive_root(
-                g, candidate, effort=effort):
+        if is_prime(candidate) and is_primitive_root(g, candidate):
             return ArtinPrime(ell=ell, prime=candidate, candidates_tested=ell)
     raise SearchExhausted(
         f"no prime with primitive root {g} in {a} mod {f} within "
-        f"{search_limit} candidates", candidates_tested=max(search_limit, 0))
+        f"{search_limit} candidates", candidates_tested=search_limit)
 
 
 @dataclass(frozen=True, slots=True)

@@ -50,23 +50,22 @@ def base_expansion(x: Fraction, base: int, places: int,
 class DigitStats:
     """Occurrence count of one pattern within a digit prefix.
 
-    ``ratio`` is count/prefix_len exactly; ``reference`` is the expected
-    limiting frequency supplied by the caller (1/base**k for base
-    digits, the Gauss measure of the matching cylinder for partial
-    quotients), with ``discrepancy`` their absolute difference.
+    ``ratio`` is count/prefix_len exactly; ``reference`` is the Gauss
+    measure of the pattern's cylinder, the limiting frequency in a
+    typical partial-quotient stream, with ``discrepancy`` their absolute
+    difference.
     """
 
     pattern: tuple[int, ...]
     count: int
     prefix_len: int
     ratio: Fraction
-    reference: Fraction | None = None
-    discrepancy: Fraction | None = None
+    reference: Fraction
+    discrepancy: Fraction
 
 
 def count_occurrences(digits: Sequence[int], pattern: Sequence[int],
-                      prefix_len: int,
-                      reference: Fraction | None = None) -> DigitStats:
+                      prefix_len: int) -> int:
     """Overlapping occurrences of ``pattern`` in the first ``prefix_len`` digits."""
     if not pattern:
         raise ValueError("pattern must be non-empty")
@@ -79,18 +78,13 @@ def count_occurrences(digits: Sequence[int], pattern: Sequence[int],
     if k == 1:
         symbol = pattern[0]
         segment = digits if prefix_len == len(digits) else digits[:prefix_len]
-        count = segment.count(symbol)
-    else:
-        target = tuple(pattern)
-        count = 0
-        for i in range(prefix_len - k + 1):
-            if tuple(digits[i:i + k]) == target:
-                count += 1
-    ratio = Fraction(count, prefix_len)
-    discrepancy = abs(ratio - reference) if reference is not None else None
-    return DigitStats(pattern=tuple(pattern), count=count,
-                      prefix_len=prefix_len, ratio=ratio,
-                      reference=reference, discrepancy=discrepancy)
+        return segment.count(symbol)
+    target = tuple(pattern)
+    count = 0
+    for i in range(prefix_len - k + 1):
+        if tuple(digits[i:i + k]) == target:
+            count += 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -124,6 +118,12 @@ def cf_normality_report(digits: Sequence[int], patterns: Sequence[Sequence[int]]
         raise ValueError("at least one pattern is required")
     report = []
     for pattern in patterns:
-        reference = gauss_measure(cylinder_interval(list(pattern)))
-        report.append(count_occurrences(digits, pattern, prefix_len, reference))
+        cylinder = cylinder_interval(list(pattern))
+        reference = gauss_measure(cylinder.lo, cylinder.hi)
+        count = count_occurrences(digits, pattern, prefix_len)
+        ratio = Fraction(count, prefix_len)
+        report.append(DigitStats(pattern=tuple(pattern), count=count,
+                                 prefix_len=prefix_len, ratio=ratio,
+                                 reference=reference,
+                                 discrepancy=abs(ratio - reference)))
     return report

@@ -13,10 +13,11 @@ same digits from the same seed ("splitmix64-gauss-markov-v1"):
 * PRNG: splitmix64 (Steele-Lea-Vigier), 64-bit state, golden-gamma
   increment; zero outputs are rejected, so each draw U lies in
   [1, 2**64 - 1] and encodes the uniform u = U / 2**64 in (0, 1).
-* Fixed-point Gauss measures come from ``log2_fixed(num, den, 64)``,
-  the deterministic truncating square-and-extract loop (48 guard bits).
+* Fixed-point Gauss measures come from ``log2_fixed(num, den)``, the
+  deterministic truncating square-and-extract loop with 64 fractional
+  bits (48 guard bits).
 * First digit: the largest k >= 1 with U <= T(k), where
-  T(m) = log2_fixed(m + 1, m, 64). This inverts u = log2(1 + x) and
+  T(m) = log2_fixed(m + 1, m). This inverts u = log2(1 + x) and
   applies floor(1/x), entirely in integers.
 * Later digits, given the previous digit j: the largest k >= 1 with
   U * M(j) <= W(j, k) << 64, where M(j) is the fixed-point measure of
@@ -75,13 +76,13 @@ def _interval_measure64(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> i
     """2**64-scaled Gauss measure of (lo, hi): log2((1 + hi)/(1 + lo))."""
     num = (hi_den + hi_num) * lo_den
     den = hi_den * (lo_den + lo_num)
-    return log2_fixed(num, den, 64)
+    return log2_fixed(num, den)
 
 
 @functools.lru_cache(maxsize=1 << 20)
 def _threshold(m: int) -> int:
     """Marginal CDF boundary T(m): 2**64 * log2(1 + 1/m), truncated."""
-    return log2_fixed(m + 1, m, 64)
+    return log2_fixed(m + 1, m)
 
 
 @functools.lru_cache(maxsize=1 << 20)

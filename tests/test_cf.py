@@ -4,9 +4,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from abnormal_forge.cf import (approx_bound, cf_to_rational, convergent_sign,
-                               convergent_stream, cylinder_interval,
-                               gauss_measure, log2_fixed, rational_to_cf)
+from abnormal_forge.cf import (LOG2_BITS, approx_bound, cf_to_rational,
+                               convergent_sign, convergent_stream,
+                               cylinder_interval, gauss_measure, log2_fixed,
+                               rational_to_cf)
 
 
 def test_convergent_stream_examples():
@@ -134,10 +135,9 @@ def test_gauss_measure_validates():
 
 
 def test_log2_fixed_exact_powers():
-    for bits in (16, 64, 96):
-        assert log2_fixed(4, 1, bits) == 2 << bits
-        assert log2_fixed(1, 1, bits) == 0
-        assert log2_fixed(1024, 1, bits) == 10 << bits
+    assert log2_fixed(4, 1) == 2 << LOG2_BITS
+    assert log2_fixed(1, 1) == 0
+    assert log2_fixed(1024, 1) == 10 << LOG2_BITS
 
 
 def test_log2_fixed_vs_mpmath():
@@ -146,24 +146,29 @@ def test_log2_fixed_vs_mpmath():
     for _ in range(250):
         den = rng.randint(1, 10**9)
         num = den + rng.randint(0, 10**12)
-        for bits in (32, 64):
-            got = log2_fixed(num, den, bits)
-            true = mpmath.log(mpmath.mpf(num) / den, 2) * (1 << bits)
-            assert abs(got - true) <= 2, (num, den, bits)
+        got = log2_fixed(num, den)
+        true = mpmath.log(mpmath.mpf(num) / den, 2) * (1 << LOG2_BITS)
+        assert abs(got - true) <= 2, (num, den)
 
 
-def test_gauss_measure_precision_parameter():
-    value = gauss_measure(Fraction(1, 2), Fraction(1), precision_bits=96)
-    assert value.denominator <= 1 << 96
+def test_gauss_measure_vs_mpmath():
     mpmath.mp.prec = 200
-    true = mpmath.log(mpmath.mpf(4) / 3, 2)
-    assert abs(float(value) - float(true)) < 1e-25
+    intervals = [(Fraction(1, 2), Fraction(1)), (Fraction(1, 3), Fraction(1, 2)),
+                 (Fraction(8, 21), Fraction(5, 13)),
+                 (Fraction(0), Fraction(1, 10**6 + 1))]
+    for lo, hi in intervals:
+        scaled = gauss_measure(lo, hi) * (1 << LOG2_BITS)
+        assert scaled.denominator == 1
+        ratio = (1 + hi) / (1 + lo)
+        true = mpmath.log(mpmath.mpf(ratio.numerator) / ratio.denominator, 2)
+        assert abs(scaled.numerator - true * (1 << LOG2_BITS)) <= 2, (lo, hi)
 
 
 def test_measure_partition_additivity():
     # One-digit cylinders partition the interval; the fixed-point floors
     # may each lose a couple of ulps, nothing more.
-    total = sum(gauss_measure(cylinder_interval([k])) for k in range(1, 10**4 + 1))
+    cylinders = [cylinder_interval([k]) for k in range(1, 10**4 + 1)]
+    total = sum(gauss_measure(c.lo, c.hi) for c in cylinders)
     expected = 1 - gauss_measure(Fraction(0), Fraction(1, 10**4 + 1))
     assert abs(total - expected) < Fraction(4 * 10**4, 1 << 64)
 

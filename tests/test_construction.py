@@ -17,8 +17,8 @@ from abnormal_forge.construction import (BlockCertificate, ConstructionAborted,
                                          ConstructionConfig, Mode,
                                          SearchBudget, base_schedule,
                                          block_boundary, construct,
-                                         insertion_density, plan_block,
-                                         seed_block, tail_digit,
+                                         ilog_floor, insertion_density,
+                                         plan_block, seed_block, tail_digit,
                                          verify_certificate)
 from abnormal_forge.errors import ResourceBudgetExceeded, SearchExhausted
 from abnormal_forge.nt import is_perfect_square
@@ -108,6 +108,25 @@ def test_tail_digit_budget():
     with pytest.raises(ResourceBudgetExceeded) as info:
         tail_digit(10**6, 2, Mode.parse("paper"), max_bits=1 << 20)
     assert "relaxed" in str(info.value)
+
+
+def _ilog_by_multiplying(x, base):
+    t, power = 0, base
+    while power <= x:
+        t, power = t + 1, power * base
+    return t
+
+
+@pytest.mark.parametrize("base", range(2, 13))
+def test_ilog_floor_matches_brute_force(base):
+    # Powers of two and other bases, small x and both sides of large powers.
+    for x in range(1, 3001):
+        assert ilog_floor(x, base) == _ilog_by_multiplying(x, base), x
+    for t in (40, 333, 2_000):
+        power = base**t
+        assert ilog_floor(power - 1, base) == t - 1
+        assert ilog_floor(power, base) == t
+        assert ilog_floor(power + 1, base) == t
 
 
 def test_mode_parsing():
@@ -215,8 +234,8 @@ def test_statistics_preservation_bound():
                 if pos not in inserted]
     insertions = sum(1 for p in result.insertion_positions if p <= n)
     for pattern in ([1], [2], [1, 1], [2, 1, 1]):
-        on_stream = count_occurrences(stream, pattern, n).count
-        on_seed = count_occurrences(stripped, pattern, len(stripped)).count
+        on_stream = count_occurrences(stream, pattern, n)
+        on_seed = count_occurrences(stripped, pattern, len(stripped))
         assert abs(on_stream - on_seed) <= (len(pattern) + 1) * insertions
 
 
@@ -563,7 +582,7 @@ def test_multi_block_aborts_with_partial_results():
     config = ConstructionConfig(
         block_size=4, blocks=2, mode=Mode.parse("toy"),
         budget=SearchBudget(artin_limit=500, bsgs_entries=1 << 20,
-                            factor_effort=1 << 16, tail_bits=1 << 24))
+                            tail_bits=1 << 24))
     with pytest.raises(ConstructionAborted) as info:
         construct(config, RngDigitSource(42))
     aborted = info.value
@@ -588,7 +607,7 @@ def test_later_block_is_planned_from_the_emitted_stream(monkeypatch):
     config = ConstructionConfig(
         block_size=4, blocks=2, mode=Mode.parse("toy"),
         budget=SearchBudget(artin_limit=500, bsgs_entries=1 << 20,
-                            factor_effort=1 << 16, tail_bits=1 << 24))
+                            tail_bits=1 << 24))
     with pytest.raises(ConstructionAborted) as info:
         construct(config, RngDigitSource(42))
     digits = info.value.digits

@@ -65,12 +65,14 @@ def test_digit_file_writes_large_values_in_mixed_chunks(tmp_path):
     path = tmp_path / "mixed.cf"
     big = [(1 << TEXT_FAST_BITS) + 7, 3**5000, (1 << 40_000) + 1]
     digits = [5] * 4095 + [big[0], 2, big[1]] + [9] * 5000 + [big[2]]
-    write_digit_file(path, digits)
+    header = run_header({}, {})
+    write_digit_file(path, digits, header)
     with lifted_int_limit():
         body = "".join(f"{d}\n" for d in digits)
     text = path.read_text(encoding="utf-8")
-    assert text == "# abnormal-forge digit file v1\n" + body
-    assert read_digit_file(path) == (digits, None)
+    assert text == ("# abnormal-forge digit file v1\n# header: "
+                    f"{json.dumps(header, sort_keys=True)}\n" + body)
+    assert read_digit_file(path) == (digits, header)
 
 
 def test_certificate_round_trip_preserves_huge_integers(tmp_path, worked_number):
@@ -890,6 +892,22 @@ def test_cli_construct_exhausted_seed_file_exits_2(tmp_path, capsys):
                  "--out-cert", str(tmp_path / "c.json")])
     assert code == 2
     assert "exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_cli_construct_refuses_search_limit_below_one(tmp_path, capsys,
+                                                      limit):
+    # A limit that allows no candidate is a usage error, not an exhausted
+    # search: exit 2 and no partial outputs.
+    seed = _write_seed(tmp_path)
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    code = main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "1", "--search-limit", limit,
+                 "--out-digits", str(digits), "--out-cert", str(cert)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: search limit must be >= 1, got {limit}\n"
+    assert not digits.exists() and not cert.exists()
 
 
 def test_cli_construct_toy_multi_block_flushes_partial(tmp_path, capsys):

@@ -78,11 +78,12 @@ def test_factorize_handles_perfect_powers():
     assert factorize(p**3) == ((p, 3),)
 
 
-def test_factorize_budget_error():
+def test_factorize_budget_error(monkeypatch):
     p = sympy.nextprime(1 << 70)
     q = sympy.nextprime(p + 10**6)
+    monkeypatch.setattr(nt, "FACTOR_EFFORT", 500)
     with pytest.raises(ResourceBudgetExceeded) as info:
-        factorize(p * q, effort=500)
+        factorize(p * q)
     # The message names the cofactor by bit size, not digit by digit.
     assert str(info.value) == ("factorization effort budget exhausted on "
                                f"<{(p * q).bit_length()}-bit integer>")
@@ -206,6 +207,12 @@ def test_find_artin_prime_search_exhausted():
 def test_find_artin_prime_validates_range():
     with pytest.raises(ValueError):
         find_artin_prime(2, 5, 7)
+    # A limit that allows no candidate is a bad argument, not an exhausted
+    # search.
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match=f"search limit must be >= 1, "
+                                             f"got {limit}$"):
+            find_artin_prime(2, 23, 13, search_limit=limit)
 
 
 def test_discrete_log_examples():

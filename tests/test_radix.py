@@ -70,12 +70,10 @@ def test_base_expansion_power_denominator_structure():
 
 
 def test_count_occurrences_examples():
-    stats = count_occurrences([1, 1, 1, 2], [1, 1], 4)
-    assert stats.count == 2
-    stats = count_occurrences([0, 1, 0, 1, 0], [0, 1, 0], 5)
-    assert stats.count == 2  # overlapping occurrences both counted
-    stats = count_occurrences([3, 3, 3], [7], 3)
-    assert stats.count == 0
+    assert count_occurrences([1, 1, 1, 2], [1, 1], 4) == 2
+    # overlapping occurrences both counted
+    assert count_occurrences([0, 1, 0, 1, 0], [0, 1, 0], 5) == 2
+    assert count_occurrences([3, 3, 3], [7], 3) == 0
 
 
 def test_count_occurrences_validates():
@@ -89,7 +87,7 @@ def test_single_symbol_counts_partition_prefix():
     rng = random.Random(5)
     digits = [rng.randrange(5) for _ in range(500)]
     n = 321
-    total = sum(count_occurrences(digits, [s], n).count for s in range(5))
+    total = sum(count_occurrences(digits, [s], n) for s in range(5))
     assert total == n
 
 
@@ -99,9 +97,9 @@ def test_concatenation_boundary_loss():
         a = [rng.randrange(2) for _ in range(rng.randint(5, 30))]
         b = [rng.randrange(2) for _ in range(rng.randint(5, 30))]
         pattern = [rng.randrange(2) for _ in range(rng.randint(1, 4))]
-        whole = count_occurrences(a + b, pattern, len(a) + len(b)).count
-        parts = (count_occurrences(a, pattern, len(a)).count
-                 + count_occurrences(b, pattern, len(b)).count)
+        whole = count_occurrences(a + b, pattern, len(a) + len(b))
+        parts = (count_occurrences(a, pattern, len(a))
+                 + count_occurrences(b, pattern, len(b)))
         assert parts <= whole <= parts + len(pattern) - 1
 
 

@@ -82,7 +82,8 @@ def test_pair_frequencies_match_gauss_measure():
     digits = RngDigitSource(515151).next_digits(200_000)
     pairs = collections.Counter(zip(digits, digits[1:]))
     for pattern in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        expected = float(gauss_measure(cylinder_interval(list(pattern))))
+        cylinder = cylinder_interval(list(pattern))
+        expected = float(gauss_measure(cylinder.lo, cylinder.hi))
         got = pairs[pattern] / (len(digits) - 1)
         assert abs(got - expected) < 0.01, pattern
 
