@@ -12,15 +12,13 @@ imported by the helpers that build a Fraction, so the convergent walk,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """Lowest-terms truncation p/q of a continued fraction after ``index`` digits."""
 
     index: int
@@ -76,8 +74,7 @@ def rational_to_cf(x: Fraction) -> list[int]:
     return digits
 
 
-@dataclass(frozen=True)
-class CylinderInterval:
+class CylinderInterval(NamedTuple):
     """Interval of numbers whose expansion starts with a given digit string."""
 
     lo: Fraction

@@ -12,7 +12,7 @@ are flushed with a ``partial: true`` header).
 The environment variable ``ABNORMAL_FORGE_MEM_BUDGET`` (bytes) caps the
 tail-digit size, the discrete-log table, ``analyze base --places`` and,
 with an rng seed, ``construct --total-digits``. It counts the data a
-command builds, not the interpreter's own ~18 MiB.
+command builds, not the interpreter's own ~16.5 MiB.
 
 Each process runs one subcommand, so each handler imports the modules it
 runs: importing this module, or running ``verify``, loads no more of the
@@ -124,12 +124,10 @@ def _make_source(args):
 
 
 def _cmd_construct(args) -> int:
-    from dataclasses import replace
-
     from .construction import (ConstructionAborted, ConstructionConfig, Mode,
                                block_boundary, construct)
     from .formats import run_header, write_certificate_file, write_digit_file
-    budget = replace(_budget_from_env(), artin_limit=args.search_limit)
+    budget = _budget_from_env()._replace(artin_limit=args.search_limit)
     config = ConstructionConfig(block_size=args.block_size,
                                 blocks=args.blocks,
                                 mode=Mode.parse(args.mode),
@@ -200,7 +198,7 @@ def _cmd_verify(args) -> int:
             f"digit file too short: certificates need {brief(needed)} digits, "
             f"found {len(digits)}")
     blocks = []
-    all_passed = True
+    all_passed = bool(certs)  # a file with no block certifies nothing
     for cert in certs:
         report = verify_certificate(cert, digits)
         all_passed = all_passed and report.passed

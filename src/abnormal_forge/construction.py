@@ -23,8 +23,7 @@ hanging. The budgets below make those failures fast and diagnosable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import nt
 from ._dectext import brief
@@ -39,8 +38,14 @@ MODE_RELAXED = "relaxed"
 MODE_TOY = "toy"
 
 
-@dataclass(frozen=True)
-class Mode:
+# NamedTuple refuses a class body's own __new__ or _make, so the two records
+# that check their values subclass a NamedTuple of their fields.
+class _ModeFields(NamedTuple):
+    kind: str
+    scale: Fraction | None = None
+
+
+class Mode(_ModeFields):
     """Tail-digit policy.
 
     ``paper``   - full bound: the tail exceeds base**(k**2), pinning the
@@ -52,10 +57,10 @@ class Mode:
     ``toy``     - tail is 2; structural checks only.
     """
 
-    kind: str
-    scale: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs) -> Mode:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (MODE_PAPER, MODE_RELAXED, MODE_TOY):
             raise ValueError(f"unknown mode {self.kind!r}")
         if self.kind == MODE_RELAXED:
@@ -63,6 +68,13 @@ class Mode:
                 raise ValueError("relaxed mode needs a positive scale")
         elif self.scale is not None:
             raise ValueError(f"mode {self.kind!r} takes no scale")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Mode:
+        # _replace builds through _make, whose tuple.__new__ would skip the
+        # checks above; a copy or an unpickled record calls __new__ itself.
+        return cls(*iterable)
 
     @staticmethod
     def parse(text: str) -> "Mode":
@@ -88,8 +100,7 @@ class Mode:
         return self.kind
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(NamedTuple):
     """Effort and memory caps for the per-block searches.
 
     ``artin_limit`` caps the prime search's candidates; ``tail_bits``
@@ -117,15 +128,19 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
-class ConstructionConfig:
+class _ConfigFields(NamedTuple):
     block_size: int
     blocks: int
     mode: Mode
     tail_offset: int = 0
-    budget: SearchBudget = field(default_factory=SearchBudget)
+    budget: SearchBudget = DEFAULT_BUDGET  # immutable, so safe to share
 
-    def __post_init__(self):
+
+class ConstructionConfig(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ConstructionConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.block_size < 2 or self.block_size % 2:
             raise ValueError(
                 f"block size must be an even integer >= 2, got {self.block_size}")
@@ -133,6 +148,11 @@ class ConstructionConfig:
             raise ValueError(f"block count must be >= 0, got {self.blocks}")
         if self.tail_offset < 0:
             raise ValueError(f"tail offset must be >= 0, got {self.tail_offset}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ConstructionConfig:
+        return cls(*iterable)  # so _replace checks too, as Mode._make does
 
     def echo(self) -> dict:
         return {"block_size": self.block_size, "blocks": self.blocks,
@@ -241,8 +261,7 @@ def tail_digit(bound_exponent: int, base: int, mode: Mode, *,
     return power + (1 + offset)
 
 
-@dataclass(frozen=True)
-class BlockPlan:
+class BlockPlan(NamedTuple):
     """The three computed insertions for one block, with their denominators."""
 
     ell1: int
@@ -306,8 +325,7 @@ def plan_block(q_prev: int, q_cur: int, base: int,
                      candidates_tested=hit.candidates_tested)
 
 
-@dataclass(frozen=True)
-class BlockCertificate:
+class BlockCertificate(NamedTuple):
     """Everything chosen for one block, checkable from the digit stream alone."""
 
     index: int
@@ -427,16 +445,14 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
     return ConstructedNumber(config, source, digits, certificates)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool | None       # None = not applicable at this scale/mode
     required: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     index: int
     checks: tuple[CheckResult, ...]
     tail_bound_met: bool
@@ -672,8 +688,7 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     return report(tail_met)
 
 
-@dataclass(frozen=True)
-class InsertionDensity:
+class InsertionDensity(NamedTuple):
     inserted: int
     bound: int
 

@@ -12,7 +12,7 @@ one too: trial division, then Brent rho, which gives up after
 :data:`FACTOR_EFFORT` iterations per number.
 
 Everything here is a pure function of its arguments; values are plain
-Python ints and frozen dataclasses. The one piece of state,
+Python ints and immutable named tuples. The one piece of state,
 :func:`discrete_log`'s kept baby-step table, changes only what a repeat
 query costs; every answer is still confirmed before it is returned.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._dectext import brief
 from .errors import InfeasibleError, ResourceBudgetExceeded, SearchExhausted
@@ -362,8 +362,7 @@ def coprimizing_multiplier(q: int, q_prev: int, avoid: int) -> int:
         "preconditions violated?")
 
 
-@dataclass(frozen=True)
-class LenstraVerdict:
+class LenstraVerdict(NamedTuple):
     """Outcome of the finiteness test for primes p = a mod f with g a primitive root.
 
     ``condition`` is the structural condition that fired, 1, 2 or 3
@@ -427,8 +426,7 @@ def corollary_hypotheses(g: int, f: int, a: int) -> bool:
             and math.gcd(f, g) == 1 and math.gcd(f, a - 1) == 1)
 
 
-@dataclass(frozen=True)
-class ArtinPrime:
+class ArtinPrime(NamedTuple):
     """A prime p = ell*f + a for which g is a primitive root."""
 
     ell: int
@@ -467,8 +465,7 @@ def find_artin_prime(g: int, f: int, a: int,
         f"{search_limit} candidates", candidates_tested=search_limit)
 
 
-@dataclass(frozen=True, slots=True)
-class _BabySteps:
+class _BabySteps(NamedTuple):
     """Baby-step table ``g**j mod p -> j`` for ``0 <= j < size``, with the
     giant step ``g**(-size) mod p``. ``p`` passed :func:`is_prime`."""
 

@@ -8,9 +8,8 @@ convention under which frequency limits define normality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cf import cylinder_interval, digits_of_int, gauss_measure
 
@@ -46,8 +45,7 @@ def base_expansion(x: Fraction, base: int, places: int,
     return digits_of_int(prefix, base, places)
 
 
-@dataclass(frozen=True)
-class DigitStats:
+class DigitStats(NamedTuple):
     """Occurrence count of one pattern within a digit prefix.
 
     ``ratio`` is count/prefix_len exactly; ``reference`` is the Gauss
@@ -87,8 +85,7 @@ def count_occurrences(digits: Sequence[int], pattern: Sequence[int],
     return count
 
 
-@dataclass(frozen=True)
-class RunStats:
+class RunStats(NamedTuple):
     """Longest run of a symbol in a prefix, plus how many positions differ from it."""
 
     longest_run: int

@@ -1,5 +1,5 @@
 import ast
-import dataclasses
+import pickle
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -250,8 +250,7 @@ def test_verify_worked_block(worked_number):
 
 def test_verify_detects_prime_tampering(worked_number):
     cert = worked_number.certificates[0]
-    bad = dataclasses.replace(
-        cert,
+    bad = cert._replace(
         inserted=(cert.inserted[0], cert.inserted[1] - 1,
                   cert.inserted[2], cert.inserted[3]))
     report = verify_certificate(bad, worked_number.digits_through_blocks)
@@ -275,7 +274,7 @@ def test_verify_detects_stream_tampering(worked_number):
                          ids=["14", "16", "0", "-1", "10**5000"])
 def test_verify_detects_power_tampering(worked_number, exponent):
     cert = worked_number.certificates[0]
-    bad = dataclasses.replace(cert, exponent=exponent)
+    bad = cert._replace(exponent=exponent)
     report = verify_certificate(bad, worked_number.digits_through_blocks)
     assert not report.passed
     checks = {c.name: c for c in report.checks}
@@ -309,8 +308,8 @@ def test_verify_toy_certificate_reports_tail_unmet():
 def test_verify_rejects_unscheduled_base(worked_number):
     # 2**15 = 8**5 and 8 generates mod 59, so every arithmetic check of
     # the worked block also holds for base 8; block 1 is scheduled base 2.
-    bad = dataclasses.replace(worked_number.certificates[0], base=8,
-                              exponent=5, digit_bound=5)
+    bad = worked_number.certificates[0]._replace(base=8, exponent=5,
+                                                 digit_bound=5)
     report = verify_certificate(bad, worked_number.digits_through_blocks)
     assert not report.passed
     assert {c.name for c in report.failures} == {"scheduled_base"}
@@ -320,7 +319,7 @@ def test_verify_rejects_unscheduled_base(worked_number):
 def test_verify_rejects_index_beyond_stream_at_once(worked_number, index):
     # block_boundary(N, i) >= 2**i: an index past the stream's bit length
     # fails the layout before any 2**(i - 1) is formed.
-    bad = dataclasses.replace(worked_number.certificates[0], index=index)
+    bad = worked_number.certificates[0]._replace(index=index)
     report = verify_certificate(bad, worked_number.digits_through_blocks)
     assert not report.passed
     assert [c.name for c in report.checks] == ["block_layout"]
@@ -329,8 +328,7 @@ def test_verify_rejects_index_beyond_stream_at_once(worked_number, index):
 @pytest.mark.parametrize("block_end", [0, -2])
 def test_verify_rejects_block_end_below_one_at_once(worked_number, block_end):
     # No convergent precedes the first digit, so there is nothing to walk.
-    bad = dataclasses.replace(worked_number.certificates[0],
-                              block_end=block_end)
+    bad = worked_number.certificates[0]._replace(block_end=block_end)
     report = verify_certificate(bad, worked_number.digits_through_blocks)
     assert not report.passed
     assert [c.name for c in report.checks] == ["block_layout"]
@@ -339,8 +337,8 @@ def test_verify_rejects_block_end_below_one_at_once(worked_number, block_end):
 def test_verify_stops_after_an_unscheduled_base(worked_number):
     # Every later power is sized by the claimed base: expanding the
     # convergent to 10,000 places of base 10**100 + 1 would take seconds.
-    bad = dataclasses.replace(worked_number.certificates[0],
-                              base=10**100 + 1, exponent=100)
+    bad = worked_number.certificates[0]._replace(base=10**100 + 1,
+                                                 exponent=100)
     report = verify_certificate(bad, worked_number.digits_through_blocks)
     assert not report.passed
     assert [c.name for c in report.checks] == ["block_layout", "scheduled_base"]
@@ -349,7 +347,7 @@ def test_verify_stops_after_an_unscheduled_base(worked_number):
 @pytest.mark.parametrize("tail", [0, -5])
 def test_verify_fails_a_claimed_tail_below_one(worked_number, tail):
     cert = worked_number.certificates[0]
-    bad = dataclasses.replace(cert, inserted=cert.inserted[:3] + (tail,))
+    bad = cert._replace(inserted=cert.inserted[:3] + (tail,))
     report = verify_certificate(bad, worked_number.digits_through_blocks)
     assert not report.passed and not report.tail_bound_met
     assert {c.name for c in report.failures} == {
@@ -549,8 +547,7 @@ def test_verify_requires_enough_digits(worked_number):
 
 def test_verify_reports_a_block_end_past_the_digit_limit(worked_number):
     # Details render the claimed end by bit size, so no str() of it fails.
-    cert = dataclasses.replace(worked_number.certificates[0],
-                               block_end=10**5000)
+    cert = worked_number.certificates[0]._replace(block_end=10**5000)
     report = verify_certificate(cert, worked_number.digits_through_blocks)
     assert [(c.name, c.passed) for c in report.checks] == [
         ("block_layout", True), ("scheduled_base", True),
@@ -637,7 +634,7 @@ def test_construct_never_multiplies_the_tail(monkeypatch, ell3_shift):
 
     def shifted_plan(*args):
         plan = real_plan_block(*args)
-        return dataclasses.replace(plan, ell3=plan.ell3 + ell3_shift)
+        return plan._replace(ell3=plan.ell3 + ell3_shift)
 
     monkeypatch.setattr(construction, "plan_block", shifted_plan)
     monkeypatch.setattr(construction, "tail_digit",
@@ -654,5 +651,45 @@ def test_construct_never_multiplies_the_tail(monkeypatch, ell3_shift):
 
 
 def test_certificate_is_frozen(worked_number):
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        worked_number.certificates[0].prime = 61
+    # Every record refuses assignment and new attributes: the certificate,
+    # the verifier's report and checks, the block plan, and the validated
+    # config and mode, whose subclasses declare empty __slots__.
+    cert = worked_number.certificates[0]
+    report = verify_certificate(cert, worked_number.digits_through_blocks)
+    plan = plan_block(10, 13, 2)
+    config = worked_number.config
+    for record, field in ((cert, "prime"), (report, "tail_bound_met"),
+                          (report.checks[0], "passed"), (plan, "ell3"),
+                          (config, "blocks"), (config.mode, "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 61)
+        with pytest.raises(AttributeError):
+            record.note = "no new attributes either"
+
+
+def _forged(cls, *values):
+    # A record built past cls.__new__, as only tuple.__new__ can build one.
+    return tuple.__new__(cls, values)
+
+
+_BAD_RECORDS = {
+    "mode-positional": lambda: Mode("relaxed"),
+    "mode-keyword": lambda: Mode(kind="paper", scale=Fraction(1)),
+    "mode-replace": lambda: Mode("toy")._replace(kind="fast"),
+    "mode-make": lambda: Mode._make(["relaxed", Fraction(-1)]),
+    "mode-pickle": lambda: pickle.loads(pickle.dumps(
+        _forged(Mode, "fast", None))),
+    "config-positional": lambda: ConstructionConfig(3, 1, Mode("toy")),
+    "config-keyword": lambda: ConstructionConfig(block_size=4, blocks=-1,
+                                                 mode=Mode("toy")),
+    "config-replace": lambda: ConstructionConfig(
+        4, 1, Mode("toy"))._replace(tail_offset=-1),
+    "config-pickle": lambda: pickle.loads(pickle.dumps(
+        _forged(ConstructionConfig, 4, -1, Mode("toy"), 0, SearchBudget()))),
+}
+
+
+@pytest.mark.parametrize("build", _BAD_RECORDS.values(), ids=_BAD_RECORDS)
+def test_validated_records_refuse_bad_values_however_built(build):
+    with pytest.raises(ValueError):
+        build()

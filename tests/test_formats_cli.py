@@ -86,9 +86,7 @@ def test_certificate_round_trip_preserves_huge_integers(tmp_path, worked_number)
 
 
 def test_certificate_round_trip_past_str_limit(tmp_path, worked_number):
-    import dataclasses
-    cert = dataclasses.replace(
-        worked_number.certificates[0],
+    cert = worked_number.certificates[0]._replace(
         inserted=worked_number.certificates[0].inserted[:3] + ((1 << 100_000) + 1,))
     path = tmp_path / "big.json"
     write_certificate_file(path, [cert], run_header({}, {}))
@@ -463,6 +461,19 @@ def test_cli_verify_fails_a_block_end_below_one(tmp_path, capsys, block_end):
     assert code == 1 and captured.err == ""
     checks = json.loads(captured.out)["blocks"][0]["checks"]
     assert [(c["name"], c["passed"]) for c in checks] == [("block_layout", False)]
+
+
+def test_cli_verify_fails_a_certificate_file_with_no_block(tmp_path, capsys):
+    # An emptied block list certifies nothing, so it cannot pass.
+    digits, cert = _paper_files(tmp_path, 1, 4)
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    payload["blocks"] = []
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"all_passed": False, "blocks": []}
 
 
 def test_json_numbers_past_the_digit_limit_are_refused(tmp_path):
@@ -1124,7 +1135,7 @@ def test_package_root_loads_no_submodule():
 
 def _loaded_after(code: str) -> list[str]:
     """Package submodules and watched stdlib modules loaded by a child."""
-    watched = ("dataclasses", "fractions", "decimal", "datetime")
+    watched = ("dataclasses", "inspect", "fractions", "decimal", "datetime")
     script = (f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in "
               f"sys.modules if m.startswith('abnormal_forge.') "
               f"or m in {watched!r})), file=sys.stderr)")
@@ -1152,8 +1163,23 @@ def test_cli_verify_loads_no_fraction_decimal_datetime_or_radix(tmp_path,
         "from abnormal_forge.cli import main\n"
         f"assert main({argv!r}) == 0")
     assert "abnormal_forge.construction" in loaded
-    for name in ("fractions", "decimal", "datetime", "abnormal_forge.radix"):
+    for name in ("dataclasses", "inspect", "fractions", "decimal", "datetime",
+                 "abnormal_forge.radix"):
         assert name not in loaded
+
+
+def test_cli_construct_generates_no_record_code(tmp_path):
+    # Records are named tuples: building their classes needs no dataclass
+    # code generation, so no dataclasses, inspect, dis or ast module.
+    argv = ["construct", "--seed-rng", "1", "--block-size", "4",
+            "--blocks", "1", "--mode", "paper",
+            "--out-digits", str(tmp_path / "d.cf"),
+            "--out-cert", str(tmp_path / "c.json")]
+    loaded = _loaded_after(
+        "from abnormal_forge.cli import main\n"
+        f"assert main({argv!r}) == 0")
+    assert "abnormal_forge.construction" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 @pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999999999",
