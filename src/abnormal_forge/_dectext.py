@@ -158,8 +158,13 @@ def brief(value) -> str:
     if isinstance(value, tuple):
         return "(" + ", ".join(brief(v) for v in value) + ")"
     if isinstance(value, int) and value.bit_length() > 128:
-        return f"<{value.bit_length()}-bit integer>"
+        return brief_bits(value.bit_length())
     text = str(value)
     if len(text) > 40:
         return f"{text[:12]}...{text[-12:]}"
     return text
+
+
+def brief_bits(bits: int) -> str:
+    """brief() of any integer of ``bits`` > 128 bits, without forming one."""
+    return f"<{bits}-bit integer>"

@@ -5,7 +5,9 @@ and digit sequences, cylinder intervals, the Gauss measure, and the
 classical approximation facts. All arithmetic is exact: integers and
 ``fractions.Fraction`` throughout, with the Gauss measure delivered as
 a fixed-point binary value with :data:`LOG2_BITS` (64) fractional
-bits, the one precision every caller uses. ``fractions`` is
+bits, the one precision every caller uses. :func:`gauss_measure_fixed`
+is its one formula: the sampler's thresholds and ``gauss_measure``'s
+references both call it. ``fractions`` is
 imported by the helpers that build a Fraction, so the convergent walk,
 ``log2_fixed`` and ``digits_of_int`` load no more than they use.
 """
@@ -149,6 +151,12 @@ def log2_fixed(num: int, den: int) -> int:
     return (shift << LOG2_BITS) | frac
 
 
+def gauss_measure_fixed(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> int:
+    """2**64-scaled Gauss measure of (lo_num/lo_den, hi_num/hi_den); log2_fixed
+    reads num/den alone, so the ratio goes to it unreduced."""
+    return log2_fixed((hi_den + hi_num) * lo_den, hi_den * (lo_den + lo_num))
+
+
 def gauss_measure(lo: Fraction, hi: Fraction) -> Fraction:
     """Gauss measure of an interval in [0, 1]: log2((1 + hi)/(1 + lo)).
 
@@ -159,8 +167,7 @@ def gauss_measure(lo: Fraction, hi: Fraction) -> Fraction:
     lo, hi = Fraction(lo), Fraction(hi)
     if not (0 <= lo < hi <= 1):
         raise ValueError(f"need 0 <= lo < hi <= 1, got ({lo}, {hi})")
-    ratio = (1 + hi) / (1 + lo)
-    value = log2_fixed(ratio.numerator, ratio.denominator)
+    value = gauss_measure_fixed(*lo.as_integer_ratio(), *hi.as_integer_ratio())
     return Fraction(value, 1 << LOG2_BITS)
 
 

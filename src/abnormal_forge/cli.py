@@ -11,8 +11,9 @@ are flushed with a ``partial: true`` header).
 
 The environment variable ``ABNORMAL_FORGE_MEM_BUDGET`` (bytes) caps the
 tail-digit size, the discrete-log table, ``analyze base --places`` and,
-with an rng seed, ``construct --total-digits``. It counts the data a
-command builds, not the interpreter's own ~16.5 MiB.
+with an rng seed, the digits ``construct`` writes: ``--total-digits``,
+or block 1's N + 4 when larger. It counts the data a command builds,
+not the interpreter's own ~16.5 MiB.
 
 Each process runs one subcommand, so each handler imports the modules it
 runs: importing this module, or running ``verify``, loads no more of the
@@ -26,7 +27,7 @@ import json
 import os
 import sys
 
-from ._dectext import brief
+from ._dectext import brief, brief_bits
 from .errors import InputFormatError, ResourceBudgetExceeded, SearchExhausted
 
 MEM_BUDGET_ENV = "ABNORMAL_FORGE_MEM_BUDGET"
@@ -57,6 +58,21 @@ def _refuse_past_budget(count: int, item_bytes: int, what: str) -> None:
             f"bytes, past the {budget}-byte memory budget")
 
 
+def _digits_short(total: int, block_size: int, blocks: int) -> str | None:
+    """brief() of the digits through block ``blocks``' tail, if past ``total``.
+
+    The count is at least ``block_size << (blocks - 1)``, which may not
+    fit in memory. So past ``total``'s bit length plus 128 it is sized,
+    not formed: it has blocks - 1 + block_size.bit_length() bits, as
+    4 * blocks carries into no new bit.
+    """
+    from .construction import block_boundary
+    if blocks - 1 > total.bit_length() + 128:
+        return brief_bits(blocks - 1 + block_size.bit_length())
+    needed = block_boundary(block_size, blocks) + 4 if blocks else 0
+    return brief(needed) if total < needed else None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abnormal-forge",
@@ -79,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="paper | relaxed:<scale> | toy")
     con.add_argument("--tail-offset", type=int, default=0, metavar="T",
                      help="add T to every tail digit (distinct valid streams)")
-    con.add_argument("--search-limit", type=int, default=100_000,
-                     metavar="COUNT", help="candidate cap for prime searches")
+    con.add_argument("--search-limit", type=int, metavar="COUNT",
+                     help="candidate cap for prime searches")
     con.add_argument("--digit-cap", type=int, metavar="CAP",
                      help="clamp sampled seed digits at CAP")
     con.add_argument("--total-digits", type=int, default=None, metavar="M",
@@ -127,23 +143,28 @@ def _cmd_construct(args) -> int:
     from .construction import (ConstructionAborted, ConstructionConfig, Mode,
                                block_boundary, construct)
     from .formats import run_header, write_certificate_file, write_digit_file
-    budget = _budget_from_env()._replace(artin_limit=args.search_limit)
+    budget = _budget_from_env()
+    if args.search_limit is not None:
+        budget = budget._replace(artin_limit=args.search_limit)
     config = ConstructionConfig(block_size=args.block_size,
                                 blocks=args.blocks,
                                 mode=Mode.parse(args.mode),
                                 tail_offset=args.tail_offset,
                                 budget=budget)
     # verify reads up to the last tail; a negative count meets prefix's check.
-    needed = (block_boundary(config.block_size, config.blocks) + 4
-              if config.blocks else 0)
-    if args.total_digits is not None and 0 <= args.total_digits < needed:
-        raise InputFormatError(f"--total-digits {args.total_digits} is below "
-                               f"the {needed} digits the certificates need")
+    total = args.total_digits
+    short = (_digits_short(total, config.block_size, config.blocks)
+             if total is not None and total >= 0 else None)
+    if short is not None:
+        raise InputFormatError(f"--total-digits {total} is below the "
+                               f"{short} digits the certificates need")
     source = _make_source(args)
     seed_descriptor = source.descriptor()
-    if args.seed_rng is not None and args.total_digits is not None:
-        # Measured peak: about 18 B per sampled digit written.
-        _refuse_past_budget(args.total_digits, 18, "digits")
+    if args.seed_rng is not None:
+        # Measured peak: about 18 B per sampled digit written; block 1
+        # alone samples N digits and writes N + 4, whatever the total.
+        first = config.block_size + 4 if config.blocks else 0
+        _refuse_past_budget(max(first, total or 0), 18, "digits")
     # Built before the run, so a bad SOURCE_DATE_EPOCH costs no construction.
     header = run_header(dict(config.echo(), total_digits=args.total_digits),
                         seed_descriptor)
@@ -161,10 +182,9 @@ def _cmd_construct(args) -> int:
             return EXIT_USAGE  # bad or exhausted seed input, not a budget wall
         return EXIT_RESOURCE
 
-    total = args.total_digits
     if total is None:
-        if needed:
-            total = needed
+        if config.blocks:  # every block was built, so the count is small
+            total = block_boundary(config.block_size, config.blocks) + 4
         elif args.seed_file is not None:
             total = len(source)
         else:

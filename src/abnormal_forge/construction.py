@@ -304,11 +304,7 @@ def plan_block(q_prev: int, q_cur: int, base: int,
                            "and to q_cur - 1")
     # Every candidate prime is at least q1 + 1, so discrete_log would refuse
     # the table of any prime the scan finds; refuse before scanning.
-    size = math.isqrt(q1 - 1) + 1
-    if size > budget.bsgs_entries:
-        raise ResourceBudgetExceeded(
-            f"baby-step table would need {brief(size)} entries "
-            f"(limit {budget.bsgs_entries}); modulus too large")
+    nt.baby_step_entries(q1 + 1, budget.bsgs_entries)
     hit = nt.find_artin_prime(base, q1, q_cur % q1, budget.artin_limit)
     ell2, q2 = hit.ell, hit.prime
 
@@ -502,7 +498,7 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     = c + (e*q - det*B) // (q3*q) with B = base**s and c, e =
     divmod(p3*B, q3), exact for any det and q3. The convergent's own
     digits need no ``power_hit``: the first s non-terminating base digits
-    of p3/q3 are ceil(p3*base**s/q3) - 1, written with s digits.
+    of p3/q3 are ceil(p3*B/q3) - 1 = c - (e == 0), written with s digits.
 
     Both tails enter the pinched digits clamped to 2**cap_bits, with
     cap_bits = window * base.bit_length(), so 2**cap_bits > base**window
@@ -670,8 +666,8 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     agreed = span if end_a == end_b else next(
         j for j, (a, b) in enumerate(zip(end_a, end_b)) if a != b)
     y_digits = end_a[:agreed]
-    add("radix_window_match",
-        y_digits == _convergent_digits(p3, q3, base, span)[:agreed],
+    r_digits = digits_of_int(c - (e == 0), base, span)  # ceil(p3*B/q3) - 1
+    add("radix_window_match", y_digits == r_digits[:agreed],
         f"stream digits match the convergent's repeating-tail expansion "
         f"through all {agreed} pinched places (window {span})")
 

@@ -43,13 +43,15 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from ._dectext import TEXT_FAST_LIMIT, int_to_text, text_to_int
-from .construction import BlockCertificate
 from .errors import InputFormatError
 from .seed import ListDigitSource, parse_digit_file
+
+if TYPE_CHECKING:  # analyze cf reads digit files alone: no construction, nt
+    from .construction import BlockCertificate
 
 FORMAT_VERSION = "1"
 TOOL_NAME = "abnormal-forge"
@@ -163,6 +165,7 @@ def _integers(record: dict, key: str, arity: int) -> tuple[int, ...]:
 
 
 def _cert_from_json(record: dict) -> BlockCertificate:
+    from .construction import BlockCertificate
     try:
         inserted = _integers(record, "inserted", 4)
         before = _integers(record, "denoms_before", 2)

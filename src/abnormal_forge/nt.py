@@ -14,7 +14,10 @@ one too: trial division, then Brent rho, which gives up after
 Everything here is a pure function of its arguments; values are plain
 Python ints and immutable named tuples. The one piece of state,
 :func:`discrete_log`'s kept baby-step table, changes only what a repeat
-query costs; every answer is still confirmed before it is returned.
+query costs; every answer is still confirmed before it is returned. A
+first table's size, and its refusal past a cap, is one rule,
+:func:`baby_step_entries`, which the constructor applies before it
+scans for a prime.
 """
 
 from __future__ import annotations
@@ -491,6 +494,16 @@ class _BabySteps(NamedTuple):
         return _BabySteps(g, p, table, size, pow(g, p - 1 - size, p))
 
 
+def baby_step_entries(p: int, max_entries: int) -> int:
+    """ceil(sqrt(p - 1)) entries for a first table mod p; refused past the cap."""
+    size = math.isqrt(p - 2) + 1
+    if size > max_entries:
+        raise ResourceBudgetExceeded(
+            f"baby-step table would need {brief(size)} entries "
+            f"(limit {max_entries}); modulus too large")
+    return size
+
+
 # The table of the latest discrete_log query: one slot, so memory stays
 # within a single query's max_table_entries.
 _last_baby_steps: _BabySteps | None = None
@@ -501,12 +514,11 @@ def discrete_log(g: int, h: int, p: int, *,
     """Baby-step giant-step discrete log: the k in [0, p-2] with g**k = h (mod p).
 
     Expects prime p and a generator g (unique answer). A first query for
-    (g, p) builds a table of ceil(sqrt(p-1)) entries; instances needing
-    more than ``max_table_entries`` raise a resource error instead of
-    thrashing. The table of the latest (g, p) is kept: a repeat query
-    reuses it and doubles it, up to p - 1 entries, so a sweep over every
-    h ends in single lookups. The retained table never exceeds the
-    calling query's ``max_table_entries`` (the cap that
+    (g, p) builds the table :func:`baby_step_entries` sizes, refused past
+    ``max_table_entries``. The table of the latest (g, p) is kept: a
+    repeat query reuses it and doubles it, up to p - 1 entries, so a sweep
+    over every h ends in single lookups. The retained table never exceeds
+    the calling query's ``max_table_entries`` (the cap that
     ``ABNORMAL_FORGE_MEM_BUDGET`` sets through ``SearchBudget.bsgs_entries``).
     The primality of p is re-tested unless the kept table is for the same
     p. Every result is confirmed by modular exponentiation before
@@ -531,11 +543,7 @@ def discrete_log(g: int, h: int, p: int, *,
         if size > last.size:
             steps = _last_baby_steps = last.grow(size)
     else:
-        size = math.isqrt(p - 2) + 1  # ceil(sqrt(p - 1))
-        if size > max_table_entries:
-            raise ResourceBudgetExceeded(
-                f"baby-step table would need {size} entries "
-                f"(limit {max_table_entries}); modulus too large")
+        size = baby_step_entries(p, max_table_entries)
         last = _last_baby_steps = None  # free the old table before building
         steps = _BabySteps(g, p, {}, 0, 1).grow(size)
         _last_baby_steps = steps

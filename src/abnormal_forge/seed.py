@@ -13,12 +13,12 @@ same digits from the same seed ("splitmix64-gauss-markov-v1"):
 * PRNG: splitmix64 (Steele-Lea-Vigier), 64-bit state, golden-gamma
   increment; zero outputs are rejected, so each draw U lies in
   [1, 2**64 - 1] and encodes the uniform u = U / 2**64 in (0, 1).
-* Fixed-point Gauss measures come from ``log2_fixed(num, den)``, the
-  deterministic truncating square-and-extract loop with 64 fractional
-  bits (48 guard bits).
-* First digit: the largest k >= 1 with U <= T(k), where
-  T(m) = log2_fixed(m + 1, m). This inverts u = log2(1 + x) and
-  applies floor(1/x), entirely in integers.
+* Each Gauss measure is ``cf.gauss_measure_fixed``: log2((1 + hi)/(1 + lo))
+  by ``log2_fixed``, the deterministic truncating square-and-extract loop
+  with 64 fractional bits (48 guard bits).
+* First digit: the largest k >= 1 with U <= T(k), where T(m) is the
+  measure of (0, 1/m). This inverts u = log2(1 + x) and applies
+  floor(1/x), entirely in integers.
 * Later digits, given the previous digit j: the largest k >= 1 with
   U * M(j) <= W(j, k) << 64, where M(j) is the fixed-point measure of
   the one-digit cylinder of j and W(j, m) the measure of its
@@ -39,7 +39,7 @@ import math
 from typing import Iterator
 
 from ._dectext import brief, text_to_int
-from .cf import log2_fixed
+from .cf import gauss_measure_fixed
 from .errors import InputFormatError
 
 _MASK64 = (1 << 64) - 1
@@ -72,23 +72,16 @@ class SplitMix64:
         return u
 
 
-def _interval_measure64(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> int:
-    """2**64-scaled Gauss measure of (lo, hi): log2((1 + hi)/(1 + lo))."""
-    num = (hi_den + hi_num) * lo_den
-    den = hi_den * (lo_den + lo_num)
-    return log2_fixed(num, den)
-
-
 @functools.lru_cache(maxsize=1 << 20)
 def _threshold(m: int) -> int:
-    """Marginal CDF boundary T(m): 2**64 * log2(1 + 1/m), truncated."""
-    return log2_fixed(m + 1, m)
+    """Marginal CDF boundary T(m): the measure of (0, 1/m), log2(1 + 1/m)."""
+    return gauss_measure_fixed(0, 1, 1, m)
 
 
 @functools.lru_cache(maxsize=1 << 20)
 def _tail_weight(j: int, m: int) -> int:
     """Fixed-point measure of the part of j's cylinder with next digit >= m."""
-    return _interval_measure64(m, j * m + 1, 1, j)
+    return gauss_measure_fixed(m, j * m + 1, 1, j)
 
 
 def digit_from_unit(u_fixed: int, cap: int = DEFAULT_DIGIT_CAP) -> int:

@@ -921,6 +921,79 @@ def test_cli_construct_refuses_search_limit_below_one(tmp_path, capsys,
     assert not digits.exists() and not cert.exists()
 
 
+@pytest.mark.parametrize("budget", [None, str(1 << 20)])
+@pytest.mark.parametrize("flag,limit", [([], 100_000),
+                                        (["--search-limit", "7"], 7)])
+def test_cli_construct_echoes_the_search_limit(tmp_path, monkeypatch, capsys,
+                                               budget, flag, limit):
+    # Without the flag the library's own default prime-search cap is used,
+    # with or without a memory budget; the flag replaces it.
+    if budget is not None:
+        monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", budget)
+    seed = _write_seed(tmp_path)
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    assert main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "1", "--mode", "toy", *flag,
+                 "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
+    capsys.readouterr()
+    assert read_digit_file(digits)[1]["config"]["artin_limit"] == limit
+    assert read_certificate_file(cert)[1]["config"]["artin_limit"] == limit
+
+
+def _construct_child(tmp_path, *flags):
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "abnormal_forge.cli", "construct",
+         "--seed-rng", "1", *flags, "--out-digits", str(digits),
+         "--out-cert", str(cert)],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_cap_address_space)
+    return result, digits, cert
+
+
+def test_cli_construct_runs_a_huge_block_count_to_its_first_refusal(
+        tmp_path):
+    # 1 << (blocks - 1) would take 12.5 GB: the count is never formed, and
+    # the run stops at block 2 as any multi-block run does.
+    result, digits, cert = _construct_child(
+        tmp_path, "--block-size", "4", "--blocks", "99999999999")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("error: block 2 failed: baby-step table ")
+    assert "Traceback" not in result.stderr
+    assert len(read_digit_file(digits)[0]) == 12
+    assert [c.index for c in read_certificate_file(cert)[0]] == [1]
+
+
+def test_cli_construct_total_digits_floor_renders_the_count_by_size(
+        tmp_path, capsys):
+    # The digits 20,000 blocks need pass the int -> str limit; a larger
+    # count is refused in the same words, without forming it.
+    argv = ["construct", "--seed-rng", "1", "--block-size", "4",
+            "--total-digits", "1", "--out-digits", str(tmp_path / "d.cf"),
+            "--out-cert", str(tmp_path / "c.json"), "--blocks"]
+    for blocks, bits in [("20000", 20002), ("99999999999", 100000000001)]:
+        assert main([*argv, blocks]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --total-digits 1 is below the "
+                                f"<{bits}-bit integer> digits the "
+                                "certificates need\n")
+    assert not (tmp_path / "d.cf").exists()
+
+
+def test_cli_construct_refuses_a_first_block_past_the_budget(tmp_path):
+    # Block 1 samples N digits whether or not --total-digits is given; at
+    # 18 B a digit, N = 10**11 passes the default 256 MiB budget before
+    # any digit is sampled or file written.
+    result, digits, cert = _construct_child(
+        tmp_path, "--block-size", "100000000000", "--blocks", "1")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == ("error: 100000000004 digits need about "
+                             "1800000000072 bytes, past the 268435456-byte "
+                             "memory budget\n")
+    assert not digits.exists() and not cert.exists()
+
+
 def test_cli_construct_toy_multi_block_flushes_partial(tmp_path, capsys):
     digits = tmp_path / "y.cf"
     cert = tmp_path / "y.json"
@@ -1166,6 +1239,21 @@ def test_cli_verify_loads_no_fraction_decimal_datetime_or_radix(tmp_path,
     for name in ("dataclasses", "inspect", "fractions", "decimal", "datetime",
                  "abnormal_forge.radix"):
         assert name not in loaded
+
+
+def test_cli_analyze_cf_loads_no_construction_or_number_theory(tmp_path):
+    # analyze cf reads a digit file and counts patterns: certificate records,
+    # the prime sieve and the constructor stay unloaded.
+    path = tmp_path / "digits.cf"
+    path.write_text("1\n2\n1\n1\n", encoding="utf-8")
+    argv = ["analyze", "cf", "--digits", str(path), "--strings", "1;1,1",
+            "--prefix", "4"]
+    loaded = _loaded_after(
+        "from abnormal_forge.cli import main\n"
+        f"assert main({argv!r}) == 0")
+    assert "abnormal_forge.formats" in loaded
+    assert "abnormal_forge.construction" not in loaded
+    assert "abnormal_forge.nt" not in loaded
 
 
 def test_cli_construct_generates_no_record_code(tmp_path):

@@ -6,7 +6,7 @@ import sympy
 
 from abnormal_forge import nt
 from abnormal_forge.errors import ResourceBudgetExceeded, SearchExhausted
-from abnormal_forge.nt import (SMALL_PRIMES, ArtinPrime,
+from abnormal_forge.nt import (SMALL_PRIMES, ArtinPrime, baby_step_entries,
                                coprimizing_multiplier, corollary_hypotheses,
                                discrete_log, factorize, field_discriminant,
                                find_artin_prime, iroot, is_perfect_square,
@@ -292,6 +292,30 @@ def test_discrete_log_budget_on_first_and_repeat_queries(no_kept_table):
         assert pow(2, discrete_log(2, 3, 1019), 1019) == 3
     with pytest.raises(ResourceBudgetExceeded):
         discrete_log(2, 3, 1019, max_table_entries=31)
+
+
+def test_baby_step_entries_is_the_first_table_size(no_kept_table):
+    # Each first query builds exactly the table the one rule sizes.
+    for p in (3, 11, 59, 1019, 65537):
+        nt._last_baby_steps = None
+        assert pow(2, discrete_log(2, 2, p), p) == 2
+        assert nt._last_baby_steps.size == baby_step_entries(p, 1 << 24)
+        assert baby_step_entries(p, 1 << 24) == math.ceil(math.sqrt(p - 1))
+
+
+def test_baby_step_entries_refuses_past_the_cap():
+    assert baby_step_entries(1019, 32) == 32
+    with pytest.raises(ResourceBudgetExceeded) as excinfo:
+        baby_step_entries(1019, 31)
+    assert str(excinfo.value) == ("baby-step table would need 32 entries "
+                                  "(limit 31); modulus too large")
+    # A size past 128 bits is shown by its bit count, also past the
+    # interpreter's 4300-digit int -> str limit: 2**9000 needs 2**4500.
+    with pytest.raises(ResourceBudgetExceeded) as excinfo:
+        baby_step_entries(1 << 9000, 1 << 24)
+    assert str(excinfo.value) == (
+        "baby-step table would need <4501-bit integer> entries "
+        "(limit 16777216); modulus too large")
 
 
 def test_discrete_log_repeats_under_small_table_cap(no_kept_table):

@@ -4,13 +4,13 @@ import math
 
 import pytest
 
-from abnormal_forge.cf import cylinder_interval, gauss_measure
+from abnormal_forge.cf import cylinder_interval, gauss_measure, log2_fixed
 from abnormal_forge.errors import InputFormatError
 from abnormal_forge.formats import FileDigitSource
 from abnormal_forge.seed import (DEFAULT_DIGIT_CAP, ListDigitSource,
-                                 RngDigitSource, SplitMix64,
-                                 conditional_digit, digit_from_unit,
-                                 parse_digit_file)
+                                 RngDigitSource, SplitMix64, _tail_weight,
+                                 _threshold, conditional_digit,
+                                 digit_from_unit, parse_digit_file)
 
 # Frozen stream prefix for the documented sampler (version
 # splitmix64-gauss-markov-v1). Any change to the generator breaks
@@ -28,6 +28,16 @@ def test_splitmix64_reference_values():
 
 def test_golden_prefix_seed_42():
     assert RngDigitSource(42).next_digits(12) == GOLDEN_SEED_42
+
+
+def test_thresholds_and_tail_weights_are_gauss_measures():
+    # T(m) measures (0, 1/m) and W(j, m) measures (m/(j*m + 1), 1/j); the
+    # kernel's unreduced ratios give log2_fixed's bits exactly.
+    for m in range(1, 201):
+        assert _threshold(m) == log2_fixed(m + 1, m)
+        for j in range(1, 201):
+            assert _tail_weight(j, m) == log2_fixed(
+                (j + 1) * (j * m + 1), j * (j * m + 1 + m))
 
 
 def test_rng_source_reproducible_and_incremental():
