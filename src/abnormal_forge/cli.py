@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="number of blocks to plan")
     con.add_argument("--mode", default="paper", metavar="MODE",
                      help="paper | relaxed:<scale> | toy")
-    con.add_argument("--tail-offset", type=int, default=0, metavar="T",
+    con.add_argument("--tail-offset", type=int, metavar="T",
                      help="add T to every tail digit (distinct valid streams)")
     con.add_argument("--search-limit", type=int, metavar="COUNT",
                      help="candidate cap for prime searches")
@@ -148,9 +148,9 @@ def _cmd_construct(args) -> int:
         budget = budget._replace(artin_limit=args.search_limit)
     config = ConstructionConfig(block_size=args.block_size,
                                 blocks=args.blocks,
-                                mode=Mode.parse(args.mode),
-                                tail_offset=args.tail_offset,
-                                budget=budget)
+                                mode=Mode.parse(args.mode), budget=budget)
+    if args.tail_offset is not None:
+        config = config._replace(tail_offset=args.tail_offset)
     # verify reads up to the last tail; a negative count meets prefix's check.
     total = args.total_digits
     short = (_digits_short(total, config.block_size, config.blocks)
