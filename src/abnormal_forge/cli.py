@@ -10,9 +10,10 @@ error, 3 search exhaustion or resource budget exceeded (partial outputs
 are flushed with a ``partial: true`` header).
 
 The environment variable ``ABNORMAL_FORGE_MEM_BUDGET`` (bytes) caps the
-tail-digit size, the discrete-log table, ``analyze base --places`` and,
-with an rng seed, the digits ``construct`` writes: ``--total-digits``,
-or block 1's N + 4 when larger. It counts the data a command builds,
+tail-digit size, the discrete-log table (which ``verify`` holds each
+block prime to as well), ``analyze base --places`` and, with an rng
+seed, the digits ``construct`` writes: ``--total-digits``, or block 1's
+N + 4 when larger. It counts the data a command builds,
 not the interpreter's own ~16.5 MiB.
 
 Each process runs one subcommand, so each handler imports the modules it
@@ -210,6 +211,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     from .construction import verify_certificate
     from .formats import read_certificate_file, read_digit_file
+    budget = _budget_from_env()  # the table cap construct plans under
     certs, _header = read_certificate_file(args.cert)
     digits, _ = read_digit_file(args.digits)
     needed = max((c.block_end + 4 for c in certs), default=0)
@@ -220,7 +222,7 @@ def _cmd_verify(args) -> int:
     blocks = []
     all_passed = bool(certs)  # a file with no block certifies nothing
     for cert in certs:
-        report = verify_certificate(cert, digits)
+        report = verify_certificate(cert, digits, budget=budget)
         all_passed = all_passed and report.passed
         blocks.append({
             "index": report.index,

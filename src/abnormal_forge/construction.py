@@ -112,8 +112,8 @@ class SearchBudget(NamedTuple):
     ``factor_effort``.
     """
 
-    artin_limit: int = 100_000
-    bsgs_entries: int = 1 << 24
+    artin_limit: int = nt.ARTIN_LIMIT
+    bsgs_entries: int = nt.BSGS_ENTRIES
     tail_bits: int = 1 << 31
 
     @staticmethod
@@ -471,7 +471,9 @@ def _convergent_digits(p: int, q: int, base: int,
 
 
 def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
-                       sample_window: int = 10_000) -> VerificationReport:
+                       sample_window: int = 10_000,
+                       budget: SearchBudget = DEFAULT_BUDGET
+                       ) -> VerificationReport:
     """Recheck every certificate claim from the digit stream alone.
 
     Recomputes the convergents around the block, re-runs the
@@ -479,7 +481,9 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     the parity of the convergent index, the exact gap bound from the
     tail digit, and agreement of the stream's base digits (pinched
     between cylinder endpoints) with the convergent's repeating-tail
-    expansion. ``sample_window`` caps the digit comparison length.
+    expansion. ``sample_window`` caps the digit comparison length. A
+    prime whose discrete-log table ``plan_block`` would refuse under
+    ``budget`` fails ``primitive_root`` before q2 - 1 is factored.
 
     The evidence uses small integers only: no product with the tail
     digit is formed unless the tail misses the bound it claims. With
@@ -536,9 +540,7 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     size_num = n_i - 4 * (i - 1)
     size_den = 1 << (i - 1)
     block_size = size_num // size_den if size_num % size_den == 0 else 0
-    add("block_layout",
-        block_size >= 2 and block_size % 2 == 0
-        and block_boundary(block_size, i) == n_i,
+    add("block_layout", block_size >= 2 and block_size % 2 == 0,
         f"boundary {brief(n_i)} implies block size "
         f"{brief(block_size or '?')}")
     if n_i < 1:
@@ -589,7 +591,10 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
     add("residue_class", q2 % q1 == qn % q1,
         "prime sits in the class q_n mod q_next")
     try:
-        add("prime", nt.is_prime(q2) and q2 == cert.prime, brief(q2))
+        q2_prime = nt.is_prime(q2)
+        add("prime", q2_prime and q2 == cert.prime, brief(q2))
+        if q2_prime:  # plan_block's table rule, before q2 - 1 is factored
+            nt.baby_step_entries(q2, budget.bsgs_entries)
         add("primitive_root", nt.is_primitive_root(base, q2),
             f"{base} generates mod {brief(q2)}")
     except (ResourceBudgetExceeded, ValueError) as exc:

@@ -13,15 +13,17 @@ one too: trial division, then Brent rho, which gives up after
 
 Everything here is a pure function of its arguments; values are plain
 Python ints and immutable named tuples. The one piece of state,
-:func:`discrete_log`'s kept baby-step table, changes only what a repeat
-query costs; every answer is still confirmed before it is returned. A
-first table's size, and its refusal past a cap, is one rule,
-:func:`baby_step_entries`, which the constructor applies before it
-scans for a prime.
+:func:`discrete_log`'s table for its latest (g, p), is a one-entry
+:func:`functools.lru_cache` and changes only what a repeat query costs;
+every answer is still confirmed before it is returned. A first table's
+size, and its refusal past a cap, is one rule, :func:`baby_step_entries`,
+which the constructor applies before it scans for a prime and the
+verifier before it factors.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -57,6 +59,9 @@ _EXTRA_MR_ROUNDS = 32
 _COPRIMIZER_SCAN_LIMIT = 1 << 20
 # Rho iterations one factorization may spend before it gives up.
 FACTOR_EFFORT = 1 << 22
+# Default caps: find_artin_prime's candidates, one discrete_log table.
+ARTIN_LIMIT = 100_000
+BSGS_ENTRIES = 1 << 24
 
 
 def iroot(n: int, k: int) -> int:
@@ -438,7 +443,7 @@ class ArtinPrime(NamedTuple):
 
 
 def find_artin_prime(g: int, f: int, a: int,
-                     search_limit: int = 100_000) -> ArtinPrime:
+                     search_limit: int = ARTIN_LIMIT) -> ArtinPrime:
     """Least ell >= 1 with ell*f + a prime and g a primitive root mod it.
 
     The class is first screened with :func:`lenstra_finiteness`; a
@@ -468,32 +473,6 @@ def find_artin_prime(g: int, f: int, a: int,
         f"{search_limit} candidates", candidates_tested=search_limit)
 
 
-class _BabySteps(NamedTuple):
-    """Baby-step table ``g**j mod p -> j`` for ``0 <= j < size``, with the
-    giant step ``g**(-size) mod p``. ``p`` passed :func:`is_prime`."""
-
-    g: int
-    p: int
-    table: dict[int, int]
-    size: int
-    giant: int
-
-    def grow(self, size: int) -> _BabySteps:
-        """Extend the table in place to ``size`` entries; return the new record.
-
-        A caller still holding this record may meet entries past its
-        ``size``; each is a true ``g**j -> j``, so its answers stay right.
-        """
-        g, p, table = self.g, self.p, self.table
-        e = pow(g, self.size, p)
-        # Distinct keys are automatic for a generator; for smaller orders the
-        # overwrite is harmless because every result is verified before return.
-        for j in range(self.size, size):
-            table[e] = j
-            e = e * g % p
-        return _BabySteps(g, p, table, size, pow(g, p - 1 - size, p))
-
-
 def baby_step_entries(p: int, max_entries: int) -> int:
     """ceil(sqrt(p - 1)) entries for a first table mod p; refused past the cap."""
     size = math.isqrt(p - 2) + 1
@@ -504,52 +483,51 @@ def baby_step_entries(p: int, max_entries: int) -> int:
     return size
 
 
-# The table of the latest discrete_log query: one slot, so memory stays
-# within a single query's max_table_entries.
-_last_baby_steps: _BabySteps | None = None
+@functools.lru_cache(maxsize=1)
+def _baby_steps(g: int, p: int) -> list:
+    """One slot holding (table, size, giant) for (g, p): g**j mod p -> j for
+    j < size, and g**(-size) mod p. Made only for prime p and unit g; with
+    one entry, the cache lets the old table go before a new pair's is built."""
+    if not is_prime(p):
+        raise ValueError(f"{brief(p)} is not prime")
+    if g % p == 0:
+        raise ValueError("g must be a unit modulo p")
+    return [({}, 0, 1)]
 
 
 def discrete_log(g: int, h: int, p: int, *,
-                 max_table_entries: int = 1 << 24) -> int:
+                 max_table_entries: int = BSGS_ENTRIES) -> int:
     """Baby-step giant-step discrete log: the k in [0, p-2] with g**k = h (mod p).
 
     Expects prime p and a generator g (unique answer). A first query for
     (g, p) builds the table :func:`baby_step_entries` sizes, refused past
-    ``max_table_entries``. The table of the latest (g, p) is kept: a
-    repeat query reuses it and doubles it, up to p - 1 entries, so a sweep
-    over every h ends in single lookups. The retained table never exceeds
-    the calling query's ``max_table_entries`` (the cap that
-    ``ABNORMAL_FORGE_MEM_BUDGET`` sets through ``SearchBudget.bsgs_entries``).
-    The primality of p is re-tested unless the kept table is for the same
-    p. Every result is confirmed by modular exponentiation before
-    returning.
+    ``max_table_entries``. The latest (g, p) keeps its table, and p is
+    tested once per kept pair. A repeat query doubles the table, up to
+    p - 1 entries but never past its own cap (a larger kept table is
+    rebuilt), so a sweep over every h ends in single lookups. Every
+    result is confirmed by modular exponentiation before returning.
     """
-    global _last_baby_steps
-    last = _last_baby_steps
-    same_modulus = last is not None and last.p == p
-    if not same_modulus and not is_prime(p):
-        raise ValueError(f"{brief(p)} is not prime")
+    kept = _baby_steps(g, p)
     g %= p
     h %= p
-    if g == 0:
-        raise ValueError("g must be a unit modulo p")
     if h == 0:
         raise ValueError("h = 0 mod p has no discrete logarithm")
     if p == 2:
         return 0
-    if same_modulus and last.g == g and last.size <= max_table_entries:
-        steps = last
-        size = min(2 * last.size, p - 1, max_table_entries)
-        if size > last.size:
-            steps = _last_baby_steps = last.grow(size)
+    table, m, giant = kept[0]
+    if 0 < m <= max_table_entries:
+        size = min(2 * m, p - 1, max_table_entries)
     else:
         size = baby_step_entries(p, max_table_entries)
-        last = _last_baby_steps = None  # free the old table before building
-        steps = _BabySteps(g, p, {}, 0, 1).grow(size)
-        _last_baby_steps = steps
-    m = steps.size
-    giant = steps.giant
-    get = steps.table.get
+        table, m, giant = kept[0] = {}, 0, 1  # free the old table first
+    if size > m:
+        e = pow(g, m, p)  # a non-generator repeats keys; results are verified
+        for j in range(m, size):
+            table[e] = j
+            e = e * g % p
+        m, giant = size, pow(g, p - 1 - size, p)
+        kept[0] = table, m, giant  # one store, so the slot is never torn
+    get = table.get
     y = h
     for i in range((p - 2) // m + 1):
         j = get(y)

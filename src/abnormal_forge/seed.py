@@ -142,7 +142,6 @@ class RngDigitSource:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         self.seed = seed
         self.cap = cap
-        self.position = 0
         self._rng = SplitMix64(seed)
         self._state: int | None = None
 
@@ -158,7 +157,6 @@ class RngDigitSource:
                 state = conditional_digit(rng.next_unit(), state, cap)
             out.append(state)
         self._state = state
-        self.position += count
         return out
 
     def descriptor(self) -> dict:

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import math
 import os
 import random
 import shlex
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abnormal_forge import _dectext
+from abnormal_forge import _dectext, nt
 from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS,
                                      int_to_text, text_to_int)
 from abnormal_forge.cli import _build_parser, main
@@ -938,6 +939,72 @@ def test_cli_construct_echoes_the_search_limit(tmp_path, monkeypatch, capsys,
     capsys.readouterr()
     assert read_digit_file(digits)[1]["config"]["artin_limit"] == limit
     assert read_certificate_file(cert)[1]["config"]["artin_limit"] == limit
+
+
+def test_cli_construct_passes_the_tail_offset(tmp_path, capsys):
+    # The worked example's paper tail is 2**225 + 1; an offset adds to it,
+    # both headers echo it, and the shifted stream still verifies.
+    seed = _write_seed(tmp_path)
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    assert main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "1", "--mode", "paper", "--tail-offset", "3",
+                 "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
+    certs, cert_header = read_certificate_file(cert)
+    assert read_digit_file(digits)[1]["config"]["tail_offset"] == 3
+    assert cert_header["config"]["tail_offset"] == 3
+    assert certs[0].inserted[3] == 2**225 + 4
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 0
+    capsys.readouterr()
+
+
+def test_cli_construct_passes_the_digit_cap(tmp_path, capsys):
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    assert main(["construct", "--seed-rng", "1", "--digit-cap", "2",
+                 "--block-size", "4", "--blocks", "1", "--mode", "toy",
+                 "--total-digits", "40",
+                 "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
+    capsys.readouterr()
+    stream, header = read_digit_file(digits)
+    assert header["seed"]["digit_cap"] == 2
+    seed_digits = stream[:4] + stream[8:]  # stream[4:8] are the insertions
+    assert len(seed_digits) == 36 and max(seed_digits) <= 2
+
+
+def test_cli_verify_applies_the_table_cap_before_factoring(tmp_path, capsys,
+                                                         monkeypatch):
+    # plan_block refuses a prime whose discrete-log table passes the
+    # budget's cap, so verify refuses it too, under the same variable.
+    digits, cert = _construct_worked(tmp_path)
+    q1, qn = 23, 13  # the worked example's q_next and q_n
+    ell2 = (1 << 21) // q1
+    while not nt.is_prime(ell2 * q1 + qn):
+        ell2 += 1
+    q2 = ell2 * q1 + qn
+    lines = digits.read_text(encoding="utf-8").splitlines(keepends=True)
+    body = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    lines[body[5]] = f"{ell2}\n"
+    digits.write_text("".join(lines), encoding="utf-8")
+    argv = ["verify", "--cert", str(cert), "--digits", str(digits)]
+
+    def primitive_root_detail():
+        assert main(argv) == 1
+        checks = {c["name"]: c for c in
+                  json.loads(capsys.readouterr().out)["blocks"][0]["checks"]}
+        assert checks["prime"]["detail"] == str(q2)
+        return checks["primitive_root"]["detail"]
+
+    capsys.readouterr()
+    assert primitive_root_detail() == f"2 generates mod {q2}"
+    monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", "1024")
+    assert primitive_root_detail() == (
+        f"could not certify: baby-step table would need "
+        f"{math.isqrt(q2 - 2) + 1} entries (limit 1024); modulus too large")
+    monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", "12")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: bad ABNORMAL_FORGE_MEM_BUDGET: memory budget below 1 KiB "
+        "is unusable\n")
 
 
 def _construct_child(tmp_path, *flags):

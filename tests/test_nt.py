@@ -244,9 +244,17 @@ def test_discrete_log_random_roundtrip():
 
 
 @pytest.fixture
-def no_kept_table(monkeypatch):
+def no_kept_table():
     """Start with no baby-step table kept from an earlier query."""
-    monkeypatch.setattr(nt, "_last_baby_steps", None)
+    nt._baby_steps.cache_clear()
+
+
+def kept_size(g, p):
+    """Size of the table kept for (g, p), which must be the kept pair."""
+    misses = nt._baby_steps.cache_info().misses
+    size = nt._baby_steps(g, p)[0][1]
+    assert nt._baby_steps.cache_info().misses == misses  # a hit, no new pair
+    return size
 
 
 def test_discrete_log_repeat_queries_match_first_query(no_kept_table):
@@ -260,9 +268,10 @@ def test_discrete_log_repeat_queries_match_first_query(no_kept_table):
             for k in range(p - 1):
                 assert discrete_log(g, pow(g, k, p), p) == k, (g, k, p)
                 assert discrete_log(g, pow(g, k, p) + 3 * p, p) == k
-    assert nt._last_baby_steps.size == 10  # grown to p - 1 for (2, 11)
+    assert kept_size(2, 11) == 10  # grown to p - 1 for (2, 11)
     assert discrete_log(2, 23, 59) == 15
-    assert nt._last_baby_steps.size == 8   # a new pair starts afresh
+    assert kept_size(2, 59) == 8   # a new pair starts afresh
+    assert nt._baby_steps.cache_info().currsize == 1  # (2, 11) is gone
 
 
 def test_discrete_log_errors_after_a_kept_table(no_kept_table):
@@ -297,9 +306,9 @@ def test_discrete_log_budget_on_first_and_repeat_queries(no_kept_table):
 def test_baby_step_entries_is_the_first_table_size(no_kept_table):
     # Each first query builds exactly the table the one rule sizes.
     for p in (3, 11, 59, 1019, 65537):
-        nt._last_baby_steps = None
+        nt._baby_steps.cache_clear()
         assert pow(2, discrete_log(2, 2, p), p) == 2
-        assert nt._last_baby_steps.size == baby_step_entries(p, 1 << 24)
+        assert kept_size(2, p) == baby_step_entries(p, 1 << 24)
         assert baby_step_entries(p, 1 << 24) == math.ceil(math.sqrt(p - 1))
 
 
@@ -324,11 +333,11 @@ def test_discrete_log_repeats_under_small_table_cap(no_kept_table):
         for k in range(p - 1):
             assert discrete_log(2, pow(2, k, p), p,
                                 max_table_entries=40) == k
-            assert nt._last_baby_steps.size <= 40
-    assert nt._last_baby_steps.size == 40
+            assert kept_size(2, p) <= 40
+    assert kept_size(2, p) == 40
     for k in range(p - 1):
         assert discrete_log(2, pow(2, k, p), p, max_table_entries=32) == k
-        assert nt._last_baby_steps.size == 32
+        assert kept_size(2, p) == 32
 
 
 def test_discrete_log_non_generator_answers_hold(no_kept_table):
@@ -346,12 +355,12 @@ def test_discrete_log_non_generator_answers_hold(no_kept_table):
 
         residues = [h for h in range(1, 2 * p) if h % p]
         for h in residues:
-            nt._last_baby_steps = None  # first query
+            nt._baby_steps.cache_clear()  # first query
             check(h)
         for _ in range(3):  # kept and grown tables
             for h in residues:
                 check(h)
-        assert nt._last_baby_steps.size == p - 1
+        assert kept_size(g, p) == p - 1
 
 
 def test_lift_exponent_examples():
