@@ -100,21 +100,41 @@ class Mode(_ModeFields):
         return self.kind
 
 
-class SearchBudget(NamedTuple):
+class _BudgetFields(NamedTuple):
+    artin_limit: int = nt.ARTIN_LIMIT
+    bsgs_entries: int = nt.BSGS_ENTRIES
+    tail_bits: int = 1 << 31
+
+
+class SearchBudget(_BudgetFields):
     """Effort and memory caps for the per-block searches.
 
     ``artin_limit`` caps the prime search's candidates; ``tail_bits``
     caps every materialized power of the base (the power-hit
     denominator and the tail digit), checked from an estimate of its
     bit length before the power is formed; ``bsgs_entries`` caps the
-    discrete-log table. Factoring group orders is capped by the fixed
-    ``nt.FACTOR_EFFORT``, which the run header echoes as
-    ``factor_effort``.
+    discrete-log table, which admits primes up to bsgs_entries**2 + 1.
+    That is also the bound on every prime the constructor and the
+    verifier test, so a cap whose bound reaches ``nt.is_prime``'s proof
+    bound psi_13 (a memory budget above ~159 TiB) is refused. Factoring
+    group orders is capped by the fixed ``nt.FACTOR_EFFORT``, which the
+    run header echoes as ``factor_effort``.
     """
 
-    artin_limit: int = nt.ARTIN_LIMIT
-    bsgs_entries: int = nt.BSGS_ENTRIES
-    tail_bits: int = 1 << 31
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SearchBudget:
+        self = super().__new__(cls, *args, **kwargs)
+        if self.bsgs_entries ** 2 + 1 >= nt._MR_DETERMINISTIC_BOUND:
+            raise ValueError(
+                f"a {brief(self.bsgs_entries)}-entry table cap admits primes "
+                "past the deterministic Miller-Rabin bound "
+                f"{nt._MR_DETERMINISTIC_BOUND}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> SearchBudget:
+        return cls(*iterable)  # so _replace checks too, as Mode._make does
 
     @staticmethod
     def from_mem_bytes(mem: int) -> "SearchBudget":
@@ -286,9 +306,11 @@ def plan_block(q_prev: int, q_cur: int, base: int,
     until the power clears 2*q2; the recurrence then forces
     ell3 = (base**k - q1)/q2 exactly. The power is refused with
     :class:`ResourceBudgetExceeded` before it is formed when its size
-    estimate passes ``budget.tail_bits``, and step 2 before it scans when
-    the discrete-log table of its least candidate, q1 + 1, would pass
-    ``budget.bsgs_entries``.
+    estimate passes ``budget.tail_bits``. Step 2 is refused the same way
+    before it scans when the discrete-log table of its least candidate,
+    q1 + 1, would pass ``budget.bsgs_entries``; otherwise it scans no
+    candidate past bsgs_entries**2 + 1, the largest prime that table
+    admits, and a scan cut short there is refused on the next candidate.
     """
     if math.gcd(q_prev, q_cur) != 1:
         raise ValueError("consecutive denominators must be coprime")
@@ -303,9 +325,20 @@ def plan_block(q_prev: int, q_cur: int, base: int,
         raise RuntimeError(f"q1 = {brief(q1)} is not coprime to the base "
                            "and to q_cur - 1")
     # Every candidate prime is at least q1 + 1, so discrete_log would refuse
-    # the table of any prime the scan finds; refuse before scanning.
+    # the table of any prime the scan finds; refuse before scanning. Else
+    # the scan ends at the last candidate ell*q1 + a that discrete_log
+    # accepts, and a scan cut there is refused as the next candidate is.
     nt.baby_step_entries(q1 + 1, budget.bsgs_entries)
-    hit = nt.find_artin_prime(base, q1, q_cur % q1, budget.artin_limit)
+    a = q_cur % q1
+    reach = (budget.bsgs_entries ** 2 + 1 - a) // q1
+    if reach < 1:  # the least candidate, q1 + a, is past the cap
+        nt.baby_step_entries(q1 + a, budget.bsgs_entries)
+    try:
+        hit = nt.find_artin_prime(base, q1, a, min(budget.artin_limit, reach))
+    except SearchExhausted:
+        if reach < budget.artin_limit:
+            nt.baby_step_entries((reach + 1) * q1 + a, budget.bsgs_entries)
+        raise
     ell2, q2 = hit.ell, hit.prime
 
     k0 = nt.discrete_log(base, q1 % q2, q2,
@@ -590,14 +623,17 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
 
     add("residue_class", q2 % q1 == qn % q1,
         "prime sits in the class q_n mod q_next")
-    try:
+    try:  # plan_block's table rule sizes q2 before any test of it
+        nt.baby_step_entries(q2, budget.bsgs_entries)
         q2_prime = nt.is_prime(q2)
         add("prime", q2_prime and q2 == cert.prime, brief(q2))
-        if q2_prime:  # plan_block's table rule, before q2 - 1 is factored
-            nt.baby_step_entries(q2, budget.bsgs_entries)
+        if not q2_prime:  # is_primitive_root tests p again when it fails
+            raise ValueError(f"{brief(q2)} is not prime")
         add("primitive_root", nt.is_primitive_root(base, q2),
             f"{base} generates mod {brief(q2)}")
     except (ResourceBudgetExceeded, ValueError) as exc:
+        if checks[-1].name != "prime":  # q2 was refused before its test
+            add("prime", False, f"could not certify: {exc}")
         add("primitive_root", False, f"could not certify: {exc}")
 
     k = cert.exponent

@@ -5,11 +5,15 @@ discrete-log computations, Kronecker symbols, and the finiteness
 tests that decide whether a residue class can keep supplying primes
 with a prescribed primitive root (Lenstra's criterion, assuming GRH).
 
-Primality follows one fixed rule: deterministic Miller-Rabin below
-~3.3e24; above it, Baillie-PSW, then 32 Miller-Rabin rounds whose bases
-come from a PRNG seeded by the number under test. Factoring follows
-one too: trial division, then Brent rho, which gives up after
-:data:`FACTOR_EFFORT` iterations per number.
+Primality follows one deterministic rule: a sieve and trial division,
+then Miller-Rabin with the first thirteen prime bases, a proof below
+psi_13 ~ 3.3e24; a number past that which trial division does not settle
+is refused. Size comes before search: the constructor and the verifier
+apply the discrete-log table cap to every prime they test, which bounds
+each operand by bsgs_entries**2 + 1, and ``SearchBudget`` refuses a cap
+that would reach psi_13. Factoring follows one rule too: trial division,
+then Brent rho, which gives up after :data:`FACTOR_EFFORT` iterations
+per number.
 
 Everything here is a pure function of its arguments; values are plain
 Python ints and immutable named tuples. The one piece of state,
@@ -17,8 +21,8 @@ Python ints and immutable named tuples. The one piece of state,
 :func:`functools.lru_cache` and changes only what a repeat query costs;
 every answer is still confirmed before it is returned. A first table's
 size, and its refusal past a cap, is one rule, :func:`baby_step_entries`,
-which the constructor applies before it scans for a prime and the
-verifier before it factors.
+which the constructor applies before its prime scan (whose end it also
+sets) and the verifier before it tests the block prime at all.
 """
 
 from __future__ import annotations
@@ -49,12 +53,11 @@ _SMALL_PRIME_FLAGS = _sieve(_SMALL_PRIME_LIMIT)
 SMALL_PRIMES: tuple[int, ...] = tuple(
     itertools.compress(range(_SMALL_PRIME_LIMIT), _SMALL_PRIME_FLAGS))
 
-# Miller-Rabin with these bases is deterministic for n < 3.3 * 10**24,
-# comfortably past 2**64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first thirteen prime bases is deterministic below
+# psi_13, the least strong pseudoprime to all of them (Sorenson & Webster,
+# Math. Comp. 86, 2017; OEIS A014233).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-# Seeded Miller-Rabin rounds after Baillie-PSW above that bound.
-_EXTRA_MR_ROUNDS = 32
 # Cap on the coprimizing-multiplier scan.
 _COPRIMIZER_SCAN_LIMIT = 1 << 20
 # Rho iterations one factorization may spend before it gives up.
@@ -122,60 +125,17 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas probable-prime test with Selfridge parameters.
-
-    Assumes n odd, n > 2, n not a perfect square.
-    """
-    D = 5
-    while True:
-        j = _jacobi(D % n, n)
-        if j == 0:
-            return abs(D) == n  # shares a factor with D otherwise
-        if j == -1:
-            break
-        D = -(D + 2) if D > 0 else -(D - 2)
-    Q = (1 - D) // 4
-    d = n + 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # Lucas ladder for U_d, V_d with P = 1.
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U = U * V % n
-        V = (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
-        if bit == "1":
-            U, V = U + V, D * U + V
-            if U & 1:
-                U += n
-            if V & 1:
-                V += n
-            U = (U >> 1) % n
-            V = (V >> 1) % n
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % n
-        if V == 0:
-            return True
-        Qk = Qk * Qk % n
-    return False
-
-
 def is_prime(n: int) -> bool:
-    """Primality test; deterministic below ~3.3e24, strong-PRP above.
+    """Deterministic primality test, refused at or past psi_13 ~ 3.3e24.
 
-    Below ~3.3e24, Miller-Rabin with the first twelve prime bases gives
-    an unconditionally correct answer. Above, a Baillie-PSW combination
-    (base-2 Miller-Rabin plus a strong Lucas test) runs first, then 32
-    Miller-Rabin rounds whose bases come from a PRNG seeded by n, so
-    results are reproducible run to run. A ``False`` answer is always
-    correct; the failure probability of a ``True`` answer is far below
-    2**-64.
+    A sieve settles n below 2**16, and trial division by the first 64
+    primes settles every n they divide, of any size. Otherwise
+    Miller-Rabin with the first thirteen prime bases proves the answer
+    below :data:`_MR_DETERMINISTIC_BOUND` (psi_13, the least composite
+    passing them all); past it nothing is proven, so n is refused with
+    :class:`ResourceBudgetExceeded`. The pipeline never asks past
+    bsgs_entries**2 + 1 (2**48 + 1 by default), which ``SearchBudget``
+    keeps below the bound.
     """
     if n < 2:
         return False
@@ -184,25 +144,13 @@ def is_prime(n: int) -> bool:
     for p in SMALL_PRIMES[:64]:
         if n % p == 0:
             return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    if n < _MR_DETERMINISTIC_BOUND:
-        return not any(_mr_witness(n, a, d, s) for a in _MR_BASES)
-    if _mr_witness(n, 2, d, s):
-        return False
-    if is_perfect_square(n):
-        return False
-    if not _strong_lucas_prp(n):
-        return False
-    rng = random.Random(n)
-    for _ in range(_EXTRA_MR_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        if _mr_witness(n, a, d, s):
-            return False
-    return True
+    if n >= _MR_DETERMINISTIC_BOUND:
+        raise ResourceBudgetExceeded(
+            f"{brief(n)} is past the deterministic Miller-Rabin bound "
+            f"{_MR_DETERMINISTIC_BOUND}; its primality is not proven")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2**s exactly divides n - 1
+    d = (n - 1) >> s
+    return not any(_mr_witness(n, a, d, s) for a in _MR_BASES)
 
 
 def _brent_rho(n: int, budget: list[int]) -> int:
@@ -333,19 +281,23 @@ def kronecker_symbol(d: int, n: int) -> int:
 def is_primitive_root(g: int, p: int) -> bool:
     """True iff g generates the full multiplicative group mod prime p.
 
-    Checks g**((p-1)/r) != 1 for every prime r dividing p - 1, which
-    requires factoring p - 1; oversized p - 1 raises a resource error.
+    Lucas's test: g**(p-1) = 1 and g**((p-1)/r) != 1 for every prime r
+    dividing p - 1, which requires factoring p - 1; oversized p - 1
+    raises a resource error. A pass proves p prime too, so p is tested
+    for primality only when the test fails: a composite p raises.
     """
-    if not is_prime(p):
+    if p < 2:
         raise ValueError(f"{brief(p)} is not prime")
     g %= p
     if g == 0:
         raise ValueError("g must be a unit modulo p")
-    if p == 2:
-        return True
     order = p - 1
-    return all(pow(g, order // r, p) != 1
-               for r, _ in factorize(order))
+    if pow(g, order, p) == 1:  # else Fermat: p is composite
+        if all(pow(g, order // r, p) != 1 for r, _ in factorize(order)):
+            return True
+        if is_prime(p):
+            return False
+    raise ValueError(f"{brief(p)} is not prime")
 
 
 def coprimizing_multiplier(q: int, q_prev: int, avoid: int) -> int:
@@ -450,7 +402,8 @@ def find_artin_prime(g: int, f: int, a: int,
     provably finite class is rejected since the scan could never be
     trusted to terminate. (On GRH an unscreened class yields infinitely
     many hits; ``search_limit`` protects desk-scale runs regardless.)
-    A limit below 1 allows no candidate and is refused.
+    A limit below 1 allows no candidate and is refused, and a candidate
+    past :func:`is_prime`'s bound raises :class:`ResourceBudgetExceeded`.
     """
     if search_limit < 1:
         raise ValueError(f"search limit must be >= 1, got {search_limit}")
@@ -474,7 +427,8 @@ def find_artin_prime(g: int, f: int, a: int,
 
 
 def baby_step_entries(p: int, max_entries: int) -> int:
-    """ceil(sqrt(p - 1)) entries for a first table mod p; refused past the cap."""
+    """ceil(sqrt(p - 1)) entries for a first table mod p; refused past the cap,
+    so the largest p a cap admits is max_entries**2 + 1."""
     size = math.isqrt(p - 2) + 1
     if size > max_entries:
         raise ResourceBudgetExceeded(

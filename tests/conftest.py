@@ -3,6 +3,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from abnormal_forge import nt
 from abnormal_forge.construction import ConstructionConfig, Mode, construct
 from abnormal_forge.seed import ListDigitSource
 
@@ -17,6 +18,15 @@ def worked_number():
     config = ConstructionConfig(block_size=4, blocks=1,
                                 mode=Mode.parse("paper"))
     return construct(config, ListDigitSource(WORKED_SEED))
+
+
+@pytest.fixture
+def is_prime_operands(monkeypatch):
+    """Operands of every nt.is_prime call during the test, in order."""
+    operands, real = [], nt.is_prime
+    monkeypatch.setattr(nt, "is_prime",
+                        lambda n: operands.append(n) or real(n))
+    return operands
 
 
 @contextmanager

@@ -1,4 +1,5 @@
 import ast
+import math
 import pickle
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import abnormal_forge
-from abnormal_forge import construction
+from abnormal_forge import construction, nt
 from abnormal_forge.cf import convergent_stream
 from abnormal_forge.construction import (BlockCertificate, ConstructionAborted,
                                          ConstructionConfig, Mode,
@@ -84,6 +85,36 @@ def test_plan_block_refuses_a_power_past_the_budget():
     with pytest.raises(ResourceBudgetExceeded):
         plan_block(10, 13, 2, SearchBudget(tail_bits=14))
     assert plan_block(10, 13, 2, SearchBudget(tail_bits=15)).q3 == 2**15
+
+
+@pytest.mark.parametrize("entries,needed", [(5, 6), (7, 8)])
+def test_plan_block_scans_no_prime_past_the_table_cap(is_prime_operands,
+                                                      entries, needed):
+    # The worked block scans the class 13 mod 23: 36, 59, ... A table of
+    # at most 5 or 7 entries admits primes up to 26 or 50, so the scan
+    # ends before 36 or after it, and is refused on the next candidate
+    # as discrete_log would refuse the prime 59.
+    with pytest.raises(ResourceBudgetExceeded) as info:
+        plan_block(10, 13, 2, SearchBudget(bsgs_entries=entries))
+    assert str(info.value) == (f"baby-step table would need {needed} "
+                               f"entries (limit {entries}); modulus too large")
+    assert all(n <= entries**2 + 1 for n in is_prime_operands)
+    assert plan_block(10, 13, 2, SearchBudget(bsgs_entries=8)).q2 == 59
+
+
+def test_search_budget_keeps_every_tested_prime_below_the_proof_bound():
+    # A cap of m entries admits primes up to m**2 + 1, which must stay
+    # below psi_13, where Miller-Rabin stops being a proof (~159 TiB).
+    most = math.isqrt(nt._MR_DETERMINISTIC_BOUND - 2)
+    assert SearchBudget(bsgs_entries=most).bsgs_entries == most
+    with pytest.raises(ValueError) as info:
+        SearchBudget(bsgs_entries=most + 1)
+    assert str(info.value) == (
+        f"a {most + 1}-entry table cap admits primes past the deterministic "
+        "Miller-Rabin bound 3317044064679887385961981")
+    assert SearchBudget.from_mem_bytes(159 << 40).bsgs_entries < most
+    with pytest.raises(ValueError):
+        SearchBudget.from_mem_bytes(160 << 40)
 
 
 def test_plan_block_rejects_bad_denominators():
@@ -246,6 +277,12 @@ def test_verify_worked_block(worked_number):
     assert report.tail_bound_met
     names = [c.name for c in report.checks]
     assert "power_hit" in names and "gap_resolution" in names
+
+
+def test_verify_tests_the_block_prime_once(worked_number, is_prime_operands):
+    report = verify_certificate(worked_number.certificates[0],
+                                worked_number.digits_through_blocks)
+    assert report.passed and is_prime_operands.count(59) == 1
 
 
 def test_verify_detects_prime_tampering(worked_number):
@@ -523,8 +560,8 @@ def test_evidence_matches_fraction_reference(case):
 def test_library_has_no_assert_statements():
     # python -O strips assert statements; invariants must raise instead.
     package = Path(abnormal_forge.__file__).parent
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(package.glob("*.py"))
+    found = [f"{path.relative_to(package)}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
@@ -686,6 +723,10 @@ _BAD_RECORDS = {
         4, 1, Mode("toy"))._replace(tail_offset=-1),
     "config-pickle": lambda: pickle.loads(pickle.dumps(
         _forged(ConstructionConfig, 4, -1, Mode("toy"), 0, SearchBudget()))),
+    "budget-keyword": lambda: SearchBudget(bsgs_entries=1 << 41),
+    "budget-replace": lambda: SearchBudget()._replace(bsgs_entries=1 << 41),
+    "budget-pickle": lambda: pickle.loads(pickle.dumps(
+        _forged(SearchBudget, 1, 1 << 41, 1))),
 }
 
 

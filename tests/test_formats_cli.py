@@ -7,6 +7,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abnormal_forge import _dectext, nt
-from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS,
+from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS, brief,
                                      int_to_text, text_to_int)
 from abnormal_forge.cli import _build_parser, main
 from abnormal_forge.construction import (BlockCertificate, ConstructionConfig,
@@ -817,21 +818,57 @@ def test_cli_verify_exit_2_on_bad_cert(tmp_path, capsys):
         assert result.stderr == "error: malformed header comment\n", args
 
 
-def test_cli_verify_details_render_a_large_prime_by_size(tmp_path, capsys):
-    # ell2 = 10**450 makes the stream's q2 a 1,500-bit composite: both the
-    # prime check and the primitive-root check name it by bit size.
-    digits, cert = _construct_worked(tmp_path)
+def _edit_ell2(digits, ell2):
+    """Put ``ell2`` in place of the worked digit file's sixth digit."""
     lines = digits.read_text(encoding="utf-8").splitlines(keepends=True)
     body = [i for i, line in enumerate(lines) if not line.startswith("#")]
-    lines[body[5]] = f"{10**450}\n"
+    lines[body[5]] = f"{int_to_text(ell2)}\n"
     digits.write_text("".join(lines), encoding="utf-8")
+
+
+def test_cli_verify_details_render_a_large_prime_by_size(tmp_path, capsys):
+    # ell2 = 10**450 makes the stream's q2 a 1,500-bit composite: the table
+    # rule refuses it before any test, naming its table by bit size.
+    digits, cert = _construct_worked(tmp_path)
+    _edit_ell2(digits, 10**450)
     capsys.readouterr()
     assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 1
     checks = {c["name"]: c for c in
               json.loads(capsys.readouterr().out)["blocks"][0]["checks"]}
-    assert checks["prime"]["detail"] == "<1500-bit integer>"
-    assert checks["primitive_root"]["detail"] == (
-        "could not certify: <1500-bit integer> is not prime")
+    refused = ("could not certify: baby-step table would need <750-bit "
+               "integer> entries (limit 16777216); modulus too large")
+    assert checks["prime"]["detail"] == refused
+    assert checks["primitive_root"]["detail"] == refused
+
+
+@pytest.mark.parametrize("bits,seconds", [(32_000, 1.0), (1_000_000, 10.0)])
+def test_cli_verify_refuses_a_huge_composite_prime_claim_in_bounded_time(
+        tmp_path, bits, seconds):
+    # q2 = 65537**j * c, with c a prime >= 2**16 that puts q2 in the class
+    # 13 mod 23 the worked stream needs: a composite with no factor below
+    # 2**16, so trial division does not settle it. Each Miller-Rabin round
+    # on it took minutes (a 32,000-bit q2 verified in ~124 s); sized
+    # first, it is refused in the time the stream's arithmetic takes.
+    digits, cert = _construct_worked(tmp_path)
+    power = 65537 ** ((bits - 18) // 16)
+    c = 65537 + (13 * pow(power, -1, 23) - 65537) % 23
+    while not nt.is_prime(c):
+        c += 23
+    q2 = power * c
+    _edit_ell2(digits, (q2 - 13) // 23)
+    started = time.perf_counter()
+    result = _verify_child(cert, digits)
+    elapsed = time.perf_counter() - started
+    assert result.returncode == 1, result.stderr
+    assert elapsed < seconds, f"took {elapsed:.2f}s"
+    checks = {c["name"]: c for c in
+              json.loads(result.stdout)["blocks"][0]["checks"]}
+    refused = (f"could not certify: baby-step table would need "
+               f"{brief(math.isqrt(q2 - 2) + 1)} entries (limit 16777216); "
+               "modulus too large")
+    assert checks["prime"] == {"name": "prime", "passed": False,
+                               "required": True, "detail": refused}
+    assert checks["primitive_root"]["detail"] == refused
 
 
 @pytest.mark.parametrize("key,value", [
@@ -981,30 +1018,33 @@ def test_cli_verify_applies_the_table_cap_before_factoring(tmp_path, capsys,
     while not nt.is_prime(ell2 * q1 + qn):
         ell2 += 1
     q2 = ell2 * q1 + qn
-    lines = digits.read_text(encoding="utf-8").splitlines(keepends=True)
-    body = [i for i, line in enumerate(lines) if not line.startswith("#")]
-    lines[body[5]] = f"{ell2}\n"
-    digits.write_text("".join(lines), encoding="utf-8")
+    _edit_ell2(digits, ell2)
     argv = ["verify", "--cert", str(cert), "--digits", str(digits)]
 
-    def primitive_root_detail():
+    def prime_details():
         assert main(argv) == 1
         checks = {c["name"]: c for c in
                   json.loads(capsys.readouterr().out)["blocks"][0]["checks"]}
-        assert checks["prime"]["detail"] == str(q2)
-        return checks["primitive_root"]["detail"]
+        return checks["prime"]["detail"], checks["primitive_root"]["detail"]
 
     capsys.readouterr()
-    assert primitive_root_detail() == f"2 generates mod {q2}"
+    assert prime_details() == (str(q2), f"2 generates mod {q2}")
     monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", "1024")
-    assert primitive_root_detail() == (
-        f"could not certify: baby-step table would need "
-        f"{math.isqrt(q2 - 2) + 1} entries (limit 1024); modulus too large")
-    monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", "12")
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: bad ABNORMAL_FORGE_MEM_BUDGET: memory budget below 1 KiB "
-        "is unusable\n")
+    refused = (f"could not certify: baby-step table would need "
+               f"{math.isqrt(q2 - 2) + 1} entries (limit 1024); modulus too "
+               "large")
+    assert prime_details() == (refused, refused)
+    # A budget too small to use, or one whose table cap would admit primes
+    # past the deterministic Miller-Rabin bound, is a usage error.
+    for budget, message in [
+            ("12", "memory budget below 1 KiB is unusable"),
+            (str(160 << 40), f"a {(160 << 40) // 96}-entry table cap admits "
+             "primes past the deterministic Miller-Rabin bound "
+             "3317044064679887385961981")]:
+        monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", budget)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad ABNORMAL_FORGE_MEM_BUDGET: {message}\n")
 
 
 def _construct_child(tmp_path, *flags):

@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from abnormal_forge import nt
+from abnormal_forge._dectext import brief
 from abnormal_forge.errors import ResourceBudgetExceeded, SearchExhausted
 from abnormal_forge.nt import (SMALL_PRIMES, ArtinPrime, baby_step_entries,
                                coprimizing_multiplier, corollary_hypotheses,
@@ -35,24 +36,57 @@ def test_is_prime_small_exhaustive():
 
 
 def test_is_prime_known_large():
-    assert is_prime(2**89 - 1)          # Mersenne prime
-    assert is_prime(2**107 - 1)         # Mersenne prime
-    assert not is_prime((2**89 - 1) * (2**107 - 1))
+    # Past psi_13 only trial division answers; anything else is refused.
+    assert is_prime(2**61 - 1)          # Mersenne prime
     assert not is_prime(2**67 - 1)      # classic Mersenne composite
+    assert not is_prime(3 * (2**107 - 1))
+    for n in (2**89 - 1, 2**107 - 1, (2**89 - 1) * (2**107 - 1),
+              nt._MR_DETERMINISTIC_BOUND):
+        with pytest.raises(ResourceBudgetExceeded) as info:
+            is_prime(n)
+        assert str(info.value) == (
+            f"{brief(n)} is past the deterministic Miller-Rabin bound "
+            "3317044064679887385961981; its primality is not proven")
 
 
 def test_is_prime_random_vs_sympy():
+    # Up to 81 bits, all below psi_13 (about 2**81.45).
     rng = random.Random(1234)
     for _ in range(150):
-        n = rng.getrandbits(rng.randint(60, 130)) | 1
+        n = rng.getrandbits(rng.randint(60, 81)) | 1
         assert is_prime(n) == sympy.isprime(n), n
 
 
-def test_is_prime_policy_is_reproducible():
-    # Above the deterministic bound the seeded rounds give one answer.
-    n = sympy.nextprime(1 << 100)
-    assert n > nt._MR_DETERMINISTIC_BOUND
-    assert is_prime(n) and is_prime(n)
+# OEIS A014233: psi_n is the least odd composite that is a strong
+# pseudoprime to each of the first n prime bases.
+_PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751,
+        5: 2152302898747, 6: 3474749660383, 7: 341550071728321,
+        8: 341550071728321, 9: 3825123056546413051,
+        10: 3825123056546413051, 11: 3825123056546413051,
+        12: 318665857834031151167461, 13: 3317044064679887385961981}
+
+
+def test_mr_bound_matches_its_bases():
+    # The bases are the first primes, and the bound is psi for that count,
+    # so neither can drift from the other.
+    bases = nt._MR_BASES
+    assert bases == SMALL_PRIMES[:len(bases)]
+    assert nt._MR_DETERMINISTIC_BOUND == _PSI[len(bases)]
+    # Each psi_n is a strong pseudoprime to the first n bases.
+    for n, psi in _PSI.items():
+        assert not sympy.isprime(psi), n
+        d, s = psi - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        assert not any(nt._mr_witness(psi, a, d, s)
+                       for a in SMALL_PRIMES[:n]), n
+
+
+def test_is_prime_refutes_psi_12():
+    # psi_12 passes the first twelve bases; base 41 refutes it.
+    psi_12 = _PSI[12]
+    assert not is_prime(psi_12)
+    assert factorize(psi_12) == ((399165290221, 1), (798330580441, 1))
 
 
 def test_factorize_examples():
@@ -79,14 +113,15 @@ def test_factorize_handles_perfect_powers():
 
 
 def test_factorize_budget_error(monkeypatch):
-    p = sympy.nextprime(1 << 70)
+    p = sympy.nextprime(1 << 39)  # p * q stays below psi_13
     q = sympy.nextprime(p + 10**6)
     monkeypatch.setattr(nt, "FACTOR_EFFORT", 500)
     with pytest.raises(ResourceBudgetExceeded) as info:
         factorize(p * q)
-    # The message names the cofactor by bit size, not digit by digit.
+    # The message names the cofactor as brief() does: below psi_13 every
+    # operand has under 128 bits, so it is written out.
     assert str(info.value) == ("factorization effort budget exhausted on "
-                               f"<{(p * q).bit_length()}-bit integer>")
+                               f"{p * q}")
 
 
 def test_not_prime_messages_render_large_moduli_by_size(no_kept_table):
@@ -123,6 +158,25 @@ def test_is_primitive_root_rejects_bad_input():
         is_primitive_root(2, 15)   # composite modulus
     with pytest.raises(ValueError):
         is_primitive_root(11, 11)  # not a unit
+    # Composites that pass the Fermat part of Lucas's test: 2047 is a
+    # strong pseudoprime to base 2, and 561 a Carmichael number.
+    for g, p in ((2, 2047), (2, 561), (5, 561), (2, 1), (2, 0)):
+        with pytest.raises(ValueError, match="is not prime"):
+            is_primitive_root(g, p)
+
+
+def test_a_primitive_root_hit_is_tested_for_primality_once(
+        is_prime_operands):
+    operands = is_prime_operands
+    # A pass proves p prime, so only a failing p is tested (factorize
+    # tests the cofactors of p - 1 either way).
+    assert is_primitive_root(2, 59) and 59 not in operands
+    assert not is_primitive_root(2, 23) and operands.count(23) == 1
+    operands.clear()
+    for g, f, a in ((2, 23, 13), (2, 13, 10), (3, 2, 1), (2, 1019, 5)):
+        hit = find_artin_prime(g, f, a)
+        assert operands.count(hit.prime) == 1, (g, f, a)
+        operands.clear()
 
 
 def test_is_primitive_root_matches_order_computation():
