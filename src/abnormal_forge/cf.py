@@ -1,8 +1,8 @@
 """Continued-fraction mechanics.
 
-Convergents via the standard recurrence, conversion between rationals
-and digit sequences, cylinder intervals, the Gauss measure, and the
-classical approximation facts. All arithmetic is exact: integers and
+Convergents via the standard recurrence, the value of a finite digit
+sequence, cylinder intervals, the Gauss measure, and the classical
+approximation facts. All arithmetic is exact: integers and
 ``fractions.Fraction`` throughout, with the Gauss measure delivered as
 a fixed-point binary value with :data:`LOG2_BITS` (64) fractional
 bits, the one precision every caller uses. :func:`gauss_measure_fixed`
@@ -56,24 +56,6 @@ def cf_to_rational(digits: Sequence[int]) -> Fraction:
     for last in convergent_stream(digits):
         pass
     return Fraction(last.p, last.q)
-
-
-def rational_to_cf(x: Fraction) -> list[int]:
-    """Digit expansion of a rational in (0, 1) by the Euclidean algorithm.
-
-    Returns the canonical (shorter) of the two finite representations:
-    the last digit is >= 2 whenever the expansion has more than one
-    digit, so the round trip through :func:`cf_to_rational` is exact.
-    """
-    if not 0 < x < 1:
-        raise ValueError(f"x must lie strictly between 0 and 1, got {x}")
-    digits = []
-    num, den = x.numerator, x.denominator
-    while num:
-        a, rem = divmod(den, num)
-        digits.append(a)
-        num, den = rem, num
-    return digits
 
 
 class CylinderInterval(NamedTuple):

@@ -2,8 +2,7 @@
 
 Subcommands: ``construct`` (run the pipeline, write digit + certificate
 files), ``verify`` (recheck certificates against a digit stream),
-and ``analyze`` (digit statistics for partial quotients or base
-digits).
+and ``analyze cf`` (partial-quotient statistics of a digit file).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse/domain
 error, 3 search exhaustion or resource budget exceeded (partial outputs
@@ -11,10 +10,9 @@ are flushed with a ``partial: true`` header).
 
 The environment variable ``ABNORMAL_FORGE_MEM_BUDGET`` (bytes) caps the
 tail-digit size, the discrete-log table (which ``verify`` holds each
-block prime to as well), ``analyze base --places`` and, with an rng
-seed, the digits ``construct`` writes: ``--total-digits``, or block 1's
-N + 4 when larger. It counts the data a command builds,
-not the interpreter's own ~16.5 MiB.
+block prime to as well) and, with an rng seed, the digits ``construct``
+writes: ``--total-digits``, or block 1's N + 4 when larger. It counts
+the data a command builds, not the interpreter's own ~16.5 MiB.
 
 Each process runs one subcommand, so each handler imports the modules it
 runs: importing this module, or running ``verify``, loads no more of the
@@ -48,15 +46,6 @@ def _budget_from_env():
         return SearchBudget.from_mem_bytes(int(raw))
     except ValueError as exc:
         raise InputFormatError(f"bad {MEM_BUDGET_ENV}: {exc}") from None
-
-
-def _refuse_past_budget(count: int, item_bytes: int, what: str) -> None:
-    """Raise before ``count`` items of ``item_bytes`` each pass the budget."""
-    budget = _budget_from_env().tail_bits // 8  # from_mem_bytes, inverted
-    if count * item_bytes > budget:
-        raise ResourceBudgetExceeded(
-            f"{brief(count)} {what} need about {brief(count * item_bytes)} "
-            f"bytes, past the {budget}-byte memory budget")
 
 
 def _digits_short(total: int, block_size: int, blocks: int) -> str | None:
@@ -117,16 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cf_p.add_argument("--strings", required=True, metavar="S",
                       help="semicolon-separated patterns, e.g. '1;2;1,1'")
     cf_p.add_argument("--prefix", type=int, required=True, metavar="N")
-    base_p = ana_sub.add_parser("base", help="base-b expansion of a rational")
-    base_p.add_argument("--num", type=int, required=True)
-    base_p.add_argument("--den", type=int, required=True)
-    base_p.add_argument("--base", type=int, required=True)
-    base_p.add_argument("--places", type=int, required=True)
-    base_p.add_argument("--symbol", type=int, default=None,
-                        help="symbol for the run report (default: base-1)")
-    # radix.TERMINATING and radix.NON_TERMINATING, without importing radix.
-    base_p.add_argument("--convention", default="non-terminating",
-                        choices=["terminating", "non-terminating"])
 
     return parser
 
@@ -165,7 +144,12 @@ def _cmd_construct(args) -> int:
         # Measured peak: about 18 B per sampled digit written; block 1
         # alone samples N digits and writes N + 4, whatever the total.
         first = config.block_size + 4 if config.blocks else 0
-        _refuse_past_budget(max(first, total or 0), 18, "digits")
+        count = max(first, total or 0)
+        limit = budget.tail_bits // 8  # from_mem_bytes, inverted
+        if count * 18 > limit:
+            raise ResourceBudgetExceeded(
+                f"{brief(count)} digits need about {brief(count * 18)} "
+                f"bytes, past the {limit}-byte memory budget")
     # Built before the run, so a bad SOURCE_DATE_EPOCH costs no construction.
     header = run_header(dict(config.echo(), total_digits=args.total_digits),
                         seed_descriptor)
@@ -271,33 +255,6 @@ def _cmd_analyze_cf(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze_base(args) -> int:
-    from fractions import Fraction
-
-    from .radix import base_expansion, max_run
-    if args.den < 1:
-        raise InputFormatError(f"denominator must be >= 1, got {args.den}")
-    # Measured peak: about 80 B per place (base**places and the digits).
-    _refuse_past_budget(args.places, 80, "places")
-    x = Fraction(args.num, args.den)
-    digits = base_expansion(x, args.base, args.places,
-                            convention=args.convention)
-    symbol = args.symbol if args.symbol is not None else args.base - 1
-    if not 0 <= symbol < args.base:
-        raise InputFormatError(
-            f"symbol {symbol} is not a base-{args.base} digit")
-    runs = max_run(digits, symbol, args.places)
-    if args.base <= 10:
-        rendered = "".join(str(d) for d in digits)
-    else:
-        rendered = ",".join(str(d) for d in digits)
-    print(json.dumps({"base": args.base, "convention": args.convention,
-                      "places": args.places, "digits": rendered,
-                      "symbol": symbol, "longest_run": runs.longest_run,
-                      "differing": runs.differing}, indent=2))
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -309,9 +266,7 @@ def main(argv=None) -> int:
             return _cmd_construct(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.analyze_kind == "cf":  # argparse leaves only analyze
-            return _cmd_analyze_cf(args)
-        return _cmd_analyze_base(args)
+        return _cmd_analyze_cf(args)  # argparse leaves only analyze cf
     except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

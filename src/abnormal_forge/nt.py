@@ -33,7 +33,7 @@ import math
 import random
 from typing import NamedTuple
 
-from ._dectext import brief
+from ._dectext import brief, brief_bits
 from .errors import InfeasibleError, ResourceBudgetExceeded, SearchExhausted
 
 _SMALL_PRIME_LIMIT = 1 << 16
@@ -428,13 +428,19 @@ def find_artin_prime(g: int, f: int, a: int,
 
 def baby_step_entries(p: int, max_entries: int) -> int:
     """ceil(sqrt(p - 1)) entries for a first table mod p; refused past the cap,
-    so the largest p a cap admits is max_entries**2 + 1."""
-    size = math.isqrt(p - 2) + 1
-    if size > max_entries:
-        raise ResourceBudgetExceeded(
-            f"baby-step table would need {brief(size)} entries "
-            f"(limit {max_entries}); modulus too large")
-    return size
+    so the largest p a cap admits is max_entries**2 + 1. A refused p forms no
+    root: isqrt(n) + 1 has the least b bits with (2**b - 1)**2 > n, and that
+    b is (n.bit_length() + 1) // 2 or one more."""
+    n = p - 2
+    if n < max_entries**2:
+        return math.isqrt(n) + 1
+    bits = (n.bit_length() + 1) // 2
+    if (1 << 2 * bits) - (1 << bits + 1) + 1 <= n:  # (2**bits - 1)**2
+        bits += 1
+    size = brief_bits(bits) if bits > 128 else brief(math.isqrt(n) + 1)
+    raise ResourceBudgetExceeded(
+        f"baby-step table would need {size} entries "
+        f"(limit {max_entries}); modulus too large")
 
 
 @functools.lru_cache(maxsize=1)

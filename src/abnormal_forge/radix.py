@@ -85,29 +85,6 @@ def count_occurrences(digits: Sequence[int], pattern: Sequence[int],
     return count
 
 
-class RunStats(NamedTuple):
-    """Longest run of a symbol in a prefix, plus how many positions differ from it."""
-
-    longest_run: int
-    differing: int
-
-
-def max_run(digits: Sequence[int], symbol: int, prefix_len: int) -> RunStats:
-    if prefix_len > len(digits):
-        raise ValueError(
-            f"prefix {prefix_len} exceeds the {len(digits)} available digits")
-    longest = current = differing = 0
-    for i in range(prefix_len):
-        if digits[i] == symbol:
-            current += 1
-            if current > longest:
-                longest = current
-        else:
-            current = 0
-            differing += 1
-    return RunStats(longest_run=longest, differing=differing)
-
-
 def cf_normality_report(digits: Sequence[int], patterns: Sequence[Sequence[int]],
                         prefix_len: int) -> list[DigitStats]:
     """Occurrence statistics of partial-quotient strings against Gauss-measure targets."""

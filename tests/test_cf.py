@@ -6,8 +6,7 @@ import pytest
 
 from abnormal_forge.cf import (LOG2_BITS, approx_bound, cf_to_rational,
                                convergent_sign, convergent_stream,
-                               cylinder_interval, gauss_measure, log2_fixed,
-                               rational_to_cf)
+                               cylinder_interval, gauss_measure, log2_fixed)
 
 
 def test_convergent_stream_examples():
@@ -36,6 +35,7 @@ def test_convergents_match_fraction_fold():
         for last in convergent_stream(digits):
             pass
         assert Fraction(last.p, last.q) == acc
+        assert cf_to_rational(digits) == acc
 
 
 def test_consecutive_denominators_coprime():
@@ -55,38 +55,6 @@ def test_cf_to_rational_examples():
     assert cf_to_rational([1, 1, 1]) == Fraction(2, 3)
     with pytest.raises(ValueError):
         cf_to_rational([])
-
-
-def test_rational_to_cf_examples():
-    assert rational_to_cf(Fraction(2, 5)) == [2, 2]
-    assert rational_to_cf(Fraction(7, 10)) == [1, 2, 3]
-    assert rational_to_cf(Fraction(1, 2)) == [2]
-    with pytest.raises(ValueError):
-        rational_to_cf(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        rational_to_cf(Fraction(0))
-
-
-def test_round_trip_canonical():
-    rng = random.Random(99)
-    for _ in range(400):
-        n = rng.randint(1, 12)
-        digits = [rng.randint(1, 9) for _ in range(n)]
-        if n > 1 and digits[-1] == 1:
-            digits[-1] = 2  # canonical form: last digit >= 2
-        if n == 1:
-            digits[0] = max(digits[0], 2)
-        assert rational_to_cf(cf_to_rational(digits)) == digits
-
-
-def test_round_trip_value_any_form():
-    rng = random.Random(100)
-    for _ in range(300):
-        digits = [rng.randint(1, 9) for _ in range(rng.randint(1, 12))]
-        if len(digits) == 1:
-            digits[0] = max(digits[0], 2)
-        x = cf_to_rational(digits)
-        assert cf_to_rational(rational_to_cf(x)) == x
 
 
 def test_cylinder_examples():

@@ -1164,42 +1164,6 @@ def test_cli_analyze_cf_bad_prefix(tmp_path, capsys):
                  "--strings", "1", "--prefix", "50"]) == 2
 
 
-def test_cli_analyze_base_repeating_tail(capsys):
-    code = main(["analyze", "base", "--num", "23", "--den", "32768",
-                 "--base", "2", "--places", "225", "--symbol", "1"])
-    record = json.loads(capsys.readouterr().out)
-    assert code == 0
-    digits = record["digits"]
-    assert len(digits) == 225
-    assert set(digits[15:]) == {"1"}
-    assert record["longest_run"] == 210
-    assert record["differing"] <= 15
-
-
-def test_cli_analyze_base_wide_base_uses_commas(capsys):
-    code = main(["analyze", "base", "--num", "1", "--den", "3",
-                 "--base", "16", "--places", "4",
-                 "--convention", "terminating"])
-    record = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert record["digits"] == "5,5,5,5"  # 1/3 = 0x0.5555...
-    assert record["symbol"] == 15
-
-
-def test_cli_analyze_base_rejects_zero_denominator(capsys):
-    assert main(["analyze", "base", "--num", "1", "--den", "0",
-                 "--base", "2", "--places", "5"]) == 2
-    # A symbol that is no base-2 digit has no run to report.
-    for symbol in ("7", "-1"):
-        capsys.readouterr()
-        assert main(["analyze", "base", "--num", "1", "--den", "3",
-                     "--base", "2", "--places", "4", "--symbol", symbol]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: symbol {symbol} is not a base-2 "
-                                "digit\n")
-
-
 def test_readme_cli_block_matches_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
@@ -1219,6 +1183,8 @@ def test_readme_cli_block_matches_the_parser():
                      if tuple(words[1:1 + len(leaf)]) == leaf)
     # README shows every leaf subcommand, and no command the parser lacks.
     assert named == leaves
+    # The CLI is the pipeline: a new leaf needs a deliberate edit here.
+    assert leaves == {("construct",), ("verify",), ("analyze", "cf")}
 
 
 def _leaf_commands(parser, path=()):
@@ -1233,6 +1199,8 @@ def _leaf_commands(parser, path=()):
 def test_cli_usage_error_exit_code(capsys):
     assert main(["construct", "--blocks", "1"]) == 2
     assert main(["no-such-command"]) == 2
+    assert main(["analyze", "base", "--num", "1", "--den", "3",
+                 "--base", "2", "--places", "4"]) == 2
 
 
 def test_cli_rng_needs_total_digits_for_zero_blocks(tmp_path, capsys):
@@ -1251,13 +1219,17 @@ def test_cli_rng_needs_total_digits_for_zero_blocks(tmp_path, capsys):
     assert len(digits) == 25
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
+    path = tmp_path / "digits.cf"
+    path.write_text("1\n2\n1\n1\n", encoding="utf-8")
     result = subprocess.run(
-        [sys.executable, "-m", "abnormal_forge.cli", "analyze", "base",
-         "--num", "1", "--den", "3", "--base", "2", "--places", "4"],
+        [sys.executable, "-m", "abnormal_forge.cli", "analyze", "cf",
+         "--digits", str(path), "--strings", "1;1,1", "--prefix", "4"],
         capture_output=True, text=True)
     assert result.returncode == 0
-    assert '"digits": "0101"' in result.stdout
+    records = json.loads(result.stdout)
+    assert [(r["string"], r["count"]) for r in records] == [([1], 3),
+                                                           ([1, 1], 1)]
 
 
 def test_mem_budget_env_is_honored(tmp_path, monkeypatch, capsys):
@@ -1272,18 +1244,6 @@ def test_mem_budget_env_is_honored(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "baby-step table would need 1000502 entries (limit 2133)" in err
-
-
-def test_mem_budget_caps_analyze_base_places(monkeypatch, capsys):
-    # 10**6 places take about 80 MB; the 1 MiB budget refuses them before
-    # base**places is formed.
-    monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", str(1 << 20))
-    code = main(["analyze", "base", "--num", "1", "--den", "3",
-                 "--base", "2", "--places", "1000000"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (3, "")
-    assert captured.err == ("error: 1000000 places need about 80000000 "
-                            "bytes, past the 1048576-byte memory budget\n")
 
 
 def test_mem_budget_caps_construct_total_digits(tmp_path, monkeypatch, capsys):

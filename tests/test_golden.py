@@ -61,9 +61,6 @@ def test_construct_and_verify_bytes_are_pinned(seed_args, mode, expected,
 # paper-mode digit file, as README's `construct ... --out-digits y.cf`
 # writes it.
 COMMANDS = [
-    (["analyze", "base", "--num", "23", "--den", "32768", "--base", "2",
-      "--places", "225", "--symbol", "1"], 0,
-     "452ce4774fd956728da8c87400fd3edb0ed540b03f77250f942f3fc2f255fe80", None),
     (["analyze", "cf", "--digits", "y.cf", "--strings", "1;2;1,1",
       "--prefix", "8"], 0,
      "2d8315cafc3c0e570e7437c3753f404b0e030f00f06ca3d3edaaeff674ebec34", None),
@@ -77,7 +74,7 @@ COMMANDS = [
 
 
 @pytest.mark.parametrize("argv,code,out_sha,err_sha", COMMANDS, ids=[
-    "analyze-base", "analyze-cf", "construct-search-exhausted"])
+    "analyze-cf", "construct-search-exhausted"])
 def test_command_bytes_are_pinned(argv, code, out_sha, err_sha,
                                   tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -107,8 +104,6 @@ HELP = [
      "f819dd01633a8eb89621b57a3f5c9ed1d7e73d3d930ba6f9819f74a534fd10ee"),
     (["analyze", "cf"],
      "f7187ab268a333abc8b0510dc0856e471b0b01f0acbd57832217b36e5b722445"),
-    (["analyze", "base"],
-     "1478fef490f492478e656382c5429187df6f57d8749a9e7fc0139fb37f9922c5"),
 ]
 
 

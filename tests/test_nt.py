@@ -379,6 +379,16 @@ def test_baby_step_entries_refuses_past_the_cap():
     assert str(excinfo.value) == (
         "baby-step table would need <4501-bit integer> entries "
         "(limit 16777216); modulus too large")
+    # The refused size comes from bit lengths; at the operands where its
+    # bit count steps, the message is the one isqrt's root would give.
+    for m in (2, 3, 63, 64, 127, 128, 129, 300):
+        for n in ((2**m - 1)**2 - 1, (2**m - 1)**2, (2**m - 1)**2 + 1,
+                  4**m - 1, 4**m, 4**m + 1):
+            with pytest.raises(ResourceBudgetExceeded) as excinfo:
+                baby_step_entries(n + 2, 1)
+            assert str(excinfo.value) == (
+                f"baby-step table would need {brief(math.isqrt(n) + 1)} "
+                "entries (limit 1); modulus too large")
 
 
 def test_discrete_log_repeats_under_small_table_cap(no_kept_table):

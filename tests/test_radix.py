@@ -5,8 +5,7 @@ import pytest
 
 from abnormal_forge.cf import gauss_measure
 from abnormal_forge.radix import (NON_TERMINATING, base_expansion,
-                                  cf_normality_report, count_occurrences,
-                                  max_run)
+                                  cf_normality_report, count_occurrences)
 
 
 def test_base_expansion_examples():
@@ -101,15 +100,6 @@ def test_concatenation_boundary_loss():
         parts = (count_occurrences(a, pattern, len(a))
                  + count_occurrences(b, pattern, len(b)))
         assert parts <= whole <= parts + len(pattern) - 1
-
-
-def test_max_run_examples():
-    runs = max_run([1, 1, 0, 1, 1, 1], 1, 6)
-    assert (runs.longest_run, runs.differing) == (3, 1)
-    runs = max_run([9, 9, 9, 9], 9, 4)
-    assert (runs.longest_run, runs.differing) == (4, 0)
-    runs = max_run([0, 1, 0, 1], 1, 4)
-    assert (runs.longest_run, runs.differing) == (1, 2)
 
 
 def test_cf_normality_report_examples():
