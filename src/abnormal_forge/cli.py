@@ -212,9 +212,7 @@ def _cmd_verify(args) -> int:
             "index": report.index,
             "passed": report.passed,
             "tail_bound_met": report.tail_bound_met,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "required": c.required, "detail": c.detail}
-                       for c in report.checks],
+            "checks": [c._asdict() for c in report.checks],
         })
     print(json.dumps({"all_passed": all_passed, "blocks": blocks}, indent=2))
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED

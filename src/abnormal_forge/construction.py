@@ -38,14 +38,29 @@ MODE_RELAXED = "relaxed"
 MODE_TOY = "toy"
 
 
-# NamedTuple refuses a class body's own __new__ or _make, so the two records
-# that check their values subclass a NamedTuple of their fields.
+class _Checked:
+    """Base of the records that check their values in ``__new__``.
+
+    NamedTuple refuses a class body's own ``__new__`` or ``_make``, so each
+    such record subclasses this base and a NamedTuple of its fields.
+    ``_replace`` builds through ``_make``, whose ``tuple.__new__`` would skip
+    the checks, so ``_make`` calls the class; a copy or an unpickled record
+    calls ``__new__`` itself.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _ModeFields(NamedTuple):
     kind: str
     scale: Fraction | None = None
 
 
-class Mode(_ModeFields):
+class Mode(_Checked, _ModeFields):
     """Tail-digit policy.
 
     ``paper``   - full bound: the tail exceeds base**(k**2), pinning the
@@ -69,12 +84,6 @@ class Mode(_ModeFields):
         elif self.scale is not None:
             raise ValueError(f"mode {self.kind!r} takes no scale")
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> Mode:
-        # _replace builds through _make, whose tuple.__new__ would skip the
-        # checks above; a copy or an unpickled record calls __new__ itself.
-        return cls(*iterable)
 
     @staticmethod
     def parse(text: str) -> "Mode":
@@ -106,7 +115,7 @@ class _BudgetFields(NamedTuple):
     tail_bits: int = 1 << 31
 
 
-class SearchBudget(_BudgetFields):
+class SearchBudget(_Checked, _BudgetFields):
     """Effort and memory caps for the per-block searches.
 
     ``artin_limit`` caps the prime search's candidates; ``tail_bits``
@@ -132,10 +141,6 @@ class SearchBudget(_BudgetFields):
                 f"{nt._MR_DETERMINISTIC_BOUND}")
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> SearchBudget:
-        return cls(*iterable)  # so _replace checks too, as Mode._make does
-
     @staticmethod
     def from_mem_bytes(mem: int) -> "SearchBudget":
         """Derive caps from a single memory budget in bytes."""
@@ -156,7 +161,7 @@ class _ConfigFields(NamedTuple):
     budget: SearchBudget = DEFAULT_BUDGET  # immutable, so safe to share
 
 
-class ConstructionConfig(_ConfigFields):
+class ConstructionConfig(_Checked, _ConfigFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ConstructionConfig:
@@ -169,10 +174,6 @@ class ConstructionConfig(_ConfigFields):
         if self.tail_offset < 0:
             raise ValueError(f"tail offset must be >= 0, got {self.tail_offset}")
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> ConstructionConfig:
-        return cls(*iterable)  # so _replace checks too, as Mode._make does
 
     def echo(self) -> dict:
         return {"block_size": self.block_size, "blocks": self.blocks,
@@ -207,20 +208,16 @@ def base_schedule(i: int) -> int:
 
 
 def block_boundary(block_size: int, i: int) -> int:
-    """Stream index of the last seed digit of block i: 2**(i-1) * N + 4(i-1)."""
+    """Stream index of the last seed digit of block i: 2**(i-1) * N + 4(i-1).
+
+    So blocks 1 and 2 hold N seed digits each and every later block twice
+    as many as the one before; ``construct`` reads each block's length here.
+    """
     if block_size < 2 or block_size % 2:
         raise ValueError("block size must be even and >= 2")
     if i < 1:
         raise ValueError(f"block index must be >= 1, got {i}")
     return (1 << (i - 1)) * block_size + 4 * (i - 1)
-
-
-def seed_block(source, i: int, block_size: int) -> list[int]:
-    """Seed digits forming block i: N digits for i = 1, then doubling lengths."""
-    if i < 1:
-        raise ValueError(f"block index must be >= 1, got {i}")
-    length = block_size if i == 1 else (1 << (i - 2)) * block_size
-    return source.next_digits(length)
 
 
 def ilog_floor(x: int, base: int) -> int:
@@ -291,7 +288,6 @@ class BlockPlan(NamedTuple):
     q1: int
     q2: int
     q3: int
-    candidates_tested: int
 
 
 def plan_block(q_prev: int, q_cur: int, base: int,
@@ -350,8 +346,7 @@ def plan_block(q_prev: int, q_cur: int, base: int,
         raise RuntimeError(f"{base}**{k} - q1 is not a positive multiple of "
                            f"the prime {q2}; the discrete log is broken")
     return BlockPlan(ell1=ell1, ell2=ell2, ell3=ell3, exponent=k,
-                     q1=q1, q2=q2, q3=q3,
-                     candidates_tested=hit.candidates_tested)
+                     q1=q1, q2=q2, q3=q3)
 
 
 class BlockCertificate(NamedTuple):
@@ -439,13 +434,13 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
     for i in range(1, config.blocks + 1):
         base = base_schedule(i)
         try:
-            block = seed_block(source, i, config.block_size)
+            boundary = block_boundary(config.block_size, i)
+            block = source.next_digits(boundary - len(digits))
             if certificates:
                 # The previous tail enters the recurrence only now.
                 q_prev, q_cur = q_cur, digits[-1] * q_cur + q_prev
             for d in block:
                 emit(d)
-            boundary = block_boundary(config.block_size, i)
             if len(digits) != boundary:
                 raise InputFormatError(
                     f"seed source gave {len(digits)} digits where block {i} "

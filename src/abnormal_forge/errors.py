@@ -22,10 +22,6 @@ class InputFormatError(ValueError):
         self.line = line
 
 
-class InfeasibleError(ValueError):
-    """No solution exists (the coprimizing-multiplier scan finds none)."""
-
-
 class SearchExhausted(RuntimeError):
     """A bounded search ran out of candidates before finding a hit.
 

@@ -34,7 +34,7 @@ import random
 from typing import NamedTuple
 
 from ._dectext import brief, brief_bits
-from .errors import InfeasibleError, ResourceBudgetExceeded, SearchExhausted
+from .errors import ResourceBudgetExceeded, SearchExhausted
 
 _SMALL_PRIME_LIMIT = 1 << 16
 
@@ -317,7 +317,7 @@ def coprimizing_multiplier(q: int, q_prev: int, avoid: int) -> int:
             return ell
     # Unreachable for honest inputs: valid multipliers have positive
     # density under the coprimality precondition.
-    raise InfeasibleError(
+    raise ValueError(
         f"no coprimizing multiplier below {_COPRIMIZER_SCAN_LIMIT}; "
         "preconditions violated?")
 
@@ -472,8 +472,6 @@ def discrete_log(g: int, h: int, p: int, *,
     h %= p
     if h == 0:
         raise ValueError("h = 0 mod p has no discrete logarithm")
-    if p == 2:
-        return 0
     table, m, giant = kept[0]
     if 0 < m <= max_table_entries:
         size = min(2 * m, p - 1, max_table_entries)

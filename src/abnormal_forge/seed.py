@@ -219,6 +219,3 @@ class ListDigitSource:
         out = self._digits[self.position:self.position + count]
         self.position += count
         return out
-
-    def descriptor(self) -> dict:
-        return {"kind": "list", "length": len(self._digits)}

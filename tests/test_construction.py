@@ -19,7 +19,7 @@ from abnormal_forge.construction import (BlockCertificate, ConstructionAborted,
                                          SearchBudget, base_schedule,
                                          block_boundary, construct,
                                          ilog_floor, insertion_density,
-                                         plan_block, seed_block, tail_digit,
+                                         plan_block, tail_digit,
                                          verify_certificate)
 from abnormal_forge.errors import ResourceBudgetExceeded, SearchExhausted
 from abnormal_forge.nt import is_perfect_square
@@ -50,13 +50,6 @@ def test_block_boundary_examples():
         block_boundary(5, 1)
     with pytest.raises(ValueError):
         block_boundary(4, 0)
-
-
-def test_seed_block_lengths_and_positions():
-    source = ListDigitSource(list(range(1, 17)))
-    assert seed_block(source, 1, 4) == [1, 2, 3, 4]
-    assert seed_block(source, 2, 4) == [5, 6, 7, 8]
-    assert seed_block(source, 3, 4) == [9, 10, 11, 12, 13, 14, 15, 16]
 
 
 def test_plan_block_worked_example():

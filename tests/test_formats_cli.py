@@ -779,14 +779,19 @@ def test_cli_verify_exit_2_on_bad_cert(tmp_path, capsys):
     bad.write_text("{")
     digits = _write_seed(tmp_path)
     assert main(["verify", "--cert", str(bad), "--digits", str(digits)]) == 2
-    # A block list or a mode of the wrong JSON type, or a format version
-    # this reader does not know, is refused the same way.
+    # A block list, a mode or a list field of the wrong JSON type or
+    # length, or a format version this reader does not know, is refused
+    # the same way.
     digits, cert = _construct_worked(tmp_path)
+    arity = {"inserted": 4, "denoms_before": 2}
     for key, value in [("blocks", 5), ("blocks", None),
                        ("mode", 5), ("mode", None),
-                       ("format_version", "2"), ("format_version", None)]:
+                       ("format_version", "2"), ("format_version", None),
+                       ("inserted", ["1", "2", "555"]),
+                       ("inserted", "1,2,555,3"), ("denoms_before", None)]:
         payload = json.loads(cert.read_text(encoding="utf-8"))
-        record = payload if key != "mode" else payload["blocks"][0]
+        in_block = key not in ("blocks", "format_version")
+        record = payload["blocks"][0] if in_block else payload
         record[key] = value
         bad.write_text(json.dumps(payload), encoding="utf-8")
         capsys.readouterr()
@@ -794,6 +799,10 @@ def test_cli_verify_exit_2_on_bad_cert(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), (key, value)
         assert captured.err.startswith("error: "), (key, value)
+        if key in arity:
+            assert captured.err == (
+                f"error: bad certificate record: {key} must be a list of "
+                f"{arity[key]} integers\n"), (key, value)
     # JSON nested past the recursion limit, as a certificate file and as a
     # digit file's header comment: exit 2, not a RecursionError traceback.
     nested = "[" * 200_000 + "]" * 200_000
@@ -1162,6 +1171,14 @@ def test_cli_analyze_cf_bad_prefix(tmp_path, capsys):
     path.write_text("1\n2\n", encoding="utf-8")
     assert main(["analyze", "cf", "--digits", str(path),
                  "--strings", "1", "--prefix", "50"]) == 2
+    # Patterns that do not parse, hold a digit below 1, or are all empty.
+    for strings, message in [("1,x", "bad pattern '1,x'"),
+                             ("0", "patterns need digits >= 1: '0'"),
+                             (";", "no patterns given")]:
+        capsys.readouterr()
+        assert main(["analyze", "cf", "--digits", str(path),
+                     "--strings", strings, "--prefix", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n", strings
 
 
 def test_readme_cli_block_matches_the_parser():
@@ -1217,6 +1234,17 @@ def test_cli_rng_needs_total_digits_for_zero_blocks(tmp_path, capsys):
     assert code == 0
     digits, _ = read_digit_file(tmp_path / "d.cf")
     assert len(digits) == 25
+
+
+def test_cli_seed_file_writes_every_seed_digit_for_zero_blocks(tmp_path):
+    seed = _write_seed(tmp_path, list(range(1, 8)))
+    code = main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "0",
+                 "--out-digits", str(tmp_path / "d.cf"),
+                 "--out-cert", str(tmp_path / "c.json")])
+    assert code == 0
+    digits, _ = read_digit_file(tmp_path / "d.cf")
+    assert digits == list(range(1, 8))
 
 
 def test_console_entry_point_runs(tmp_path):

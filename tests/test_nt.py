@@ -273,6 +273,8 @@ def test_discrete_log_examples():
     assert discrete_log(2, 3, 11) == 8
     assert discrete_log(2, 23, 59) == 15
     assert discrete_log(2, 1, 11) == 0
+    for g in (1, 3, 5):  # mod 2, the general path's one-entry table
+        assert discrete_log(g, 1, 2) == 0
 
 
 def test_discrete_log_errors():
@@ -280,6 +282,8 @@ def test_discrete_log_errors():
         discrete_log(2, 0, 11)
     with pytest.raises(ValueError):
         discrete_log(2, 3, 12)  # composite modulus
+    with pytest.raises(ValueError, match="g must be a unit modulo p"):
+        discrete_log(2, 1, 2)
     big = sympy.nextprime(10**12)
     with pytest.raises(ResourceBudgetExceeded):
         discrete_log(3, 7, big, max_table_entries=100)
