@@ -87,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="add T to every tail digit (distinct valid streams)")
     con.add_argument("--search-limit", type=int, metavar="COUNT",
                      help="candidate cap for prime searches")
-    con.add_argument("--digit-cap", type=int, metavar="CAP",
-                     help="clamp sampled seed digits at CAP")
     con.add_argument("--total-digits", type=int, default=None, metavar="M",
                      help="digits to write (default: through the last tail)")
     con.add_argument("--out-digits", required=True, metavar="PATH")
@@ -114,14 +112,13 @@ def _make_source(args):
     if args.seed_file is not None:
         from .formats import FileDigitSource
         return FileDigitSource(args.seed_file)
-    from .seed import DEFAULT_DIGIT_CAP, RngDigitSource
-    cap = DEFAULT_DIGIT_CAP if args.digit_cap is None else args.digit_cap
-    return RngDigitSource(args.seed_rng, cap=cap)
+    from .seed import RngDigitSource
+    return RngDigitSource(args.seed_rng)
 
 
 def _cmd_construct(args) -> int:
     from .construction import (ConstructionAborted, ConstructionConfig, Mode,
-                               block_boundary, construct)
+                               construct)
     from .formats import run_header, write_certificate_file, write_digit_file
     budget = _budget_from_env()
     if args.search_limit is not None:
@@ -138,6 +135,9 @@ def _cmd_construct(args) -> int:
     if short is not None:
         raise InputFormatError(f"--total-digits {total} is below the "
                                f"{short} digits the certificates need")
+    if total is None and not config.blocks and args.seed_rng is not None:
+        raise InputFormatError(
+            "--total-digits is required for blocks=0 with an rng seed")
     source = _make_source(args)
     seed_descriptor = source.descriptor()
     if args.seed_rng is not None:
@@ -168,13 +168,8 @@ def _cmd_construct(args) -> int:
         return EXIT_RESOURCE
 
     if total is None:
-        if config.blocks:  # every block was built, so the count is small
-            total = block_boundary(config.block_size, config.blocks) + 4
-        elif args.seed_file is not None:
-            total = len(source)
-        else:
-            raise InputFormatError(
-                "--total-digits is required for blocks=0 with an rng seed")
+        total = (len(result.digits_through_blocks) if config.blocks
+                 else len(source))
     digits = result.prefix(total)
 
     write_digit_file(args.out_digits, digits, header)
@@ -227,9 +222,10 @@ def _parse_patterns(text: str) -> list[list[int]]:
         try:
             pattern = [int(part) for part in chunk.split(",")]
         except ValueError:
-            raise InputFormatError(f"bad pattern {chunk!r}") from None
+            raise InputFormatError(f"bad pattern {brief(chunk)!r}") from None
         if not pattern or any(d < 1 for d in pattern):
-            raise InputFormatError(f"patterns need digits >= 1: {chunk!r}")
+            raise InputFormatError(
+                f"patterns need digits >= 1: {brief(chunk)!r}")
         patterns.append(pattern)
     if not patterns:
         raise InputFormatError("no patterns given")

@@ -392,6 +392,7 @@ class ConstructedNumber:
         self.certificates = tuple(certificates)
         self._source = source
         self._digits = list(digits)
+        self._built = len(self._digits)
 
     @property
     def insertion_positions(self) -> tuple[int, ...]:
@@ -402,16 +403,13 @@ class ConstructedNumber:
 
     @property
     def digits_through_blocks(self) -> list[int]:
-        end = (block_boundary(self.config.block_size, self.config.blocks) + 4
-               if self.config.blocks else 0)
-        return self._digits[:end] if end else list(self._digits)
+        return self._digits[:self._built]
 
     def prefix(self, n: int) -> list[int]:
         if n < 0:
             raise ValueError(f"prefix length must be >= 0, got {n}")
-        while len(self._digits) < n:
-            chunk = min(4096, n - len(self._digits))
-            self._digits.extend(self._source.next_digits(chunk))
+        if len(self._digits) < n:
+            self._digits.extend(self._source.next_digits(n - len(self._digits)))
         return self._digits[:n]
 
 

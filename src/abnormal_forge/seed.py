@@ -24,9 +24,9 @@ same digits from the same seed ("splitmix64-gauss-markov-v1"):
   the one-digit cylinder of j and W(j, m) the measure of its
   sub-interval on which the next digit is >= m, i.e. the interval from
   m/(j*m + 1) to 1/j. (W(j, 1) = M(j), so k >= 1 always.)
-* Digits are clamped to a configurable cap (default 10**6) so that
-  astronomically rare huge digits cannot bloat downstream convergents;
-  the Markov state is the clamped digit.
+* Digits are clamped to ``DIGIT_CAP`` (10**6) so that astronomically
+  rare huge digits cannot bloat downstream convergents; the Markov state
+  is the clamped digit.
 
 Floating point appears only as a starting guess for the threshold walk;
 the exact integer comparisons decide every digit.
@@ -46,7 +46,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 SAMPLER_VERSION = "splitmix64-gauss-markov-v1"
-DEFAULT_DIGIT_CAP = 10**6
+DIGIT_CAP = 10**6
 
 
 class SplitMix64:
@@ -84,33 +84,31 @@ def _tail_weight(j: int, m: int) -> int:
     return gauss_measure_fixed(m, j * m + 1, 1, j)
 
 
-def digit_from_unit(u_fixed: int, cap: int = DEFAULT_DIGIT_CAP) -> int:
+def digit_from_unit(u_fixed: int) -> int:
     """Map a fixed-point uniform draw (u = u_fixed / 2**64, 0 < u < 1) to a digit.
 
-    Implements k = floor(1/(2**u - 1)) clamped to [1, cap]: the inverse
-    Gauss-measure CDF followed by the first-digit map.
+    Implements k = floor(1/(2**u - 1)) clamped to [1, DIGIT_CAP]: the
+    inverse Gauss-measure CDF followed by the first-digit map.
     """
     if not 0 < u_fixed < 1 << 64:
         raise ValueError("u_fixed must lie strictly between 0 and 2**64")
-    if cap < 1:
-        raise ValueError("digit cap must be >= 1")
     u = u_fixed / 2.0**64
     x = 2.0**u - 1.0
-    guess = int(1.0 / x) if x > 0 else cap
-    k = max(1, min(guess, cap))
-    while k < cap and u_fixed <= _threshold(k + 1):
+    guess = int(1.0 / x) if x > 0 else DIGIT_CAP
+    k = max(1, min(guess, DIGIT_CAP))
+    while k < DIGIT_CAP and u_fixed <= _threshold(k + 1):
         k += 1
     while k > 1 and u_fixed > _threshold(k):
         k -= 1
     return k
 
 
-def conditional_digit(u_fixed: int, prev: int, cap: int = DEFAULT_DIGIT_CAP) -> int:
+def conditional_digit(u_fixed: int, prev: int) -> int:
     """Next digit given the previous one, under the exact Gauss pair law."""
     if not 0 < u_fixed < 1 << 64:
         raise ValueError("u_fixed must lie strictly between 0 and 2**64")
-    if prev < 1 or cap < 1:
-        raise ValueError("previous digit and cap must be >= 1")
+    if prev < 1:
+        raise ValueError("previous digit must be >= 1")
     measure = _tail_weight(prev, 1)  # W(j, 1) = M(j)
     scaled = u_fixed * measure
     # Float starting guess: invert the conditional CDF in the tail variable.
@@ -120,9 +118,9 @@ def conditional_digit(u_fixed: int, prev: int, cap: int = DEFAULT_DIGIT_CAP) -> 
     target = hi - q * (hi - lo)  # log2(1 + x) at the conditional quantile
     ratio = 2.0**target
     tail = 1.0 / (ratio - 1.0) - prev if ratio > 1.0 else 0.0
-    guess = int(1.0 / tail) if tail > 0 else cap
-    k = max(1, min(guess, cap))
-    while k < cap and scaled <= _tail_weight(prev, k + 1) << 64:
+    guess = int(1.0 / tail) if tail > 0 else DIGIT_CAP
+    k = max(1, min(guess, DIGIT_CAP))
+    while k < DIGIT_CAP and scaled <= _tail_weight(prev, k + 1) << 64:
         k += 1
     while k > 1 and scaled > _tail_weight(prev, k) << 64:
         k -= 1
@@ -136,12 +134,11 @@ class RngDigitSource:
     follows the exact conditional law given its predecessor.
     """
 
-    def __init__(self, seed: int, cap: int = DEFAULT_DIGIT_CAP):
+    def __init__(self, seed: int):
         # SplitMix64 keeps 64 bits, so any other seed would alias one in range.
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         self.seed = seed
-        self.cap = cap
         self._rng = SplitMix64(seed)
         self._state: int | None = None
 
@@ -149,19 +146,18 @@ class RngDigitSource:
         out = []
         state = self._state
         rng = self._rng
-        cap = self.cap
         for _ in range(count):
             if state is None:
-                state = digit_from_unit(rng.next_unit(), cap)
+                state = digit_from_unit(rng.next_unit())
             else:
-                state = conditional_digit(rng.next_unit(), state, cap)
+                state = conditional_digit(rng.next_unit(), state)
             out.append(state)
         self._state = state
         return out
 
     def descriptor(self) -> dict:
         return {"kind": "rng", "algorithm": SAMPLER_VERSION,
-                "seed": str(self.seed), "digit_cap": self.cap}
+                "seed": str(self.seed), "digit_cap": DIGIT_CAP}
 
 
 def parse_digit_file(lines: Iterator[str]) -> list[int]:

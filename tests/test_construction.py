@@ -217,6 +217,8 @@ def test_construct_zero_blocks_streams_seed():
     result = construct(config, RngDigitSource(55))
     assert result.certificates == ()
     assert result.prefix(20) == RngDigitSource(55).next_digits(20)
+    # The continuation prefix read is not part of what construct built.
+    assert result.digits_through_blocks == []
 
 
 def test_construct_requires_even_block():

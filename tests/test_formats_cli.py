@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -952,6 +953,23 @@ def test_cli_construct_exhausted_seed_file_exits_2(tmp_path, capsys):
     assert "exhausted" in capsys.readouterr().err
 
 
+def test_cli_construct_reports_the_whole_seed_file_shortfall(tmp_path,
+                                                             capsys):
+    # Past the blocks the stream asks the file once for all it lacks:
+    # 9000 digits less the 8 that block 1 wrote.
+    seed = _write_seed(tmp_path, digits=[*WORKED_SEED, *[1] * 36])
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    code = main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "1", "--total-digits", "9000",
+                 "--out-digits", str(digits), "--out-cert", str(cert)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: digit file {seed} exhausted: needed "
+                            f"8992 more digits at position 4, only 36 "
+                            f"remain\n")
+    assert not digits.exists() and not cert.exists()
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_cli_construct_refuses_search_limit_below_one(tmp_path, capsys,
                                                       limit):
@@ -1002,19 +1020,6 @@ def test_cli_construct_passes_the_tail_offset(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 0
     capsys.readouterr()
-
-
-def test_cli_construct_passes_the_digit_cap(tmp_path, capsys):
-    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
-    assert main(["construct", "--seed-rng", "1", "--digit-cap", "2",
-                 "--block-size", "4", "--blocks", "1", "--mode", "toy",
-                 "--total-digits", "40",
-                 "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
-    capsys.readouterr()
-    stream, header = read_digit_file(digits)
-    assert header["seed"]["digit_cap"] == 2
-    seed_digits = stream[:4] + stream[8:]  # stream[4:8] are the insertions
-    assert len(seed_digits) == 36 and max(seed_digits) <= 2
 
 
 def test_cli_verify_applies_the_table_cap_before_factoring(tmp_path, capsys,
@@ -1172,9 +1177,15 @@ def test_cli_analyze_cf_bad_prefix(tmp_path, capsys):
     assert main(["analyze", "cf", "--digits", str(path),
                  "--strings", "1", "--prefix", "50"]) == 2
     # Patterns that do not parse, hold a digit below 1, or are all empty.
+    # Long patterns are shortened as every other message shortens text.
     for strings, message in [("1,x", "bad pattern '1,x'"),
                              ("0", "patterns need digits >= 1: '0'"),
-                             (";", "no patterns given")]:
+                             (";", "no patterns given"),
+                             ("x" * 5000,
+                              "bad pattern 'xxxxxxxxxxxx...xxxxxxxxxxxx'"),
+                             (",".join(["0"] * 5000),
+                              "patterns need digits >= 1: "
+                              "'0,0,0,0,0,0,...,0,0,0,0,0,0'")]:
         capsys.readouterr()
         assert main(["analyze", "cf", "--digits", str(path),
                      "--strings", strings, "--prefix", "2"]) == 2
@@ -1202,6 +1213,14 @@ def test_readme_cli_block_matches_the_parser():
     assert named == leaves
     # The CLI is the pipeline: a new leaf needs a deliberate edit here.
     assert leaves == {("construct",), ("verify",), ("analyze", "cf")}
+    # README's option paragraph names every construct flag and no other,
+    # so a removed flag cannot linger there and a new one needs an edit.
+    options = readme.split("`construct` options:", 1)[1].split("\n\n")[0]
+    construct = next(action.choices["construct"] for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for action in construct._actions
+             for flag in action.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"`(--[a-z-]+)", options)) == flags
 
 
 def _leaf_commands(parser, path=()):

@@ -99,7 +99,7 @@ def test_command_bytes_are_pinned(argv, code, out_sha, err_sha,
 HELP = [
     ([], "cc11fa1a23391f43e013cb07a0129ab659a0becb4fea8d10036ec9c8e3cc5e80"),
     (["construct"],
-     "9d5bc96cfaff278245a057ead06cb33334f1b07b0902491ff1559b12503b107a"),
+     "cbcb175939f0747b22e7c370b0de6d669db393e27bc23b73a860920401769228"),
     (["verify"],
      "f819dd01633a8eb89621b57a3f5c9ed1d7e73d3d930ba6f9819f74a534fd10ee"),
     (["analyze", "cf"],

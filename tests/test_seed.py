@@ -7,7 +7,7 @@ import pytest
 from abnormal_forge.cf import cylinder_interval, gauss_measure, log2_fixed
 from abnormal_forge.errors import InputFormatError
 from abnormal_forge.formats import FileDigitSource
-from abnormal_forge.seed import (DEFAULT_DIGIT_CAP, ListDigitSource,
+from abnormal_forge.seed import (DIGIT_CAP, ListDigitSource,
                                  RngDigitSource, SplitMix64, _tail_weight,
                                  _threshold, conditional_digit,
                                  digit_from_unit, parse_digit_file)
@@ -57,7 +57,7 @@ def test_digit_from_unit_inverse_cdf_examples():
 
 
 def test_digit_from_unit_bounds():
-    assert digit_from_unit(1, cap=500) == 500    # u ~ 0: huge digit, clamped
+    assert digit_from_unit(1) == DIGIT_CAP    # u ~ 0: huge digit, clamped
     assert digit_from_unit(2**64 - 1) == 1
     with pytest.raises(ValueError):
         digit_from_unit(0)
@@ -98,15 +98,16 @@ def test_pair_frequencies_match_gauss_measure():
 
 
 def test_digit_cap_applies():
-    src = RngDigitSource(9, cap=7)
-    assert all(1 <= d <= 7 for d in src.next_digits(5000))
+    # u ~ 0 asks for a huge digit, first or after a 1; both clamp.
+    assert digit_from_unit(1) == DIGIT_CAP
+    assert conditional_digit(1, 1) == DIGIT_CAP
 
 
 def test_descriptor_round_trip():
-    descriptor = RngDigitSource(42, cap=100).descriptor()
+    descriptor = RngDigitSource(42).descriptor()
     assert descriptor["kind"] == "rng"
     assert descriptor["seed"] == "42"
-    assert descriptor["digit_cap"] == 100
+    assert descriptor["digit_cap"] == DIGIT_CAP
     assert "markov" in descriptor["algorithm"]
 
 
@@ -179,4 +180,4 @@ def test_list_source():
 
 
 def test_default_cap_is_documented_value():
-    assert DEFAULT_DIGIT_CAP == 10**6
+    assert DIGIT_CAP == 10**6
