@@ -8,11 +8,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse/domain
 error, 3 search exhaustion or resource budget exceeded (partial outputs
 are flushed with a ``partial: true`` header).
 
-The environment variable ``ABNORMAL_FORGE_MEM_BUDGET`` (bytes) caps the
-tail-digit size, the discrete-log table (which ``verify`` holds each
-block prime to as well) and, with an rng seed, the digits ``construct``
-writes: ``--total-digits``, or block 1's N + 4 when larger. It counts
-the data a command builds, not the interpreter's own ~16.5 MiB.
+The environment variable ``ABNORMAL_FORGE_MEM_BUDGET`` (bytes, default
+``construction.DEFAULT_MEM_BYTES``, 256 MiB) caps the tail-digit size,
+the discrete-log table (which ``verify`` holds each block prime to as
+well) and, with an rng seed, the digits ``construct`` writes:
+``--total-digits``, or block 1's N + 4 when larger. Each cap is the
+budget over a measured unit price in ``construction``. It counts the
+data a command builds, not the interpreter's own ~16.5 MiB.
 
 Each process runs one subcommand, so each handler imports the modules it
 runs: importing this module, or running ``verify``, loads no more of the
@@ -38,12 +40,12 @@ EXIT_RESOURCE = 3
 
 
 def _budget_from_env():
-    from .construction import SearchBudget
+    """The memory budget in bytes, and the search caps it pays for."""
+    from .construction import DEFAULT_MEM_BYTES, SearchBudget
     raw = os.environ.get(MEM_BUDGET_ENV)
-    if raw is None:
-        return SearchBudget()
     try:
-        return SearchBudget.from_mem_bytes(int(raw))
+        mem = DEFAULT_MEM_BYTES if raw is None else int(raw)
+        return mem, SearchBudget.from_mem_bytes(mem)
     except ValueError as exc:
         raise InputFormatError(f"bad {MEM_BUDGET_ENV}: {exc}") from None
 
@@ -117,10 +119,10 @@ def _make_source(args):
 
 
 def _cmd_construct(args) -> int:
-    from .construction import (ConstructionAborted, ConstructionConfig, Mode,
-                               construct)
+    from .construction import (SAMPLED_DIGIT_BYTES, ConstructionAborted,
+                               ConstructionConfig, Mode, construct)
     from .formats import run_header, write_certificate_file, write_digit_file
-    budget = _budget_from_env()
+    mem, budget = _budget_from_env()
     if args.search_limit is not None:
         budget = budget._replace(artin_limit=args.search_limit)
     config = ConstructionConfig(block_size=args.block_size,
@@ -128,10 +130,12 @@ def _cmd_construct(args) -> int:
                                 mode=Mode.parse(args.mode), budget=budget)
     if args.tail_offset is not None:
         config = config._replace(tail_offset=args.tail_offset)
-    # verify reads up to the last tail; a negative count meets prefix's check.
     total = args.total_digits
+    if total is not None and total < 0:
+        raise InputFormatError(f"--total-digits must be >= 0, got {total}")
+    # verify reads up to the last tail.
     short = (_digits_short(total, config.block_size, config.blocks)
-             if total is not None and total >= 0 else None)
+             if total is not None else None)
     if short is not None:
         raise InputFormatError(f"--total-digits {total} is below the "
                                f"{short} digits the certificates need")
@@ -141,15 +145,15 @@ def _cmd_construct(args) -> int:
     source = _make_source(args)
     seed_descriptor = source.descriptor()
     if args.seed_rng is not None:
-        # Measured peak: about 18 B per sampled digit written; block 1
-        # alone samples N digits and writes N + 4, whatever the total.
+        # Block 1 alone samples N digits and writes N + 4, whatever the
+        # total.
         first = config.block_size + 4 if config.blocks else 0
         count = max(first, total or 0)
-        limit = budget.tail_bits // 8  # from_mem_bytes, inverted
-        if count * 18 > limit:
+        need = count * SAMPLED_DIGIT_BYTES
+        if need > mem:
             raise ResourceBudgetExceeded(
-                f"{brief(count)} digits need about {brief(count * 18)} "
-                f"bytes, past the {limit}-byte memory budget")
+                f"{brief(count)} digits need about {brief(need)} "
+                f"bytes, past the {mem}-byte memory budget")
     # Built before the run, so a bad SOURCE_DATE_EPOCH costs no construction.
     header = run_header(dict(config.echo(), total_digits=args.total_digits),
                         seed_descriptor)
@@ -190,7 +194,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     from .construction import verify_certificate
     from .formats import read_certificate_file, read_digit_file
-    budget = _budget_from_env()  # the table cap construct plans under
+    _, budget = _budget_from_env()  # the table cap construct plans under
     certs, _header = read_certificate_file(args.cert)
     digits, _ = read_digit_file(args.digits)
     needed = max((c.block_end + 4 for c in certs), default=0)

@@ -109,10 +109,30 @@ class Mode(_Checked, _ModeFields):
         return self.kind
 
 
+# The default memory budget in bytes. Every default cap below derives from
+# it, at unit prices at or above tracemalloc peaks (Python 3.11):
+# - a discrete-log table entry: 98-109 B, and up to 156 B just past a dict
+#   resize (2/3 * 2**j entries);
+# - eight bits of tail digit, formed and rendered to decimal as construct
+#   writes it: 8.7 B at 1.45M bits, 7.6 B at 5.8M bits;
+# - a digit the rng sampler yields and construct writes: about 18 B.
+DEFAULT_MEM_BYTES = 256 << 20
+TABLE_ENTRY_BYTES = 160
+TAIL_BYTE_BYTES = 9
+SAMPLED_DIGIT_BYTES = 18
+
+
+def _mem_caps(mem: int) -> tuple[int, int]:
+    """(bsgs_entries, tail_bits) that ``mem`` bytes pay for."""
+    if mem < 1024:
+        raise ValueError("memory budget below 1 KiB is unusable")
+    return max(1024, mem // TABLE_ENTRY_BYTES), mem * 8 // TAIL_BYTE_BYTES
+
+
 class _BudgetFields(NamedTuple):
     artin_limit: int = nt.ARTIN_LIMIT
-    bsgs_entries: int = nt.BSGS_ENTRIES
-    tail_bits: int = 1 << 31
+    bsgs_entries: int = _mem_caps(DEFAULT_MEM_BYTES)[0]
+    tail_bits: int = _mem_caps(DEFAULT_MEM_BYTES)[1]
 
 
 class SearchBudget(_Checked, _BudgetFields):
@@ -123,11 +143,13 @@ class SearchBudget(_Checked, _BudgetFields):
     denominator and the tail digit), checked from an estimate of its
     bit length before the power is formed; ``bsgs_entries`` caps the
     discrete-log table, which admits primes up to bsgs_entries**2 + 1.
-    That is also the bound on every prime the constructor and the
-    verifier test, so a cap whose bound reaches ``nt.is_prime``'s proof
-    bound psi_13 (a memory budget above ~159 TiB) is refused. Factoring
-    group orders is capped by the fixed ``nt.FACTOR_EFFORT``, which the
-    run header echoes as ``factor_effort``.
+    The memory caps default to what ``DEFAULT_MEM_BYTES`` pays for, as
+    :meth:`from_mem_bytes` prices them. The table cap also bounds every
+    prime the constructor and the verifier test, so a cap whose bound
+    reaches ``nt.is_prime``'s proof bound psi_13 (a memory budget above
+    ~265 TiB) is refused. Factoring group orders is capped by the fixed
+    ``nt.FACTOR_EFFORT``, which the run header echoes as
+    ``factor_effort``.
     """
 
     __slots__ = ()
@@ -143,11 +165,11 @@ class SearchBudget(_Checked, _BudgetFields):
 
     @staticmethod
     def from_mem_bytes(mem: int) -> "SearchBudget":
-        """Derive caps from a single memory budget in bytes."""
-        if mem < 1024:
-            raise ValueError("memory budget below 1 KiB is unusable")
-        return SearchBudget(bsgs_entries=max(1024, mem // 96),
-                            tail_bits=mem * 8)
+        """Caps a memory budget of ``mem`` bytes pays for at the unit prices:
+        ``TABLE_ENTRY_BYTES`` a table entry (never below 1,024 entries) and
+        ``TAIL_BYTE_BYTES`` eight bits of a power of the base."""
+        bsgs_entries, tail_bits = _mem_caps(mem)
+        return SearchBudget(bsgs_entries=bsgs_entries, tail_bits=tail_bits)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -238,11 +260,12 @@ def _bounded_power(base: int, exponent: int, max_bits: int, what: str,
 
     The size estimate is exponent * log2(base) in 64-bit fixed point,
     exact for base 2. The refusal keeps the estimate rather than an exact
-    ``nt.pow_exceeds(base, exponent, 1 << max_bits)``: at the default
-    budget ``1 << max_bits`` is itself a 2**31-bit integer, and for a
-    base that is not a power of two ``pow_exceeds`` forms
-    ``base**exponent`` whenever bit lengths leave the comparison open,
-    so the check would allocate what it guards.
+    ``nt.pow_exceeds(base, exponent, 1 << max_bits)``: ``1 << max_bits``
+    is itself as large as the biggest power the budget allows (at the
+    default, a 238,609,294-bit integer of ~28 MiB), and for a base that
+    is not a power of two ``pow_exceeds`` forms ``base**exponent``
+    whenever bit lengths leave the comparison open, so the check would
+    allocate what it guards.
     """
     approx_bits = (exponent * log2_fixed(base, 1)) >> LOG2_BITS
     if approx_bits > max_bits:

@@ -62,9 +62,8 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _COPRIMIZER_SCAN_LIMIT = 1 << 20
 # Rho iterations one factorization may spend before it gives up.
 FACTOR_EFFORT = 1 << 22
-# Default caps: find_artin_prime's candidates, one discrete_log table.
+# Default cap on find_artin_prime's candidates.
 ARTIN_LIMIT = 100_000
-BSGS_ENTRIES = 1 << 24
 
 
 def iroot(n: int, k: int) -> int:
@@ -455,8 +454,7 @@ def _baby_steps(g: int, p: int) -> list:
     return [({}, 0, 1)]
 
 
-def discrete_log(g: int, h: int, p: int, *,
-                 max_table_entries: int = BSGS_ENTRIES) -> int:
+def discrete_log(g: int, h: int, p: int, *, max_table_entries: int) -> int:
     """Baby-step giant-step discrete log: the k in [0, p-2] with g**k = h (mod p).
 
     Expects prime p and a generator g (unique answer). A first query for

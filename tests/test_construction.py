@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import abnormal_forge
-from abnormal_forge import construction, nt
+from abnormal_forge import _dectext, construction, nt
+from abnormal_forge._dectext import int_to_text
 from abnormal_forge.cf import convergent_stream
 from abnormal_forge.construction import (BlockCertificate, ConstructionAborted,
                                          ConstructionConfig, Mode,
@@ -97,7 +98,7 @@ def test_plan_block_scans_no_prime_past_the_table_cap(is_prime_operands,
 
 def test_search_budget_keeps_every_tested_prime_below_the_proof_bound():
     # A cap of m entries admits primes up to m**2 + 1, which must stay
-    # below psi_13, where Miller-Rabin stops being a proof (~159 TiB).
+    # below psi_13, where Miller-Rabin stops being a proof.
     most = math.isqrt(nt._MR_DETERMINISTIC_BOUND - 2)
     assert SearchBudget(bsgs_entries=most).bsgs_entries == most
     with pytest.raises(ValueError) as info:
@@ -105,9 +106,57 @@ def test_search_budget_keeps_every_tested_prime_below_the_proof_bound():
     assert str(info.value) == (
         f"a {most + 1}-entry table cap admits primes past the deterministic "
         "Miller-Rabin bound 3317044064679887385961981")
-    assert SearchBudget.from_mem_bytes(159 << 40).bsgs_entries < most
+    # The largest memory budget whose table cap stays below it (~265 TiB),
+    # and the least that passes it.
+    price = construction.TABLE_ENTRY_BYTES
+    largest = SearchBudget.from_mem_bytes(price * (most + 1) - 1)
+    assert largest.bsgs_entries == most
     with pytest.raises(ValueError):
-        SearchBudget.from_mem_bytes(160 << 40)
+        SearchBudget.from_mem_bytes(price * (most + 1))
+
+
+def test_default_budget_is_the_default_memory_budget():
+    assert (SearchBudget()
+            == SearchBudget.from_mem_bytes(construction.DEFAULT_MEM_BYTES)
+            == construction.DEFAULT_BUDGET)
+    assert SearchBudget().bsgs_entries == 1_677_721
+    assert SearchBudget().tail_bits == 238_609_294
+
+
+@pytest.mark.parametrize("entries", [43_691, 174_763, 699_051])
+def test_table_entry_price_covers_a_table_just_past_a_dict_resize(entries):
+    # A dict of 2/3 * 2**j entries has just doubled its slots, the dearest
+    # entry count measured (~156 B an entry at its peak, ~107 elsewhere).
+    p = (entries - 1) ** 2 + 2  # the least p whose table has this size
+    while not nt.is_prime(p):
+        p += 1
+    g = next(g for g in range(2, p) if nt.is_primitive_root(g, p))
+    assert nt.baby_step_entries(p, entries) == entries
+    nt._baby_steps.cache_clear()
+    tracemalloc.start()
+    try:
+        assert nt.discrete_log(g, 1, p, max_table_entries=entries) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        nt._baby_steps.cache_clear()
+    assert peak / entries <= construction.TABLE_ENTRY_BYTES
+
+
+def test_tail_price_covers_forming_and_rendering_a_paper_tail():
+    # Seed 36's 1,452,026-bit paper tail, formed and rendered to decimal
+    # as construct writes it (~8.7 B per 8 bits at the peak).
+    _dectext._split_text.cache_clear()
+    tracemalloc.start()
+    try:
+        tail = tail_digit(1205, 2, Mode("paper"))
+        text = int_to_text(tail)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _dectext._split_text.cache_clear()
+    assert len(text) == 437_104
+    assert peak * 8 / tail.bit_length() <= construction.TAIL_BYTE_BYTES
 
 
 def test_plan_block_rejects_bad_denominators():

@@ -19,8 +19,9 @@ from abnormal_forge import _dectext, nt
 from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS, brief,
                                      int_to_text, text_to_int)
 from abnormal_forge.cli import _build_parser, main
-from abnormal_forge.construction import (BlockCertificate, ConstructionConfig,
-                                         Mode, construct, verify_certificate)
+from abnormal_forge.construction import (TABLE_ENTRY_BYTES, BlockCertificate,
+                                         ConstructionConfig, Mode, construct,
+                                         verify_certificate)
 from abnormal_forge.errors import InputFormatError
 from abnormal_forge.formats import (_cert_from_json, _cert_to_json,
                                     read_certificate_file, read_digit_file,
@@ -846,7 +847,7 @@ def test_cli_verify_details_render_a_large_prime_by_size(tmp_path, capsys):
     checks = {c["name"]: c for c in
               json.loads(capsys.readouterr().out)["blocks"][0]["checks"]}
     refused = ("could not certify: baby-step table would need <750-bit "
-               "integer> entries (limit 16777216); modulus too large")
+               "integer> entries (limit 1677721); modulus too large")
     assert checks["prime"]["detail"] == refused
     assert checks["primitive_root"]["detail"] == refused
 
@@ -874,7 +875,7 @@ def test_cli_verify_refuses_a_huge_composite_prime_claim_in_bounded_time(
     checks = {c["name"]: c for c in
               json.loads(result.stdout)["blocks"][0]["checks"]}
     refused = (f"could not certify: baby-step table would need "
-               f"{brief(math.isqrt(q2 - 2) + 1)} entries (limit 16777216); "
+               f"{brief(math.isqrt(q2 - 2) + 1)} entries (limit 1677721); "
                "modulus too large")
     assert checks["prime"] == {"name": "prime", "passed": False,
                                "required": True, "detail": refused}
@@ -897,16 +898,27 @@ def test_cli_verify_refuses_non_integer_numbers(tmp_path, capsys, key, value):
                             f"integer or a decimal string, got {value!r}\n")
 
 
+# A seed file whose block-1 prime needs a ~3.6M-entry baby-step table,
+# past the default budget's table cap.
+HOSTILE_SEED = [1, 1, 1, 4398046511114]
+
+
 def test_cli_construct_refuses_negative_total_digits(tmp_path, capsys):
+    # Refused with the other count checks, before the seed is read or any
+    # block is planned: the hostile seed's block 1 is never reached.
+    hostile = _write_seed(tmp_path, HOSTILE_SEED, name="hostile.cf")
     digits = tmp_path / "d.cf"
     cert = tmp_path / "c.json"
-    code = main(["construct", "--seed-rng", "1", "--block-size", "4",
-                 "--blocks", "1", "--mode", "toy", "--total-digits", "-2",
-                 "--out-digits", str(digits), "--out-cert", str(cert)])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == "error: prefix length must be >= 0, got -2\n"
-    assert not digits.exists() and not cert.exists()
+    for seed_args, total in [(["--seed-rng", "1", "--mode", "toy"], "-2"),
+                             (["--seed-file", str(hostile)], "-1")]:
+        code = main(["construct", *seed_args, "--block-size", "4",
+                     "--blocks", "1", "--total-digits", total,
+                     "--out-digits", str(digits), "--out-cert", str(cert)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: --total-digits must be >= 0, "
+                                f"got {total}\n")
+        assert not digits.exists() and not cert.exists()
 
 
 def test_cli_construct_refuses_total_digits_below_the_certificates(
@@ -1050,10 +1062,11 @@ def test_cli_verify_applies_the_table_cap_before_factoring(tmp_path, capsys,
     assert prime_details() == (refused, refused)
     # A budget too small to use, or one whose table cap would admit primes
     # past the deterministic Miller-Rabin bound, is a usage error.
+    entries = math.isqrt(nt._MR_DETERMINISTIC_BOUND - 2) + 1
     for budget, message in [
             ("12", "memory budget below 1 KiB is unusable"),
-            (str(160 << 40), f"a {(160 << 40) // 96}-entry table cap admits "
-             "primes past the deterministic Miller-Rabin bound "
+            (str(TABLE_ENTRY_BYTES * entries), f"a {entries}-entry table "
+             "cap admits primes past the deterministic Miller-Rabin bound "
              "3317044064679887385961981")]:
         monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", budget)
         assert main(argv) == 2
@@ -1131,9 +1144,31 @@ def test_cli_construct_toy_multi_block_flushes_partial(tmp_path, capsys):
     assert len(certs) == 1  # block 1 completed and is preserved
 
 
-def _cap_address_space():
+def _cap_address_space(limit=1 << 30):
     import resource
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_cli_construct_default_budget_caps_the_table(tmp_path):
+    # With no budget variable set, the hostile seed's block-1 prime is
+    # refused on the default budget's table cap before the prime scan. A
+    # table of the size it needs takes over 500 MiB, so the child runs
+    # under a 512 MiB address-space cap: a default cap that does not hold
+    # fails here instead of growing the table.
+    seed = _write_seed(tmp_path, HOSTILE_SEED, name="hostile.cf")
+    env = {key: value for key, value in os.environ.items()
+           if key != "ABNORMAL_FORGE_MEM_BUDGET"}
+    result = subprocess.run(
+        [sys.executable, "-m", "abnormal_forge.cli", "construct",
+         "--seed-file", str(seed), "--block-size", "4", "--blocks", "1",
+         "--out-digits", str(tmp_path / "d.cf"),
+         "--out-cert", str(tmp_path / "c.json")],
+        capture_output=True, text=True, timeout=120, env=env,
+        preexec_fn=lambda: _cap_address_space(512 << 20))
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert ("baby-step table would need 3632374 entries (limit 1677721)"
+            in result.stderr)
 
 
 def test_cli_construct_refuses_an_unbounded_power(tmp_path):
@@ -1280,7 +1315,7 @@ def test_console_entry_point_runs(tmp_path):
 
 
 def test_mem_budget_env_is_honored(tmp_path, monkeypatch, capsys):
-    # The budget caps plan_block's baby-step table: 200 KiB allows 2133
+    # The budget caps plan_block's baby-step table: 200 KiB allows 1280
     # entries, and this seed's first candidate prime needs far more.
     monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", str(200 * 1024))
     seed = _write_seed(tmp_path, digits=[1000, 1000, 1000, 1000])
@@ -1290,7 +1325,7 @@ def test_mem_budget_env_is_honored(tmp_path, monkeypatch, capsys):
                  "--out-cert", str(tmp_path / "c.json")])
     err = capsys.readouterr().err
     assert code == 3
-    assert "baby-step table would need 1000502 entries (limit 2133)" in err
+    assert "baby-step table would need 1000502 entries (limit 1280)" in err
 
 
 def test_mem_budget_caps_construct_total_digits(tmp_path, monkeypatch, capsys):
@@ -1415,7 +1450,7 @@ def test_multi_block_construct_fails_fast_with_partial_outputs(tmp_path):
     assert result.returncode == 3
     assert result.stderr.startswith(
         "error: block 2 failed: baby-step table would need <13242-bit "
-        "integer> entries (limit 16777216); modulus too large\n")
+        "integer> entries (limit 1677721); modulus too large\n")
     certs, header = read_certificate_file(cert)
     assert header["partial"] is True and [c.index for c in certs] == [1]
     written, digit_header = read_digit_file(digits)

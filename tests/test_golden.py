@@ -13,21 +13,21 @@ from conftest import WORKED_SEED
 # changes every digest here; the construction itself must not.
 GOLDEN = [
     (["--seed-file", "seed.cf"], "paper",
-     ("4be221e9780058f2996ffcc7ac849aace524b4b5a76f541098812e55ce303bcc",
-      "0b75293bec8a0f7dda4091039139161e88b6a0befda4d9febd2f73ec2d29b296",
+     ("29efe55163ed3a0b90e3edbaa67b16ec6630903832eac753feae14c729adeaa1",
+      "a41338a51d3b8737507891496342dc2628d6edbcf1b6167e5220ac7aeab05913",
       "ebcf3a54bba1194ccffc037c45c8cbc10c37688cab97f726e5872bbc34e54fee")),
     (["--seed-file", "seed.cf"], "toy",
-     ("d5bf4f12506c8654681580348b01aeecffb261f690cd8dbaff5ae4e8bc6c7b68",
-      "1db53f41867d83c09293ab46f9059723749a230b58b0c2d66e76b2602ce1351a",
+     ("da852d5d0d1bc6dc06e93eb945f638f0bbdccbe9ecbd59ff76a51a2e456ecece",
+      "1f7eb3786a9ed0391ad9ac62665dc28ce73c2ed91babfcd2e47af25a2e672c0c",
       "76490aad1166d2b4dea05a7d1faca76add5cda7eab4da5054f7b6f8cc49db58e")),
     (["--seed-file", "seed.cf"], "relaxed:2",
-     ("d25555076d713e50b9b00b8d0720cffe4682748af1990fa264d77473ffad2c32",
-      "b16ce0046cdf9290ae8ca344b94a59a35da5e0d0a3d93743dd1e78a57e7e9d2e",
+     ("760c101386b2c47c2d47bf62b4e102c4dd7014fa45cf4a8c932976069264b276",
+      "f14a10cd0e4741131490a7f17ca3e831176b377031110f8a0169f2bd488c825d",
       "69b0811e068d7c8a7a43fdd8e67053f03a5782f945285d3965123dbfa433bc7c")),
     # An 18,226-bit tail, past the 4300-digit int() limit.
     (["--seed-rng", "1"], "paper",
-     ("f1cca1ab92631ae2f302e22a699327645e6ab71b7556ac0b6eae54d055fc5b94",
-      "4a5e62ecca212f383db98bbe4ab825853de0f7de6f33237a8cdc9454b59609d8",
+     ("bafee1d90ed7306a4dde252c2748a512233a8ea114f32aad4fc3588b8f07fc63",
+      "7200cf2194743bd52beaaea9d18ae5290667a8201499fe253e7fa8d75c811638",
       "a618fb834eb7ba47c2181bee30368d21aaa72f4e1c49b4c7764cb109dee3cd52")),
 ]
 

@@ -127,7 +127,8 @@ def test_factorize_budget_error(monkeypatch):
 def test_not_prime_messages_render_large_moduli_by_size(no_kept_table):
     composite = 10**450 + 1  # divisible by 101
     for call in (lambda: is_primitive_root(2, composite),
-                 lambda: discrete_log(2, 3, composite)):
+                 lambda: discrete_log(2, 3, composite,
+                                      max_table_entries=1 << 24)):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == "<1495-bit integer> is not prime"
@@ -270,20 +271,20 @@ def test_find_artin_prime_validates_range():
 
 
 def test_discrete_log_examples():
-    assert discrete_log(2, 3, 11) == 8
-    assert discrete_log(2, 23, 59) == 15
-    assert discrete_log(2, 1, 11) == 0
+    assert discrete_log(2, 3, 11, max_table_entries=1 << 24) == 8
+    assert discrete_log(2, 23, 59, max_table_entries=1 << 24) == 15
+    assert discrete_log(2, 1, 11, max_table_entries=1 << 24) == 0
     for g in (1, 3, 5):  # mod 2, the general path's one-entry table
-        assert discrete_log(g, 1, 2) == 0
+        assert discrete_log(g, 1, 2, max_table_entries=1 << 24) == 0
 
 
 def test_discrete_log_errors():
     with pytest.raises(ValueError):
-        discrete_log(2, 0, 11)
+        discrete_log(2, 0, 11, max_table_entries=1 << 24)
     with pytest.raises(ValueError):
-        discrete_log(2, 3, 12)  # composite modulus
+        discrete_log(2, 3, 12, max_table_entries=1 << 24)  # composite modulus
     with pytest.raises(ValueError, match="g must be a unit modulo p"):
-        discrete_log(2, 1, 2)
+        discrete_log(2, 1, 2, max_table_entries=1 << 24)
     big = sympy.nextprime(10**12)
     with pytest.raises(ResourceBudgetExceeded):
         discrete_log(3, 7, big, max_table_entries=100)
@@ -298,7 +299,7 @@ def test_discrete_log_random_roundtrip():
         if not is_primitive_root(g, p):
             continue
         k = rng.randrange(p - 1)
-        assert discrete_log(g, pow(g, k, p), p) == k
+        assert discrete_log(g, pow(g, k, p), p, max_table_entries=1 << 24) == k
 
 
 @pytest.fixture
@@ -317,46 +318,50 @@ def kept_size(g, p):
 
 def test_discrete_log_repeat_queries_match_first_query(no_kept_table):
     # Interleaved pairs evict each other; repeats grow the kept table.
-    assert discrete_log(2, 3, 11) == 8
-    assert discrete_log(6, 3, 11) == 2
-    assert discrete_log(2, 23, 59) == 15
-    assert discrete_log(2, 3, 11) == 8
+    assert discrete_log(2, 3, 11, max_table_entries=1 << 24) == 8
+    assert discrete_log(6, 3, 11, max_table_entries=1 << 24) == 2
+    assert discrete_log(2, 23, 59, max_table_entries=1 << 24) == 15
+    assert discrete_log(2, 3, 11, max_table_entries=1 << 24) == 8
     for _ in range(3):
         for g, p in [(2, 11), (6, 11), (2, 59), (2, 11)]:
             for k in range(p - 1):
-                assert discrete_log(g, pow(g, k, p), p) == k, (g, k, p)
-                assert discrete_log(g, pow(g, k, p) + 3 * p, p) == k
+                assert discrete_log(g, pow(g, k, p), p,
+                                    max_table_entries=1 << 24) == k, (g, k, p)
+                assert discrete_log(g, pow(g, k, p) + 3 * p, p,
+                                    max_table_entries=1 << 24) == k
     assert kept_size(2, 11) == 10  # grown to p - 1 for (2, 11)
-    assert discrete_log(2, 23, 59) == 15
+    assert discrete_log(2, 23, 59, max_table_entries=1 << 24) == 15
     assert kept_size(2, 59) == 8   # a new pair starts afresh
     assert nt._baby_steps.cache_info().currsize == 1  # (2, 11) is gone
 
 
 def test_discrete_log_errors_after_a_kept_table(no_kept_table):
-    assert discrete_log(2, 3, 11) == 8
+    assert discrete_log(2, 3, 11, max_table_entries=1 << 24) == 8
     with pytest.raises(ValueError, match="not prime"):
-        discrete_log(2, 3, 12)  # composite modulus
-    assert discrete_log(2, 3, 11) == 8
+        discrete_log(2, 3, 12, max_table_entries=1 << 24)  # composite modulus
+    assert discrete_log(2, 3, 11, max_table_entries=1 << 24) == 8
     with pytest.raises(ValueError, match="not prime"):
-        discrete_log(2, 3, 121)  # composite modulus sharing the factor 11
-    assert discrete_log(2, 3, 11) == 8
+        # composite modulus sharing the factor 11
+        discrete_log(2, 3, 121, max_table_entries=1 << 24)
+    assert discrete_log(2, 3, 11, max_table_entries=1 << 24) == 8
     with pytest.raises(ValueError):
-        discrete_log(2, 0, 11)
+        discrete_log(2, 0, 11, max_table_entries=1 << 24)
     with pytest.raises(ValueError):
-        discrete_log(2, 22, 11)
+        discrete_log(2, 22, 11, max_table_entries=1 << 24)
     with pytest.raises(ValueError):
-        discrete_log(13, 3, 13)  # g = 0 mod p
-    assert discrete_log(2, 3, 11) == 8
+        discrete_log(13, 3, 13, max_table_entries=1 << 24)  # g = 0 mod p
+    assert discrete_log(2, 3, 11, max_table_entries=1 << 24) == 8
 
 
 def test_discrete_log_budget_on_first_and_repeat_queries(no_kept_table):
-    assert discrete_log(2, 3, 11) == 8
+    assert discrete_log(2, 3, 11, max_table_entries=1 << 24) == 8
     big = sympy.nextprime(10**12)
     with pytest.raises(ResourceBudgetExceeded):
         discrete_log(3, 7, big, max_table_entries=100)
     # A kept pair is held to the same first-query bound: 1019 needs 32.
     for _ in range(4):
-        assert pow(2, discrete_log(2, 3, 1019), 1019) == 3
+        assert pow(2, discrete_log(2, 3, 1019, max_table_entries=1 << 24),
+                   1019) == 3
     with pytest.raises(ResourceBudgetExceeded):
         discrete_log(2, 3, 1019, max_table_entries=31)
 
@@ -365,7 +370,7 @@ def test_baby_step_entries_is_the_first_table_size(no_kept_table):
     # Each first query builds exactly the table the one rule sizes.
     for p in (3, 11, 59, 1019, 65537):
         nt._baby_steps.cache_clear()
-        assert pow(2, discrete_log(2, 2, p), p) == 2
+        assert pow(2, discrete_log(2, 2, p, max_table_entries=1 << 24), p) == 2
         assert kept_size(2, p) == baby_step_entries(p, 1 << 24)
         assert baby_step_entries(p, 1 << 24) == math.ceil(math.sqrt(p - 1))
 
@@ -415,11 +420,11 @@ def test_discrete_log_non_generator_answers_hold(no_kept_table):
 
         def check(h):
             if h % p in subgroup:
-                k = discrete_log(g, h, p)
+                k = discrete_log(g, h, p, max_table_entries=1 << 24)
                 assert 0 <= k <= p - 2 and pow(g, k, p) == h % p, (g, h, p)
             else:
                 with pytest.raises(ValueError, match="outside the subgroup"):
-                    discrete_log(g, h, p)
+                    discrete_log(g, h, p, max_table_entries=1 << 24)
 
         residues = [h for h in range(1, 2 * p) if h % p]
         for h in residues:
