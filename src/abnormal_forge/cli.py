@@ -84,11 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--blocks", type=int, required=True, metavar="B",
                      help="number of blocks to plan")
     con.add_argument("--mode", default="paper", metavar="MODE",
-                     help="paper | relaxed:<scale> | toy")
-    con.add_argument("--tail-offset", type=int, metavar="T",
-                     help="add T to every tail digit (distinct valid streams)")
-    con.add_argument("--search-limit", type=int, metavar="COUNT",
-                     help="candidate cap for prime searches")
+                     help="paper | toy")
     con.add_argument("--total-digits", type=int, default=None, metavar="M",
                      help="digits to write (default: through the last tail)")
     con.add_argument("--out-digits", required=True, metavar="PATH")
@@ -123,13 +119,9 @@ def _cmd_construct(args) -> int:
                                ConstructionConfig, Mode, construct)
     from .formats import run_header, write_certificate_file, write_digit_file
     mem, budget = _budget_from_env()
-    if args.search_limit is not None:
-        budget = budget._replace(artin_limit=args.search_limit)
     config = ConstructionConfig(block_size=args.block_size,
                                 blocks=args.blocks,
                                 mode=Mode.parse(args.mode), budget=budget)
-    if args.tail_offset is not None:
-        config = config._replace(tail_offset=args.tail_offset)
     total = args.total_digits
     if total is not None and total < 0:
         raise InputFormatError(f"--total-digits must be >= 0, got {total}")

@@ -23,18 +23,14 @@ hanging. The budgets below make those failures fast and diagnosable.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import nt
 from ._dectext import brief
 from .cf import LOG2_BITS, convergent_stream, digits_of_int, log2_fixed
 from .errors import InputFormatError, ResourceBudgetExceeded, SearchExhausted
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 MODE_PAPER = "paper"
-MODE_RELAXED = "relaxed"
 MODE_TOY = "toy"
 
 
@@ -57,56 +53,30 @@ class _Checked:
 
 class _ModeFields(NamedTuple):
     kind: str
-    scale: Fraction | None = None
 
 
 class Mode(_Checked, _ModeFields):
     """Tail-digit policy.
 
-    ``paper``   - full bound: the tail exceeds base**(k**2), pinning the
-                  number's first k**2 base digits to the convergent's
-                  repeating tail.
-    ``relaxed`` - tail is base**ceil(scale*k) + 1; exploration only, the
-                  verifier reports whether the full bound happened to be
-                  met.
-    ``toy``     - tail is 2; structural checks only.
+    ``paper`` - full bound: the tail is base**(k**2) + 1, the least tail
+                exceeding base**(k**2), pinning the number's first k**2
+                base digits to the convergent's repeating tail.
+    ``toy``   - tail is 2; structural checks only.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> Mode:
         self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in (MODE_PAPER, MODE_RELAXED, MODE_TOY):
-            raise ValueError(f"unknown mode {self.kind!r}")
-        if self.kind == MODE_RELAXED:
-            if self.scale is None or self.scale <= 0:
-                raise ValueError("relaxed mode needs a positive scale")
-        elif self.scale is not None:
-            raise ValueError(f"mode {self.kind!r} takes no scale")
+        if self.kind not in (MODE_PAPER, MODE_TOY):
+            raise ValueError(
+                f"mode must be 'paper' or 'toy', got {brief(self.kind)!r}")
         return self
 
     @staticmethod
     def parse(text: str) -> "Mode":
-        if text in (MODE_PAPER, MODE_TOY):
-            return Mode(text)
-        if text.startswith(MODE_RELAXED + ":"):
-            from fractions import Fraction
-            scale = text.split(":", 1)[1]
-            if "e" in scale.lower():  # Fraction would form 10**exponent
-                raise ValueError(
-                    f"relaxed scale {brief(scale)!r} has an exponent")
-            try:
-                return Mode(MODE_RELAXED, Fraction(scale))
-            except ZeroDivisionError:
-                raise ValueError(
-                    f"relaxed scale {brief(scale)!r} divides by zero") from None
-        raise ValueError(
-            f"mode must be 'paper', 'relaxed:<scale>' or 'toy', got {text!r}")
-
-    def label(self) -> str:
-        if self.kind == MODE_RELAXED:
-            return f"relaxed:{self.scale}"
-        return self.kind
+        """The mode a command line or a certificate names."""
+        return Mode(text)
 
 
 # The default memory budget in bytes. Every default cap below derives from
@@ -130,26 +100,24 @@ def _mem_caps(mem: int) -> tuple[int, int]:
 
 
 class _BudgetFields(NamedTuple):
-    artin_limit: int = nt.ARTIN_LIMIT
     bsgs_entries: int = _mem_caps(DEFAULT_MEM_BYTES)[0]
     tail_bits: int = _mem_caps(DEFAULT_MEM_BYTES)[1]
 
 
 class SearchBudget(_Checked, _BudgetFields):
-    """Effort and memory caps for the per-block searches.
+    """Memory caps for the per-block searches.
 
-    ``artin_limit`` caps the prime search's candidates; ``tail_bits``
-    caps every materialized power of the base (the power-hit
-    denominator and the tail digit), checked from an estimate of its
-    bit length before the power is formed; ``bsgs_entries`` caps the
-    discrete-log table, which admits primes up to bsgs_entries**2 + 1.
+    ``tail_bits`` caps every materialized power of the base (the
+    power-hit denominator and the tail digit), checked from an estimate
+    of its bit length before the power is formed; ``bsgs_entries`` caps
+    the discrete-log table, which admits primes up to bsgs_entries**2 + 1.
     The memory caps default to what ``DEFAULT_MEM_BYTES`` pays for, as
     :meth:`from_mem_bytes` prices them. The table cap also bounds every
     prime the constructor and the verifier test, so a cap whose bound
     reaches ``nt.is_prime``'s proof bound psi_13 (a memory budget above
-    ~265 TiB) is refused. Factoring group orders is capped by the fixed
-    ``nt.FACTOR_EFFORT``, which the run header echoes as
-    ``factor_effort``.
+    ~265 TiB) is refused. The effort caps are fixed: ``nt.ARTIN_LIMIT``
+    caps the prime search's candidates and ``nt.FACTOR_EFFORT`` the
+    factoring of group orders, and the run header echoes both.
     """
 
     __slots__ = ()
@@ -179,7 +147,6 @@ class _ConfigFields(NamedTuple):
     block_size: int
     blocks: int
     mode: Mode
-    tail_offset: int = 0
     budget: SearchBudget = DEFAULT_BUDGET  # immutable, so safe to share
 
 
@@ -193,14 +160,14 @@ class ConstructionConfig(_Checked, _ConfigFields):
                 f"block size must be an even integer >= 2, got {self.block_size}")
         if self.blocks < 0:
             raise ValueError(f"block count must be >= 0, got {self.blocks}")
-        if self.tail_offset < 0:
-            raise ValueError(f"tail offset must be >= 0, got {self.tail_offset}")
         return self
 
     def echo(self) -> dict:
         return {"block_size": self.block_size, "blocks": self.blocks,
-                "mode": self.mode.label(), "tail_offset": self.tail_offset,
-                "artin_limit": self.budget.artin_limit,
+                "mode": self.mode.kind,
+                # v1 headers are pinned; keys change only in format v2.
+                "tail_offset": 0,
+                "artin_limit": nt.ARTIN_LIMIT,
                 "bsgs_entries": self.budget.bsgs_entries,
                 "factor_effort": nt.FACTOR_EFFORT,
                 "tail_bits": self.budget.tail_bits}
@@ -276,29 +243,19 @@ def _bounded_power(base: int, exponent: int, max_bits: int, what: str,
 
 
 def tail_digit(bound_exponent: int, base: int, mode: Mode, *,
-               offset: int = 0, max_bits: int = DEFAULT_BUDGET.tail_bits) -> int:
+               max_bits: int = DEFAULT_BUDGET.tail_bits) -> int:
     """Fourth inserted digit for a block whose power has ``bound_exponent`` digits.
 
-    Paper mode returns base**(bound_exponent**2) + 1 + offset, the least
-    tail clearing the abnormality bound (offset picks later members of
-    the countable family of valid tails). Relaxed mode shrinks the
-    exponent to ceil(scale * bound_exponent); toy mode returns 2 +
-    offset regardless.
+    Paper mode returns base**(bound_exponent**2) + 1, the least tail
+    clearing the abnormality bound; toy mode returns 2.
     """
     if bound_exponent < 1:
         raise ValueError("bound exponent must be >= 1")
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
     if mode.kind == MODE_TOY:
-        return 2 + offset
-    if mode.kind == MODE_PAPER:
-        exponent = bound_exponent * bound_exponent
-    else:
-        scaled = mode.scale * bound_exponent
-        exponent = -(-scaled.numerator // scaled.denominator)
-    power = _bounded_power(base, exponent, max_bits, "tail digit",
-                           "; rerun in relaxed:<scale> or toy mode")
-    return power + (1 + offset)
+        return 2
+    power = _bounded_power(base, bound_exponent * bound_exponent, max_bits,
+                           "tail digit", "; rerun in toy mode")
+    return power + 1
 
 
 class BlockPlan(NamedTuple):
@@ -330,6 +287,7 @@ def plan_block(q_prev: int, q_cur: int, base: int,
     q1 + 1, would pass ``budget.bsgs_entries``; otherwise it scans no
     candidate past bsgs_entries**2 + 1, the largest prime that table
     admits, and a scan cut short there is refused on the next candidate.
+    It scans at most ``nt.ARTIN_LIMIT`` candidates, read at each call.
     """
     if math.gcd(q_prev, q_cur) != 1:
         raise ValueError("consecutive denominators must be coprime")
@@ -353,9 +311,9 @@ def plan_block(q_prev: int, q_cur: int, base: int,
     if reach < 1:  # the least candidate, q1 + a, is past the cap
         nt.baby_step_entries(q1 + a, budget.bsgs_entries)
     try:
-        hit = nt.find_artin_prime(base, q1, a, min(budget.artin_limit, reach))
+        hit = nt.find_artin_prime(base, q1, a, min(nt.ARTIN_LIMIT, reach))
     except SearchExhausted:
-        if reach < budget.artin_limit:
+        if reach < nt.ARTIN_LIMIT:
             nt.baby_step_entries((reach + 1) * q1 + a, budget.bsgs_entries)
         raise
     ell2, q2 = hit.ell, hit.prime
@@ -468,7 +426,6 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
                     f"ends at {boundary}")
             plan = plan_block(q_prev, q_cur, base, config.budget)
             tail = tail_digit(plan.exponent, base, config.mode,
-                              offset=config.tail_offset,
                               max_bits=config.budget.tail_bits)
         except (SearchExhausted, ResourceBudgetExceeded, InputFormatError) as exc:
             raise ConstructionAborted(exc, i, digits, certificates) from exc
@@ -486,7 +443,7 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
             denoms_after=(plan.q1, plan.q2, plan.q3),
             prime=plan.q2, exponent=plan.exponent,
             digit_bound=plan.exponent,
-            mode=config.mode.label()))
+            mode=config.mode.kind))
     return ConstructedNumber(config, source, digits, certificates)
 
 

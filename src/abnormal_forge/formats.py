@@ -29,7 +29,7 @@ JSON numbers (the certificates' ``index`` and ``block_end``, the
 header's config echo) go through :mod:`json` under the interpreter's
 limit: a certificate file holding a longer one is refused with
 :class:`InputFormatError`, and a header holding one, which only a
-library caller's ``tail_offset`` can give, makes ``write_digit_file``
+library caller's config can give, makes ``write_digit_file``
 raise ``ValueError`` before it opens its file. JSON nested past the
 interpreter's recursion limit, in a certificate file or a digit file's
 header, is refused with :class:`InputFormatError` too. A certificate

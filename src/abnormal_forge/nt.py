@@ -62,7 +62,8 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _COPRIMIZER_SCAN_LIMIT = 1 << 20
 # Rho iterations one factorization may spend before it gives up.
 FACTOR_EFFORT = 1 << 22
-# Default cap on find_artin_prime's candidates.
+# Cap on find_artin_prime's candidates in plan_block, which reads it at
+# each call; the run header echoes it as artin_limit.
 ARTIN_LIMIT = 100_000
 
 

@@ -12,6 +12,15 @@ from abnormal_forge.seed import ListDigitSource
 # with denominators 23, 59 and 32768 = 2**15.
 WORKED_SEED = [1, 2, 3, 1]
 
+# Mode texts of the retired relaxed:<scale> mode, keyed by test id: scales
+# that once raised ZeroDivisionError or formed 10**100000000 in Fraction(),
+# a plain one, and one past the int<->str digit limit. Each is now refused
+# as an unknown mode.
+RELAXED_MODES = {"1/0": "relaxed:1/0", "0/0": "relaxed:0/0",
+                 "1e100000000": "relaxed:1e100000000",
+                 "1.5E-3": "relaxed:1.5E-3", "2": "relaxed:2",
+                 "10**6-digits": "relaxed:" + "7" * 10**6}
+
 
 @pytest.fixture
 def worked_number():

@@ -122,8 +122,7 @@ def test_criterion_3_multi_block_structural_run(capsys):
     started = time.time()
     config = ConstructionConfig(
         block_size=4, blocks=3, mode=Mode.parse("toy"),
-        budget=SearchBudget(artin_limit=2_000, bsgs_entries=1 << 22,
-                            tail_bits=1 << 25))
+        budget=SearchBudget(bsgs_entries=1 << 22, tail_bits=1 << 25))
     try:
         number = construct(config, RngDigitSource(42))
     except ConstructionAborted as aborted:

@@ -28,7 +28,7 @@ from abnormal_forge.radix import (NON_TERMINATING, base_expansion,
                                   count_occurrences)
 from abnormal_forge.seed import ListDigitSource, RngDigitSource
 
-from conftest import WORKED_SEED
+from conftest import RELAXED_MODES, WORKED_SEED
 
 
 def test_base_schedule_opening_sequence():
@@ -171,16 +171,13 @@ def test_tail_digit_modes():
     assert tail_digit(3, 2, paper) == 513
     assert tail_digit(15, 2, paper) == (1 << 225) + 1
     assert tail_digit(15, 2, Mode.parse("toy")) == 2
-    assert tail_digit(15, 2, Mode.parse("toy"), offset=5) == 7
-    assert tail_digit(3, 2, Mode.parse("relaxed:2")) == 65
-    assert tail_digit(3, 2, Mode.parse("relaxed:1/2")) == 5
     assert tail_digit(3, 3, paper) == 3**9 + 1
 
 
 def test_tail_digit_budget():
     with pytest.raises(ResourceBudgetExceeded) as info:
         tail_digit(10**6, 2, Mode.parse("paper"), max_bits=1 << 20)
-    assert "relaxed" in str(info.value)
+    assert str(info.value).endswith("; rerun in toy mode")
 
 
 def _ilog_by_multiplying(x, base):
@@ -204,27 +201,15 @@ def test_ilog_floor_matches_brute_force(base):
 
 def test_mode_parsing():
     assert Mode.parse("paper").kind == "paper"
-    assert Mode.parse("toy").label() == "toy"
-    relaxed = Mode.parse("relaxed:1.5")
-    assert relaxed.scale == Fraction(3, 2)
-    assert relaxed.label() == "relaxed:3/2"
+    assert Mode.parse("toy").kind == "toy"
     with pytest.raises(ValueError):
         Mode.parse("strict")
-    with pytest.raises(ValueError):
-        Mode.parse("relaxed:0")
-    for label in ("relaxed:3/2", "relaxed:2", "relaxed:1/3"):
-        assert Mode.parse(label).label() == label
-    assert Mode.parse("relaxed:2").scale == Fraction(2)
-    assert Mode.parse("relaxed:0.25").scale == Fraction(1, 4)
 
 
-@pytest.mark.parametrize("text,message", [
-    ("relaxed:1/0", "divides by zero"), ("relaxed:0/0", "divides by zero"),
-    ("relaxed:1e100000000", "has an exponent"),
-    ("relaxed:1.5E-3", "has an exponent")])
-def test_mode_refuses_hostile_scales(text, message):
-    # Fraction("1e100000000") would form 10**100000000 before failing.
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("text", RELAXED_MODES.values(), ids=RELAXED_MODES)
+def test_mode_refuses_relaxed_texts(text):
+    with pytest.raises(ValueError, match="^mode must be 'paper' or 'toy', "
+                                         "got '.{,40}'$"):
         Mode.parse(text)
 
 
@@ -233,9 +218,6 @@ def test_config_validation():
         ConstructionConfig(block_size=5, blocks=1, mode=Mode.parse("toy"))
     with pytest.raises(ValueError):
         ConstructionConfig(block_size=4, blocks=-1, mode=Mode.parse("toy"))
-    with pytest.raises(ValueError):
-        ConstructionConfig(block_size=4, blocks=1, mode=Mode.parse("toy"),
-                           tail_offset=-2)
 
 
 def test_worked_block_digits_and_certificate(worked_number):
@@ -273,19 +255,6 @@ def test_construct_zero_blocks_streams_seed():
 def test_construct_requires_even_block():
     with pytest.raises(ValueError):
         ConstructionConfig(block_size=7, blocks=1, mode=Mode.parse("paper"))
-
-
-def test_tail_offset_changes_exactly_one_digit():
-    base_cfg = ConstructionConfig(block_size=4, blocks=1, mode=Mode.parse("toy"))
-    offset_cfg = ConstructionConfig(block_size=4, blocks=1,
-                                    mode=Mode.parse("toy"), tail_offset=1)
-    a = construct(base_cfg, RngDigitSource(606)).prefix(30)
-    b = construct(offset_cfg, RngDigitSource(606)).prefix(30)
-    boundary = block_boundary(4, 1)
-    tail_index = boundary + 4  # 1-based position of the tail digit
-    assert a[tail_index - 1] + 1 == b[tail_index - 1]
-    assert a[:tail_index - 1] == b[:tail_index - 1]
-    assert a[tail_index:] == b[tail_index:]
 
 
 def test_removing_insertions_recovers_seed():
@@ -362,18 +331,6 @@ def test_verify_detects_power_tampering(worked_number, exponent):
     assert checks["power_hit"].passed is False
 
 
-def test_relaxed_mode_round_trip():
-    config = ConstructionConfig(block_size=4, blocks=1,
-                                mode=Mode.parse("relaxed:2"))
-    result = construct(config, ListDigitSource(WORKED_SEED))
-    cert = result.certificates[0]
-    assert cert.mode == "relaxed:2"
-    assert cert.inserted[3] == (1 << 30) + 1  # base**(2 * 15) + 1
-    report = verify_certificate(cert, result.digits_through_blocks)
-    assert report.passed
-    assert not report.tail_bound_met  # 2^30 + 1 is far below 2^225
-
-
 def test_verify_toy_certificate_reports_tail_unmet():
     config = ConstructionConfig(block_size=4, blocks=1, mode=Mode.parse("toy"))
     result = construct(config, ListDigitSource(WORKED_SEED))
@@ -437,17 +394,15 @@ def test_verify_fails_a_claimed_tail_below_one(worked_number, tail):
     assert report.checks[-1].name == "radix_tail_structure"
 
 
-def test_verify_allocates_little_beyond_the_tail():
+def test_verify_allocates_little_beyond_the_tail(worked_number):
     # The worked block with a 2**24-bit paper tail (2 MiB). Verify forms
     # no tail-sized temporary: the tail bound is decided from the tail's
     # bit length and low bit, so its peak allocation is a fraction of the
     # tail's own size.
-    config = ConstructionConfig(block_size=4, blocks=1,
-                                mode=Mode.parse("paper"),
-                                tail_offset=1 << (1 << 24))
-    number = construct(config, ListDigitSource(WORKED_SEED))
-    cert = number.certificates[0]
-    digits = number.digits_through_blocks
+    cert = worked_number.certificates[0]
+    tail = cert.inserted[3] + (1 << (1 << 24))
+    cert = cert._replace(inserted=cert.inserted[:3] + (tail,))
+    digits = worked_number.digits_through_blocks[:-1] + [tail]
     tail_bytes = sys.getsizeof(cert.inserted[3])
     tracemalloc.start()
     try:
@@ -659,8 +614,7 @@ def test_multi_block_aborts_with_partial_results():
     # modulus; the searches must fail fast with the partial block intact.
     config = ConstructionConfig(
         block_size=4, blocks=2, mode=Mode.parse("toy"),
-        budget=SearchBudget(artin_limit=500, bsgs_entries=1 << 20,
-                            tail_bits=1 << 24))
+        budget=SearchBudget(bsgs_entries=1 << 20, tail_bits=1 << 24))
     with pytest.raises(ConstructionAborted) as info:
         construct(config, RngDigitSource(42))
     aborted = info.value
@@ -684,8 +638,7 @@ def test_later_block_is_planned_from_the_emitted_stream(monkeypatch):
     monkeypatch.setattr(construction, "plan_block", spy)
     config = ConstructionConfig(
         block_size=4, blocks=2, mode=Mode.parse("toy"),
-        budget=SearchBudget(artin_limit=500, bsgs_entries=1 << 20,
-                            tail_bits=1 << 24))
+        budget=SearchBudget(bsgs_entries=1 << 20, tail_bits=1 << 24))
     with pytest.raises(ConstructionAborted) as info:
         construct(config, RngDigitSource(42))
     digits = info.value.digits
@@ -755,22 +708,21 @@ def _forged(cls, *values):
 
 _BAD_RECORDS = {
     "mode-positional": lambda: Mode("relaxed"),
-    "mode-keyword": lambda: Mode(kind="paper", scale=Fraction(1)),
+    "mode-keyword": lambda: Mode(kind="relaxed:2"),
     "mode-replace": lambda: Mode("toy")._replace(kind="fast"),
-    "mode-make": lambda: Mode._make(["relaxed", Fraction(-1)]),
-    "mode-pickle": lambda: pickle.loads(pickle.dumps(
-        _forged(Mode, "fast", None))),
+    "mode-make": lambda: Mode._make(["relaxed:-1"]),
+    "mode-pickle": lambda: pickle.loads(pickle.dumps(_forged(Mode, "fast"))),
     "config-positional": lambda: ConstructionConfig(3, 1, Mode("toy")),
     "config-keyword": lambda: ConstructionConfig(block_size=4, blocks=-1,
                                                  mode=Mode("toy")),
     "config-replace": lambda: ConstructionConfig(
-        4, 1, Mode("toy"))._replace(tail_offset=-1),
+        4, 1, Mode("toy"))._replace(blocks=-1),
     "config-pickle": lambda: pickle.loads(pickle.dumps(
-        _forged(ConstructionConfig, 4, -1, Mode("toy"), 0, SearchBudget()))),
+        _forged(ConstructionConfig, 4, -1, Mode("toy"), SearchBudget()))),
     "budget-keyword": lambda: SearchBudget(bsgs_entries=1 << 41),
     "budget-replace": lambda: SearchBudget()._replace(bsgs_entries=1 << 41),
     "budget-pickle": lambda: pickle.loads(pickle.dumps(
-        _forged(SearchBudget, 1, 1 << 41, 1))),
+        _forged(SearchBudget, 1 << 41, 1))),
 }
 
 

@@ -29,7 +29,7 @@ from abnormal_forge.formats import (_cert_from_json, _cert_to_json,
                                     write_digit_file)
 from abnormal_forge.seed import RngDigitSource, parse_digit_file
 
-from conftest import WORKED_SEED, lifted_int_limit
+from conftest import RELAXED_MODES, WORKED_SEED, lifted_int_limit
 
 
 def _write_seed(tmp_path, digits=WORKED_SEED, name="seed.cf"):
@@ -380,7 +380,6 @@ def test_cli_construct_outputs_are_reproducible(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("mode,seed_args,block_size", [
     ("paper", ["--seed-file", None], "4"),
     ("toy", ["--seed-rng", "7"], "4"),
-    ("relaxed:2", ["--seed-rng", "7"], "4"),
     ("paper", ["--seed-rng", "2"], "6"),
     ("toy", ["--seed-rng", "11"], "6"),
 ])
@@ -507,10 +506,10 @@ def test_json_numbers_past_the_digit_limit_are_refused(tmp_path):
     digits.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(InputFormatError, match="malformed header"):
         read_digit_file(digits)
-    # Only a library caller's tail offset can put one in a header: writing
-    # it raises before the digit file is opened.
-    config = ConstructionConfig(block_size=4, blocks=1, mode=Mode.parse("toy"),
-                                tail_offset=10**5000)
+    # Only a library caller's config can put one in a header: writing it
+    # raises before the digit file is opened.
+    config = ConstructionConfig(block_size=4, blocks=10**5000,
+                                mode=Mode.parse("toy"))
     never = tmp_path / "never.cf"
     with pytest.raises(ValueError):
         write_digit_file(never, [1], run_header(config.echo(), {}))
@@ -598,36 +597,65 @@ def test_cli_verify_block_end_past_the_digit_limit(tmp_path, width, flags):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("scale,message", [
-    ("1/0", "divides by zero"), ("1e100000000", "has an exponent")])
-def test_cli_refuses_hostile_relaxed_scales(tmp_path, capsys, scale, message):
-    # Fraction("1e100000000") would run for well over 30 s; "1/0" raised
-    # ZeroDivisionError, a traceback.
+# Runs the CLI with its last argument read from stdin: one argv string
+# longer than 128 KiB is refused by the kernel before the child starts.
+_CLI_WITH_STDIN_ARG = ("import sys; from abnormal_forge.cli import entrypoint; "
+                       "sys.argv.append(sys.stdin.read()); entrypoint()")
+
+
+@pytest.mark.parametrize("mode", RELAXED_MODES.values(), ids=RELAXED_MODES)
+def test_cli_refuses_relaxed_modes(tmp_path, capsys, mode):
+    # Refused as unknown modes, with the text shortened: "1e100000000" once
+    # ran Fraction() for well over 30 s, "1/0" raised ZeroDivisionError, a
+    # traceback, and 10**6 digits printed Python's digit-limit error.
+    message = "error: mode must be 'paper' or 'toy', got '"
     seed = _write_seed(tmp_path)
     digits = tmp_path / "y.cf"
     cert = tmp_path / "y.json"
     construct_args = ["construct", "--seed-file", str(seed),
                       "--block-size", "4", "--blocks", "1",
                       "--out-digits", str(digits), "--out-cert", str(cert)]
-    assert main([*construct_args, "--mode", f"relaxed:{scale}"]) == 2
-    assert message in capsys.readouterr().err
+    assert main([*construct_args, "--mode", mode]) == 2
+    assert capsys.readouterr().err.startswith(message)
     child = subprocess.run(
-        [sys.executable, "-m", "abnormal_forge.cli", *construct_args,
-         "--mode", f"relaxed:{scale}"],
-        capture_output=True, text=True, timeout=60)
+        [sys.executable, "-c", _CLI_WITH_STDIN_ARG, *construct_args,
+         "--mode"], input=mode, capture_output=True, text=True, timeout=60)
     assert (child.returncode, child.stdout) == (2, "")
-    assert message in child.stderr and "Traceback" not in child.stderr
+    assert child.stderr.startswith(message)
+    assert "Traceback" not in child.stderr
+    assert not digits.exists() and not cert.exists()
 
     assert main([*construct_args, "--mode", "paper"]) == 0
     payload = json.loads(cert.read_text(encoding="utf-8"))
-    payload["blocks"][0]["mode"] = f"relaxed:{scale}"
+    payload["blocks"][0]["mode"] = mode
     cert.write_text(json.dumps(payload), encoding="utf-8")
     capsys.readouterr()
     assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(message)
     result = _verify_child(cert, digits)
     assert (result.returncode, result.stdout) == (2, "")
-    assert message in result.stderr and "Traceback" not in result.stderr
+    assert result.stderr.startswith(message)
+    assert "Traceback" not in result.stderr
+
+
+def test_cli_verify_shortens_an_unknown_mode(tmp_path, capsys):
+    # A mode of 10**6 characters is echoed in a few dozen bytes, not in
+    # full.
+    seed = _write_seed(tmp_path)
+    digits, cert = tmp_path / "y.cf", tmp_path / "y.json"
+    assert main(["construct", "--seed-file", str(seed), "--block-size", "4",
+                 "--blocks", "1", "--out-digits", str(digits),
+                 "--out-cert", str(cert)]) == 0
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    payload["blocks"][0]["mode"] = "x" * 10**6
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 2
+    assert len(capsys.readouterr().err.encode("utf-8")) < 200
+    result = _verify_child(cert, digits)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert len(result.stderr.encode("utf-8")) < 200
+    assert "Traceback" not in result.stderr
 
 
 def _paper_files(tmp_path, seed, block_size):
@@ -982,56 +1010,21 @@ def test_cli_construct_reports_the_whole_seed_file_shortfall(tmp_path,
     assert not digits.exists() and not cert.exists()
 
 
-@pytest.mark.parametrize("limit", ["0", "-1"])
-def test_cli_construct_refuses_search_limit_below_one(tmp_path, capsys,
-                                                      limit):
-    # A limit that allows no candidate is a usage error, not an exhausted
-    # search: exit 2 and no partial outputs.
-    seed = _write_seed(tmp_path)
-    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
-    code = main(["construct", "--seed-file", str(seed), "--block-size", "4",
-                 "--blocks", "1", "--search-limit", limit,
-                 "--out-digits", str(digits), "--out-cert", str(cert)])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == f"error: search limit must be >= 1, got {limit}\n"
-    assert not digits.exists() and not cert.exists()
-
-
 @pytest.mark.parametrize("budget", [None, str(1 << 20)])
-@pytest.mark.parametrize("flag,limit", [([], 100_000),
-                                        (["--search-limit", "7"], 7)])
 def test_cli_construct_echoes_the_search_limit(tmp_path, monkeypatch, capsys,
-                                               budget, flag, limit):
-    # Without the flag the library's own default prime-search cap is used,
-    # with or without a memory budget; the flag replaces it.
+                                               budget):
+    # The prime-search cap is the library's own, with or without a memory
+    # budget.
     if budget is not None:
         monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", budget)
     seed = _write_seed(tmp_path)
     digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
     assert main(["construct", "--seed-file", str(seed), "--block-size", "4",
-                 "--blocks", "1", "--mode", "toy", *flag,
+                 "--blocks", "1", "--mode", "toy",
                  "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
     capsys.readouterr()
-    assert read_digit_file(digits)[1]["config"]["artin_limit"] == limit
-    assert read_certificate_file(cert)[1]["config"]["artin_limit"] == limit
-
-
-def test_cli_construct_passes_the_tail_offset(tmp_path, capsys):
-    # The worked example's paper tail is 2**225 + 1; an offset adds to it,
-    # both headers echo it, and the shifted stream still verifies.
-    seed = _write_seed(tmp_path)
-    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
-    assert main(["construct", "--seed-file", str(seed), "--block-size", "4",
-                 "--blocks", "1", "--mode", "paper", "--tail-offset", "3",
-                 "--out-digits", str(digits), "--out-cert", str(cert)]) == 0
-    certs, cert_header = read_certificate_file(cert)
-    assert read_digit_file(digits)[1]["config"]["tail_offset"] == 3
-    assert cert_header["config"]["tail_offset"] == 3
-    assert certs[0].inserted[3] == 2**225 + 4
-    capsys.readouterr()
-    assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 0
-    capsys.readouterr()
+    assert read_digit_file(digits)[1]["config"]["artin_limit"] == 100_000
+    assert read_certificate_file(cert)[1]["config"]["artin_limit"] == 100_000
 
 
 def test_cli_verify_applies_the_table_cap_before_factoring(tmp_path, capsys,
@@ -1132,7 +1125,7 @@ def test_cli_construct_toy_multi_block_flushes_partial(tmp_path, capsys):
     digits = tmp_path / "y.cf"
     cert = tmp_path / "y.json"
     code = main(["construct", "--seed-rng", "42", "--block-size", "4",
-                 "--blocks", "2", "--mode", "toy", "--search-limit", "500",
+                 "--blocks", "2", "--mode", "toy",
                  "--out-digits", str(digits), "--out-cert", str(cert)])
     err = capsys.readouterr().err
     assert code == 3

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from abnormal_forge import nt
 from abnormal_forge.cli import main
 
 from conftest import WORKED_SEED
@@ -20,10 +21,6 @@ GOLDEN = [
      ("da852d5d0d1bc6dc06e93eb945f638f0bbdccbe9ecbd59ff76a51a2e456ecece",
       "1f7eb3786a9ed0391ad9ac62665dc28ce73c2ed91babfcd2e47af25a2e672c0c",
       "76490aad1166d2b4dea05a7d1faca76add5cda7eab4da5054f7b6f8cc49db58e")),
-    (["--seed-file", "seed.cf"], "relaxed:2",
-     ("760c101386b2c47c2d47bf62b4e102c4dd7014fa45cf4a8c932976069264b276",
-      "f14a10cd0e4741131490a7f17ca3e831176b377031110f8a0169f2bd488c825d",
-      "69b0811e068d7c8a7a43fdd8e67053f03a5782f945285d3965123dbfa433bc7c")),
     # An 18,226-bit tail, past the 4300-digit int() limit.
     (["--seed-rng", "1"], "paper",
      ("bafee1d90ed7306a4dde252c2748a512233a8ea114f32aad4fc3588b8f07fc63",
@@ -59,15 +56,14 @@ def test_construct_and_verify_bytes_are_pinned(seed_args, mode, expected,
 # not 0) for the analysis commands and an exhausted search, run in-process
 # in a temporary cwd. "seed.cf" holds the worked seed, and "y.cf" is its
 # paper-mode digit file, as README's `construct ... --out-digits y.cf`
-# writes it.
+# writes it. The commands run with a one-candidate prime search.
 COMMANDS = [
     (["analyze", "cf", "--digits", "y.cf", "--strings", "1;2;1,1",
       "--prefix", "8"], 0,
      "2d8315cafc3c0e570e7437c3753f404b0e030f00f06ca3d3edaaeff674ebec34", None),
     # A prime search that runs out of candidates: SearchExhausted, exit 3.
     (["construct", "--seed-file", "seed.cf", "--block-size", "4",
-      "--blocks", "1", "--search-limit", "1", "--out-digits", "out.cf",
-      "--out-cert", "out.json"], 3,
+      "--blocks", "1", "--out-digits", "out.cf", "--out-cert", "out.json"], 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "51b0d38088ceb0765114913aede2e22d3ebe2651194bd920b3e7aa2b485ea298"),
 ]
@@ -86,6 +82,7 @@ def test_command_bytes_are_pinned(argv, code, out_sha, err_sha,
                      "4", "--blocks", "1", "--out-digits", "y.cf",
                      "--out-cert", "y.json"]) == 0
         capsys.readouterr()
+    monkeypatch.setattr(nt, "ARTIN_LIMIT", 1)
     assert main(argv) == code
     captured = capsys.readouterr()
     assert _sha256(captured.out.encode("utf-8")) == out_sha
@@ -99,7 +96,7 @@ def test_command_bytes_are_pinned(argv, code, out_sha, err_sha,
 HELP = [
     ([], "cc11fa1a23391f43e013cb07a0129ab659a0becb4fea8d10036ec9c8e3cc5e80"),
     (["construct"],
-     "cbcb175939f0747b22e7c370b0de6d669db393e27bc23b73a860920401769228"),
+     "425cb2c7834db3e681ce60ad3af2b782ef88009c30f3398098e2bb3a36861bec"),
     (["verify"],
      "f819dd01633a8eb89621b57a3f5c9ed1d7e73d3d930ba6f9819f74a534fd10ee"),
     (["analyze", "cf"],
