@@ -8,12 +8,14 @@ size under any such limit, and never change it. They split large values
 in half and combine the halves with fast multiplication (Knuth, TAOCP
 Vol. 2, section 4.4; the method of CPython 3.12's ``Lib/_pylong.py``):
 
-* :func:`int_to_text` rebuilds an int of ``TEXT_FAST_BITS`` bits or more
-  as a :class:`decimal.Decimal` from its bit halves, ``hi * 2**w + lo``,
-  in an exact context (libmpdec multiplies large operands in
-  subquadratic time), then renders it with ``str()``, which is linear
-  for a Decimal. ``Decimal(int)`` and ``str(Decimal)`` have no digit
-  limit.
+* :func:`int_to_text` renders an int of ``TEXT_FAST_BITS`` bits or more
+  as an exact :class:`decimal.Decimal`, with ``str()``, which is linear
+  for a Decimal. A value 2**e + r with r < 2**TEXT_FAST_BITS, the shape
+  of every base-2 paper tail and power-hit denominator, is formed as
+  ``Decimal(2) ** e + r``, one libmpdec squaring chain; any other value
+  is rebuilt from its bit halves, ``hi * 2**w + lo``. Both run in an
+  exact context (libmpdec multiplies large operands in subquadratic
+  time). ``Decimal(int)`` and ``str(Decimal)`` have no digit limit.
 * :func:`text_to_int` parses a string of more than ``INT_FAST_CHARS``
   characters by halves, ``(hi * 5**k << k) + lo`` with k the length of
   the low half, after taking off what ``int()`` allows around the
@@ -28,21 +30,28 @@ taking their powers cache as an argument: a nested recursive closure
 would form a reference cycle that keeps the cache alive until the
 garbage collector runs.
 
-Each split conversion keeps its latest results in a
-:func:`functools.lru_cache` of ``SPLIT_CACHE_SIZE`` entries, so a CLI
-process that writes (or reads) a tail digit in both the digit file and
-the certificate renders (or parses) it once. The keys are the full int
-for rendering and the full ``str`` for parsing, so a hit is exact;
-values below the split thresholds never enter the caches. Each entry
-keeps its int and its text alive until it is evicted or the process
-ends: at most ``SPLIT_CACHE_SIZE`` pairs per direction, which in the
-CLI are the large fields of the certificates it handles (the tail
-digit, and past 2**2000 bits the inserted digits and denominators too).
+Both converters share one two-way memo of their split conversions: each
+stores its result under the int and under the text, so a value rendered
+once reads back as a lookup and a value parsed once renders as one, and
+a CLI process that meets a large value in both of its files converts it
+once. A parsed text is stored under its int only when it is ``str()``
+of that int; a text with a sign, underscores, whitespace, leading zeros
+or non-ASCII digits is a key for parsing alone. The keys are the full
+int and the full ``str``, so a hit is exact; values below the split
+thresholds never enter the memo. It holds at most
+``2 * SPLIT_CACHE_SIZE`` keys, so at least the latest ``SPLIT_CACHE_SIZE``
+pairs, which in the CLI are the large fields of the certificates it
+handles (the tail digit, and past 2**2000 bits the inserted digits and
+denominators too); each keeps its int and its text alive until it is
+evicted or the process ends. It is safe across threads: each lookup,
+key store and eviction is one call on an ``OrderedDict``, and a race
+between them can only tear a pair or drop a key early, which costs a
+recomputation, never a wrong result.
 """
 
 from __future__ import annotations
 
-import functools
+from collections import OrderedDict
 
 # Below these sizes the builtins are fast and within any digit limit
 # (2**2000 has 603 decimal digits); above them the split conversions
@@ -52,12 +61,15 @@ TEXT_FAST_LIMIT = 1 << TEXT_FAST_BITS
 INT_FAST_CHARS = 600          # also the leaves of the text -> int split
 
 _DECIMAL_LEAF_BITS = 1_024    # leaves of the int -> Decimal split
-# Entries per split cache: the thirteen decimal fields of a certificate
-# fit with room to spare, so its own fields cannot evict its tail before
-# the digit file asks for it.
+# Pairs in the memo: the thirteen decimal fields of a certificate fit
+# with room to spare, so its own fields cannot evict its tail before the
+# digit file asks for it.
 SPLIT_CACHE_SIZE = 16
 # int() strips the whitespace str.strip() does, except these four.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+# The two-way memo: int -> str and str -> int, oldest key first.
+_memo: OrderedDict = OrderedDict()
 
 
 def int_to_text(n: int) -> str:
@@ -66,10 +78,26 @@ def int_to_text(n: int) -> str:
         return str(n)
     if n < 0:
         return "-" + int_to_text(-n)
-    return _split_text(n)
+    text = _memo.get(n)
+    if text is None:
+        text = _split_text(n)
+        _remember(n, text)
+    return text
 
 
-@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def _remember(n: int, text: str, both_ways: bool = True) -> None:
+    """Store a split conversion under its text, and under its int when
+    ``both_ways``; then evict the oldest keys."""
+    if both_ways:
+        _memo[n] = text
+    _memo[text] = n
+    while len(_memo) > 2 * SPLIT_CACHE_SIZE:
+        try:
+            _memo.popitem(last=False)
+        except KeyError:  # another thread emptied it first
+            break
+
+
 def _split_text(n: int) -> str:
     """str(n) for n >= TEXT_FAST_LIMIT, through an exact Decimal."""
     import decimal
@@ -77,7 +105,12 @@ def _split_text(n: int) -> str:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        return str(_to_decimal(n, n.bit_length(), {}, decimal.Decimal))
+        if (n >> TEXT_FAST_BITS).bit_count() == 1:  # n = 2**e + r, small r
+            value = (decimal.Decimal(2) ** (n.bit_length() - 1)
+                     + decimal.Decimal(n & (TEXT_FAST_LIMIT - 1)))
+        else:
+            value = _to_decimal(n, n.bit_length(), {}, decimal.Decimal)
+        return str(value)
 
 
 def _to_decimal(n: int, bits: int, powers: dict, Decimal: type):
@@ -101,10 +134,14 @@ def text_to_int(text) -> int:
     """
     if type(text) is not str or len(text) <= INT_FAST_CHARS:
         return int(text)
-    return _split_int(text)
+    value = _memo.get(text)
+    if value is None:
+        value = _split_int(text)
+        _remember(value, text, value >= TEXT_FAST_LIMIT and text[0] != "0"
+                  and text.isascii() and text.isdigit())  # text is str(value)
+    return value
 
 
-@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
 def _split_int(text: str) -> int:
     """int(text) for a str of more than INT_FAST_CHARS characters."""
     body = text.strip()

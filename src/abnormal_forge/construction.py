@@ -84,7 +84,8 @@ class Mode(_Checked, _ModeFields):
 # - a discrete-log table entry: 98-109 B, and up to 156 B just past a dict
 #   resize (2/3 * 2**j entries);
 # - eight bits of tail digit, formed and rendered to decimal as construct
-#   writes it: 8.7 B at 1.45M bits, 7.6 B at 5.8M bits;
+#   writes it: 6.9-7.0 B for base-2 tails of 85k to 5.8M bits (rendering
+#   by bit halves, the path of other values, peaked at 9.6 B at 205k);
 # - a digit the rng sampler yields and construct writes: about 18 B.
 DEFAULT_MEM_BYTES = 256 << 20
 TABLE_ENTRY_BYTES = 160

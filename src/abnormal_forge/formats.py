@@ -19,11 +19,23 @@ are exactly those of ``str()``, and every text reads as ``int()`` reads
 it (signs, underscores, whitespace and non-ASCII digits included).
 A large value that appears in both files (a tail digit is a digit-file
 line and the certificate's ``inserted[3]``) is converted once per
-process: the converters keep their latest large results, keyed on the
-full int or the full text, so the second file reuses the first file's
-conversion, and the value's text stays alive while it is cached.
-``write_digit_file`` writes each large value's text as it is, with no
-line-sized copy, which offsets that text in the writer's peak memory.
+process: the converters share one two-way memo of their large results,
+keyed on the full int and the full text, so the second file reuses the
+first file's conversion, and the value's text stays alive while it is
+memoized. ``write_digit_file`` writes each large value's text as it is,
+with no line-sized copy, which offsets that text in the writer's peak
+memory.
+
+Tails by recognition: reading a paper-mode certificate parses no tail.
+Before converting a record, the reader renders the tail its base and
+exponent schedule, base**(exponent**2) + 1, which costs far less than
+parsing its text (a base-2 tail renders through one libmpdec power), so
+a tail field or digit-file line holding that text converts as a memo
+hit. The render is capped at 4 bits per character of the field it could
+match, so it never costs more than parsing that field; any other text,
+including the scheduled tail written with a sign, underscores or
+non-ASCII digits, is parsed as before, and a record the render cannot
+use fails exactly as it would without it.
 
 JSON numbers (the certificates' ``index`` and ``block_end``, the
 header's config echo) go through :mod:`json` under the interpreter's
@@ -46,8 +58,9 @@ import os
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from ._dectext import TEXT_FAST_LIMIT, int_to_text, text_to_int
-from .errors import InputFormatError
+from ._dectext import (INT_FAST_CHARS, TEXT_FAST_LIMIT, int_to_text,
+                       text_to_int)
+from .errors import InputFormatError, ResourceBudgetExceeded
 from .seed import ListDigitSource, parse_digit_file
 
 if TYPE_CHECKING:  # analyze cf reads digit files alone: no construction, nt
@@ -164,8 +177,35 @@ def _integers(record: dict, key: str, arity: int) -> tuple[int, ...]:
     return tuple(_integer(v) for v in values)
 
 
+def _render_scheduled_tail(record) -> None:
+    """Render the tail a paper record schedules, so that a tail field
+    holding its text reads as a memo hit; raises nothing.
+
+    The render is capped at 4 bits per character of the record's tail
+    field (an L-character decimal text is below 2**(3.33 * L)), so it
+    costs no more than parsing that field would.
+    """
+    from .construction import DEFAULT_BUDGET, MODE_PAPER, Mode, tail_digit
+    try:
+        inserted = record["inserted"]
+        if (record["mode"] != MODE_PAPER or type(inserted) is not list
+                or len(inserted) != 4 or type(inserted[3]) is not str
+                or len(inserted[3]) <= INT_FAST_CHARS):  # no memo below
+            return
+        base = _integer(record["base"])
+        if not 2 <= base < 1 << 64:
+            return
+        max_bits = min(4 * len(inserted[3]), DEFAULT_BUDGET.tail_bits)
+        int_to_text(tail_digit(_integer(record["exponent"]), base,
+                               Mode(MODE_PAPER), max_bits=max_bits))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError,
+            ResourceBudgetExceeded):
+        pass  # the conversion below reports what is wrong, if anything
+
+
 def _cert_from_json(record: dict) -> BlockCertificate:
     from .construction import BlockCertificate
+    _render_scheduled_tail(record)
     try:
         inserted = _integers(record, "inserted", 4)
         before = _integers(record, "denoms_before", 2)
@@ -204,6 +244,7 @@ def read_certificate_file(path) -> tuple[list[BlockCertificate], dict]:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # not JSON, or past a limit
         raise InputFormatError(f"not valid JSON: {exc}") from None
+    del text  # the payload holds each field's text; keep no third copy
     if not isinstance(payload, dict) or type(payload.get("blocks")) is not list:
         raise InputFormatError("missing certificate block list")
     if payload.get("format") != f"{TOOL_NAME}-certificates":

@@ -143,19 +143,26 @@ def test_table_entry_price_covers_a_table_just_past_a_dict_resize(entries):
     assert peak / entries <= construction.TABLE_ENTRY_BYTES
 
 
-def test_tail_price_covers_forming_and_rendering_a_paper_tail():
-    # Seed 36's 1,452,026-bit paper tail, formed and rendered to decimal
-    # as construct writes it (~8.7 B per 8 bits at the peak).
-    _dectext._split_text.cache_clear()
+# Decimal digits of 2**(k*k) + 1 for the paper tails of sampler seeds 11,
+# 15, 9 and 36, the cli-paper workload's tails past 2**2000.
+_TAIL_DIGITS = {292: 25_668, 453: 61_775, 773: 179_875, 1205: 437_104}
+
+
+@pytest.mark.parametrize("k", sorted(_TAIL_DIGITS))
+def test_tail_price_covers_forming_and_rendering_a_paper_tail(k):
+    # A k**2-bit paper tail, formed and rendered to decimal as construct
+    # writes it, in a process that has already loaded the decimal module.
+    import decimal  # noqa: F401
+    _dectext._memo.clear()
     tracemalloc.start()
     try:
-        tail = tail_digit(1205, 2, Mode("paper"))
+        tail = tail_digit(k, 2, Mode("paper"))
         text = int_to_text(tail)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        _dectext._split_text.cache_clear()
-    assert len(text) == 437_104
+        _dectext._memo.clear()
+    assert len(text) == _TAIL_DIGITS[k]
     assert peak * 8 / tail.bit_length() <= construction.TAIL_BYTE_BYTES
 
 

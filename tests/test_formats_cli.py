@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abnormal_forge import _dectext, nt
+from abnormal_forge import _dectext, formats, nt
 from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS, brief,
                                      int_to_text, text_to_int)
 from abnormal_forge.cli import _build_parser, main
@@ -246,8 +247,12 @@ def test_split_caches_are_exact():
     # Equal values share an entry; a value differing anywhere, even in a
     # text's last character, has its own.
     value = (1 << 5000) + 3
+    _dectext._memo.clear()
     text = int_to_text(value)
     assert int_to_text(value + 0) is text
+    # One memo, both ways: the rendered text parses as a lookup.
+    assert list(_dectext._memo.items()) == [(value, text), (text, value)]
+    assert text_to_int(text) is value
     other = text[:-1] + ("1" if text[-1] != "1" else "2")
     with lifted_int_limit():
         expected = int(other)
@@ -257,13 +262,56 @@ def test_split_caches_are_exact():
     assert text_to_int("-" + text) == -value
     assert text_to_int(text + " ") == value
     assert text_to_int(text.replace("0", "\u0660")) == value
-    # Below the split thresholds nothing is cached.
-    _dectext._split_text.cache_clear()
-    _dectext._split_int.cache_clear()
+    # A parsed text is a rendering key only when it is str() of its value.
+    _dectext._memo.clear()
+    assert text_to_int("+" + text) == value
+    assert list(_dectext._memo) == ["+" + text]
+    parsed = text_to_int(text)
+    assert int_to_text(parsed) is text
+    # Below the split thresholds nothing is memoized.
+    _dectext._memo.clear()
     small = 1 << 1900  # 572 digits
     assert text_to_int(int_to_text(small)) == small
-    assert _dectext._split_text.cache_info().currsize == 0
-    assert _dectext._split_int.cache_info().currsize == 0
+    assert len(_dectext._memo) == 0
+
+
+def test_memo_is_safe_across_threads():
+    # Four threads render and parse the same large values in different
+    # orders, evicting the memo many times over: powers of two plus a
+    # small part (the power path), powers of three (the bit split) and
+    # signed texts (parse-only keys).
+    values = [(1 << (TEXT_FAST_BITS + 101 * i)) + 3**i if i % 2
+              else 3 ** (1_300 + 37 * i)
+              for i in range(3 * _dectext.SPLIT_CACHE_SIZE)]
+    with lifted_int_limit():
+        texts = [str(v) for v in values]
+    wrong, errors = [], []
+
+    def work(offset):
+        try:
+            for step in range(2 * len(values)):
+                i = (offset + step * (1 + offset)) % len(values)
+                got = (int_to_text(values[i]), text_to_int(texts[i]),
+                       text_to_int("+" + texts[i]))
+                if got != (texts[i], values[i], values[i]):
+                    wrong.append(i)
+        except Exception as exc:  # reported below, in the main thread
+            errors.append(exc)
+
+    _dectext._memo.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+    assert len(_dectext._memo) <= 2 * _dectext.SPLIT_CACHE_SIZE
 
 
 def test_cli_paper_files_match_str_rendering(tmp_path, monkeypatch, capsys):
@@ -728,18 +776,19 @@ def test_verify_path_uses_no_fraction_and_no_expansion(tmp_path, capsys,
 def split_calls(monkeypatch):
     """The split conversions a fresh process would run, outermost calls only.
 
-    Clears both caches, then records the int each rendering starts from
-    and the digit text each parse starts from.
+    Clears the memo, then records the int each rendering starts from, the
+    text each parse starts from, and the int each bit split (a rendering
+    off the power path) starts from.
     """
-    _dectext._split_text.cache_clear()
-    _dectext._split_int.cache_clear()
-    rendered, parsed = [], []
-    depth = [0]
+    _dectext._memo.clear()
+    rendered, parsed, bit_split = [], [], []
 
     def spy(real, record):
+        depth = [0]
+
         def wrapper(*args):
             if depth[0] == 0:
-                record(args)
+                record(args[0])
             depth[0] += 1
             try:
                 return real(*args)
@@ -747,12 +796,13 @@ def split_calls(monkeypatch):
                 depth[0] -= 1
         return wrapper
 
+    monkeypatch.setattr(_dectext, "_split_text", spy(
+        _dectext._split_text, rendered.append))
+    monkeypatch.setattr(_dectext, "_split_int", spy(
+        _dectext._split_int, parsed.append))
     monkeypatch.setattr(_dectext, "_to_decimal", spy(
-        _dectext._to_decimal, lambda args: rendered.append(args[0])))
-    monkeypatch.setattr(_dectext, "_digits_to_int", spy(
-        _dectext._digits_to_int,
-        lambda args: parsed.append(args[0][args[1]:args[2]])))
-    return rendered, parsed
+        _dectext._to_decimal, bit_split.append))
+    return rendered, parsed, bit_split
 
 
 @pytest.mark.parametrize("seed,block_size,large_fields", [
@@ -761,21 +811,88 @@ def split_calls(monkeypatch):
 ])
 def test_cli_converts_each_large_value_once(tmp_path, capsys, split_calls,
                                             seed, block_size, large_fields):
-    rendered, parsed = split_calls
+    # construct renders each large value once. verify parses no tail: it
+    # renders the scheduled tail once, through the power path, so both
+    # files' copies of it read as memo hits, and it parses each other
+    # large field once.
+    rendered, parsed, bit_split = split_calls
     digits, cert = _paper_files(tmp_path, seed, block_size)
     tail_bits = int(capsys.readouterr().out.split("tail_bits=")[1].split()[0])
     assert len(rendered) == len(set(rendered)) == large_fields
-    assert max(rendered).bit_length() == tail_bits
+    tail = max(rendered)
+    others = sorted(rendered)[:-1]
+    assert tail.bit_length() == tail_bits
 
-    # verify in a fresh process: clear the caches as an exit would.
-    _dectext._split_text.cache_clear()
-    _dectext._split_int.cache_clear()
+    # verify in a fresh process: clear the memo as an exit would.
+    _dectext._memo.clear()
     rendered.clear()
+    bit_split.clear()
     assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 0
     capsys.readouterr()
-    assert rendered == []
-    assert len(parsed) == len(set(parsed)) == large_fields
-    assert text_to_int(max(parsed, key=len)).bit_length() == tail_bits
+    assert rendered == [tail] and bit_split == []
+    assert len(parsed) == len(set(parsed)) == large_fields - 1
+    assert sorted(text_to_int(text) for text in parsed) == others
+
+
+def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
+        tmp_path, capsys, monkeypatch):
+    # Mutated seed-36 certificates verify exactly as they do with the
+    # scheduled-tail render taken out, and no render passes 4 bits per
+    # character of the record's tail field. The tail's other written
+    # forms still verify, through a parse.
+    digits, cert = _paper_files(tmp_path, 36, 6)
+    capsys.readouterr()
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    tail = payload["blocks"][0]["inserted"][3]
+    mutations = {
+        "exponent-15000": ("exponent", "15000", 1),
+        "exponent-1206": ("exponent", "1206", 1),
+        "exponent-1400": ("exponent", "1400", 1),  # 4.5 bits a character
+        "exponent--Infinity": ("exponent", float("-inf"), 2),
+        "last-digit": ("tail", tail[:-1] + ("1" if tail[-1] != "1" else "2"),
+                       1),
+        "base-5000-digits": ("base", "7" * 5000, 1),
+        "mode-toy": ("mode", "toy", 0),
+    }
+    # The scheduled tail in other forms int() reads: these still verify.
+    forms = {"plus-sign": "+" + tail,
+             "underscores": "_".join(tail[i:i + 3]
+                                     for i in range(0, len(tail), 3)),
+             "arabic-indic": tail.translate(
+                 {ord("0") + d: 0x660 + d for d in range(10)})}
+    mutations.update({name: ("tail", form, 0) for name, form in forms.items()})
+    renders, parses = [], []
+    split_text, split_int = _dectext._split_text, _dectext._split_int
+    monkeypatch.setattr(_dectext, "_split_text",
+                        lambda n: renders.append(n) or split_text(n))
+    monkeypatch.setattr(_dectext, "_split_int",
+                        lambda text: parses.append(text) or split_int(text))
+
+    def verify(key, value):
+        block = dict(payload["blocks"][0])
+        if key == "tail":
+            block["inserted"] = block["inserted"][:3] + [value]
+        else:
+            block[key] = value
+        cert.write_text(json.dumps(dict(payload, blocks=[block])),
+                        encoding="utf-8")
+        _dectext._memo.clear()
+        renders.clear()
+        parses.clear()
+        code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
+        return (code, *capsys.readouterr())
+
+    for name, (key, value, expected_code) in mutations.items():
+        outcome = verify(key, value)
+        assert outcome[0] == expected_code, name
+        field_chars = len(value if key == "tail" else tail)
+        assert all(n.bit_length() <= 4 * field_chars for n in renders), name
+        if name in forms:
+            assert renders and value in parses, name
+        with monkeypatch.context() as no_render:
+            no_render.setattr(formats, "_render_scheduled_tail",
+                              lambda record: None)
+            assert verify(key, value) == outcome, name
 
 
 def test_cli_verify_exit_2_on_truncated_digits(tmp_path, capsys):
@@ -1371,16 +1488,26 @@ def test_cli_import_loads_only_what_every_subcommand_needs():
 def test_cli_verify_loads_no_fraction_decimal_datetime_or_radix(tmp_path,
                                                                  capsys):
     # A verify process parses and checks with integers alone: it loads no
-    # module that builds a Fraction, renders a Decimal or stamps a time.
+    # module that builds a Fraction or stamps a time. A paper tail past
+    # 2**2000 is rendered rather than parsed, which loads decimal (about
+    # 1.3 ms, against ~130 ms of parsing for seed 36's tail); a toy
+    # certificate loads no decimal either.
     digits, cert = _paper_files(tmp_path, 1, 4)
-    argv = ["verify", "--cert", str(cert), "--digits", str(digits)]
-    loaded = _loaded_after(
-        "from abnormal_forge.cli import main\n"
-        f"assert main({argv!r}) == 0")
-    assert "abnormal_forge.construction" in loaded
-    for name in ("dataclasses", "inspect", "fractions", "decimal", "datetime",
-                 "abnormal_forge.radix"):
-        assert name not in loaded
+    toy_digits, toy_cert = tmp_path / "toy.cf", tmp_path / "toy.json"
+    assert main(["construct", "--seed-rng", "1", "--block-size", "4",
+                 "--blocks", "1", "--mode", "toy",
+                 "--out-digits", str(toy_digits),
+                 "--out-cert", str(toy_cert)]) == 0
+    for paths, unloaded in [
+            ((cert, digits), ()), ((toy_cert, toy_digits), ("decimal",))]:
+        argv = ["verify", "--cert", str(paths[0]), "--digits", str(paths[1])]
+        loaded = _loaded_after(
+            "from abnormal_forge.cli import main\n"
+            f"assert main({argv!r}) == 0")
+        assert "abnormal_forge.construction" in loaded
+        for name in ("dataclasses", "inspect", "fractions", "datetime",
+                     "abnormal_forge.radix") + unloaded:
+            assert name not in loaded, (paths[0].name, name)
 
 
 def test_cli_analyze_cf_loads_no_construction_or_number_theory(tmp_path):
