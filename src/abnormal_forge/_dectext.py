@@ -16,16 +16,17 @@ Vol. 2, section 4.4; the method of CPython 3.12's ``Lib/_pylong.py``):
   is rebuilt from its bit halves, ``hi * 2**w + lo``. Both run in an
   exact context (libmpdec multiplies large operands in subquadratic
   time). ``Decimal(int)`` and ``str(Decimal)`` have no digit limit.
-* :func:`text_to_int` parses a string of more than ``INT_FAST_CHARS``
-  characters by halves, ``(hi * 5**k << k) + lo`` with k the length of
-  the low half, after taking off what ``int()`` allows around the
-  digits: surrounding whitespace, a sign and single underscores between
-  digits. Any Unicode decimal digits are accepted, as ``int()`` does.
+* :func:`text_to_int` reads back exactly the texts ``str()`` writes:
+  an optional ``-``, then ASCII digits with no leading zero (``0``
+  alone for zero), the grammar :func:`is_canonical` holds; any other
+  text raises ``ValueError``. It parses a text of more than
+  ``INT_FAST_CHARS`` characters by halves, ``(hi * 5**k << k) + lo``
+  with k the length of the low half.
 
 Every builtin ``str()``/``int()`` call made here sees fewer than 640
-digits, so no limit the interpreter allows can refuse one, and both
-converters give exactly what ``str()`` and ``int()`` give with the limit
-lifted, errors included. The recursions are module-level functions
+digits, so no limit the interpreter allows can refuse one, and the two
+converters are inverses: ``int_to_text(text_to_int(t)) == t`` for every
+text ``t`` accepted. The recursions are module-level functions
 taking their powers cache as an argument: a nested recursive closure
 would form a reference cycle that keeps the cache alive until the
 garbage collector runs.
@@ -34,19 +35,16 @@ Both converters share one two-way memo of their split conversions: each
 stores its result under the int and under the text, so a value rendered
 once reads back as a lookup and a value parsed once renders as one, and
 a CLI process that meets a large value in both of its files converts it
-once. A parsed text is stored under its int only when it is ``str()``
-of that int; a text with a sign, underscores, whitespace, leading zeros
-or non-ASCII digits is a key for parsing alone. The keys are the full
-int and the full ``str``, so a hit is exact; values below the split
-thresholds never enter the memo. It holds at most
-``2 * SPLIT_CACHE_SIZE`` keys, so at least the latest ``SPLIT_CACHE_SIZE``
-pairs, which in the CLI are the large fields of the certificates it
-handles (the tail digit, and past 2**2000 bits the inserted digits and
-denominators too); each keeps its int and its text alive until it is
-evicted or the process ends. It is safe across threads: each lookup,
-key store and eviction is one call on an ``OrderedDict``, and a race
-between them can only tear a pair or drop a key early, which costs a
-recomputation, never a wrong result.
+once. The keys are the full int and the full ``str``, so a hit is
+exact; values below the split thresholds never enter the memo. It holds
+at most ``2 * SPLIT_CACHE_SIZE`` keys, so at least the latest
+``SPLIT_CACHE_SIZE`` pairs, which in the CLI are the large fields of the
+certificates it handles (the tail digit, and past 2**2000 bits the
+inserted digits and denominators too); each keeps its int and its text
+alive until it is evicted or the process ends. It is safe across
+threads: each lookup, key store and eviction is one call on an
+``OrderedDict``, and a race between them can only tear a pair or drop a
+key early, which costs a recomputation, never a wrong result.
 """
 
 from __future__ import annotations
@@ -65,8 +63,6 @@ _DECIMAL_LEAF_BITS = 1_024    # leaves of the int -> Decimal split
 # with room to spare, so its own fields cannot evict its tail before the
 # digit file asks for it.
 SPLIT_CACHE_SIZE = 16
-# int() strips the whitespace str.strip() does, except these four.
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 # The two-way memo: int -> str and str -> int, oldest key first.
 _memo: OrderedDict = OrderedDict()
@@ -85,11 +81,10 @@ def int_to_text(n: int) -> str:
     return text
 
 
-def _remember(n: int, text: str, both_ways: bool = True) -> None:
-    """Store a split conversion under its text, and under its int when
-    ``both_ways``; then evict the oldest keys."""
-    if both_ways:
-        _memo[n] = text
+def _remember(n: int, text: str) -> None:
+    """Store a split conversion under its int and under its text; then
+    evict the oldest keys."""
+    _memo[n] = text
     _memo[text] = n
     while len(_memo) > 2 * SPLIT_CACHE_SIZE:
         try:
@@ -125,41 +120,34 @@ def _to_decimal(n: int, bits: int, powers: dict, Decimal: type):
             + _to_decimal(lo, low_bits, powers, Decimal))
 
 
-def text_to_int(text) -> int:
-    """``int(text)``, exact past the digit limit and subquadratic in length.
+def is_canonical(text: str) -> bool:
+    """Whether ``text`` is what ``str()`` writes for some int: an optional
+    ``-``, then ASCII digits with no leading zero (``0`` alone for zero)."""
+    if text.isdigit():
+        return text.isascii() and (text[0] != "0" or text == "0")
+    return (text[:1] == "-" and text[1:].isdigit() and text.isascii()
+            and text[1] != "0")
 
-    Strings of more than ``INT_FAST_CHARS`` characters are parsed here;
-    anything else (short strings, and the ints of JSON) goes to ``int()``
-    as it is.
-    """
-    if type(text) is not str or len(text) <= INT_FAST_CHARS:
+
+def text_to_int(text: str) -> int:
+    """The int whose ``str()`` is ``text``, exact past the digit limit and
+    subquadratic in length; a text :func:`is_canonical` refuses raises
+    ``ValueError``."""
+    if not is_canonical(text):
+        raise ValueError(f"not a canonical decimal integer: {text!r:.200}")
+    if len(text) <= INT_FAST_CHARS:
         return int(text)
+    if text[0] == "-":
+        return -text_to_int(text[1:])
     value = _memo.get(text)
     if value is None:
-        value = _split_int(text)
-        _remember(value, text, value >= TEXT_FAST_LIMIT and text[0] != "0"
-                  and text.isascii() and text.isdigit())  # text is str(value)
+        value = _digits_to_int(text, 0, len(text), {})
+        _remember(value, text)
     return value
 
 
-def _split_int(text: str) -> int:
-    """int(text) for a str of more than INT_FAST_CHARS characters."""
-    body = text.strip()
-    sign = body[:1]
-    if sign in ("+", "-"):
-        body = body[1:]
-    if "_" in body and not (body.startswith("_") or body.endswith("_")
-                            or "__" in body):
-        body = body.replace("_", "")
-    if not body.isdecimal() or any(c in text for c in _SEPARATORS):
-        raise ValueError(
-            f"invalid literal for int() with base 10: {text!r:.200}")
-    value = _digits_to_int(body, 0, len(body), {})
-    return -value if sign == "-" else value
-
-
 def _digits_to_int(text: str, start: int, stop: int, powers: dict) -> int:
-    """int(text[start:stop]) for an all-digit slice."""
+    """int(text[start:stop]) for a slice of ASCII digits."""
     if stop - start <= INT_FAST_CHARS:
         return int(text[start:stop])
     mid = (start + stop + 1) >> 1

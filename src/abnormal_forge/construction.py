@@ -85,7 +85,9 @@ class Mode(_Checked, _ModeFields):
 #   resize (2/3 * 2**j entries);
 # - eight bits of tail digit, formed and rendered to decimal as construct
 #   writes it: 6.9-7.0 B for base-2 tails of 85k to 5.8M bits (rendering
-#   by bit halves, the path of other values, peaked at 9.6 B at 205k);
+#   by bit halves, the path of other values, peaked at 9.6 B at 205k).
+#   Base 2 is the only base a reachable block has: a base-3 tail (block 3
+#   on) peaks at 9.5-9.8 B, above this price;
 # - a digit the rng sampler yields and construct writes: about 18 B.
 DEFAULT_MEM_BYTES = 256 << 20
 TABLE_ENTRY_BYTES = 160
@@ -458,7 +460,10 @@ class CheckResult(NamedTuple):
 class VerificationReport(NamedTuple):
     index: int
     checks: tuple[CheckResult, ...]
-    tail_bound_met: bool
+
+    @property
+    def tail_bound_met(self) -> bool:
+        return any(c.name == "tail_bound" and c.passed for c in self.checks)
 
     @property
     def passed(self) -> bool:
@@ -529,9 +534,8 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
             required: bool = True) -> None:
         checks.append(CheckResult(name, passed, required, detail))
 
-    def report(tail_bound_met: bool = False) -> VerificationReport:
-        return VerificationReport(index=i, checks=tuple(checks),
-                                  tail_bound_met=tail_bound_met)
+    def report() -> VerificationReport:
+        return VerificationReport(index=i, checks=tuple(checks))
 
     n_i = cert.block_end
     i = cert.index
@@ -659,7 +663,7 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
 
     if tail < 1:
         # A claimed gap bound of 1/(tail * q**2) <= 0 pins no place.
-        return report(tail_met)
+        return report()
 
     # Past 2**cap_bits > base**window no tail changes a verdict or a
     # detail; a window below 1 raises below, max() only keeps 1 << valid.
@@ -696,7 +700,7 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
             f"only {agreed} digits pinned; the {tail_span}-digit window "
             "needs a larger tail", required=False)
 
-    return report(tail_met)
+    return report()
 
 
 class InsertionDensity(NamedTuple):

@@ -13,10 +13,12 @@ through one pair of converters, ``_dectext.int_to_text`` and
 ``_dectext.text_to_int``, exact for integers of any size under the
 interpreter's int<->str digit limit, which nothing here changes. Short
 values stay on plain ``str()`` and ``int()``, inline in the digit-file
-loops, so files of a million short lines cost what they did; larger
-values are converted by halves in subquadratic time. The bytes written
-are exactly those of ``str()``, and every text reads as ``int()`` reads
-it (signs, underscores, whitespace and non-ASCII digits included).
+loops, where a short line costs one grammar check more; larger values
+are converted by halves in subquadratic time. The bytes written
+are exactly those of ``str()``, and only those read back: an integer
+text is an optional ``-`` and ASCII digits with no leading zero (``0``
+alone for zero), after the surrounding whitespace of a digit-file line
+is stripped; any other text is refused with :class:`InputFormatError`.
 A large value that appears in both files (a tail digit is a digit-file
 line and the certificate's ``inserted[3]``) is converted once per
 process: the converters share one two-way memo of their large results,
@@ -32,10 +34,9 @@ exponent schedule, base**(exponent**2) + 1, which costs far less than
 parsing its text (a base-2 tail renders through one libmpdec power), so
 a tail field or digit-file line holding that text converts as a memo
 hit. The render is capped at 4 bits per character of the field it could
-match, so it never costs more than parsing that field; any other text,
-including the scheduled tail written with a sign, underscores or
-non-ASCII digits, is parsed as before, and a record the render cannot
-use fails exactly as it would without it.
+match, so it never costs more than parsing that field; any other text
+is parsed or refused as before, and a record the render cannot use
+fails exactly as it would without it.
 
 JSON numbers (the certificates' ``index`` and ``block_end``, the
 header's config echo) go through :mod:`json` under the interpreter's
@@ -45,9 +46,9 @@ library caller's config can give, makes ``write_digit_file``
 raise ``ValueError`` before it opens its file. JSON nested past the
 interpreter's recursion limit, in a certificate file or a digit file's
 header, is refused with :class:`InputFormatError` too. A certificate
-integer field is a JSON integer or a decimal string; a JSON float or
-boolean there is refused with :class:`InputFormatError`, never
-truncated.
+integer field is a JSON integer or a decimal string in the grammar
+above; a JSON float or boolean there is refused with
+:class:`InputFormatError`, never truncated.
 """
 
 from __future__ import annotations
@@ -164,8 +165,10 @@ def _cert_to_json(cert: BlockCertificate) -> dict:
 
 def _integer(value) -> int:
     """A certificate integer: a JSON integer (not a bool) or a decimal string."""
-    if type(value) in (int, str):
+    if type(value) is str:
         return text_to_int(value)
+    if type(value) is int:
+        return value
     int(value)  # what int() refuses (None, lists, infinities) keeps its message
     raise TypeError(f"expected an integer or a decimal string, got {value!r}")
 

@@ -38,7 +38,7 @@ import functools
 import math
 from typing import Iterator
 
-from ._dectext import brief, text_to_int
+from ._dectext import INT_FAST_CHARS, brief, is_canonical, text_to_int
 from .cf import gauss_measure_fixed
 from .errors import InputFormatError
 
@@ -163,13 +163,13 @@ class RngDigitSource:
 def parse_digit_file(lines: Iterator[str]) -> list[int]:
     """Digits from file lines: one positive decimal integer per line.
 
-    Blank lines and ``#`` comments are skipped. Malformed or
-    non-positive entries raise :class:`InputFormatError` with the
-    offending 1-based line number and a shortened copy of the line.
-    Each line goes to ``int()`` inline, so short lines cost nothing
-    more; a line it refuses, such as a tail digit past the interpreter's
-    int<->str digit limit, goes to ``text_to_int``, which reads long
-    text exactly and in subquadratic time, under any limit.
+    Each stripped line must be what ``str()`` writes for its value
+    (``_dectext.is_canonical``); blank lines and ``#`` comments are
+    skipped. Malformed or non-positive entries raise
+    :class:`InputFormatError` with the offending 1-based line number and
+    a shortened copy of the line. A short line goes to ``int()`` inline
+    after that check; a long one to ``text_to_int``, which reads it
+    exactly and in subquadratic time, under any digit limit.
     """
     digits = []
     for lineno, raw in enumerate(lines, start=1):
@@ -177,13 +177,11 @@ def parse_digit_file(lines: Iterator[str]) -> list[int]:
         if not line or line.startswith("#"):
             continue
         try:
-            value = int(line)
-        except ValueError:  # malformed, or past the interpreter's limit
-            try:
-                value = text_to_int(line)
-            except ValueError:
-                raise InputFormatError(f"not an integer: {brief(line)!r}",
-                                       line=lineno) from None
+            value = (int(line) if len(line) <= INT_FAST_CHARS
+                     and is_canonical(line) else text_to_int(line))
+        except ValueError:
+            raise InputFormatError(f"not an integer: {brief(line)!r}",
+                                   line=lineno) from None
         if value < 1:
             raise InputFormatError(
                 f"partial quotients must be >= 1, got {brief(value)}",

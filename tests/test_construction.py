@@ -350,6 +350,28 @@ def test_verify_toy_certificate_reports_tail_unmet():
     assert tail_checks["tail_bound"].required is False
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="verify_certificate checks the tail only against a lower bound "
+           "in paper mode and not at all in toy mode, so a stream whose "
+           "tail construct never emits passes; ROADMAP items 3 and 18 ask "
+           "for the exact tail")
+def test_verify_refuses_a_tail_construct_never_emits():
+    # On the worked seed, paper mode emits the tail 2**225 + 1 and toy
+    # mode the tail 2; a stream and certificate carrying any other tail
+    # describe no scheduled construction.
+    for mode, tails in (("paper", [2**225 + 2]), ("toy", [1, 3])):
+        config = ConstructionConfig(block_size=4, blocks=1,
+                                    mode=Mode.parse(mode))
+        result = construct(config, ListDigitSource(WORKED_SEED))
+        cert = result.certificates[0]
+        for tail in tails:
+            report = verify_certificate(
+                cert._replace(inserted=cert.inserted[:3] + (tail,)),
+                result.digits_through_blocks[:-1] + [tail])
+            assert not report.passed, (mode, tail)
+
+
 def test_verify_rejects_unscheduled_base(worked_number):
     # 2**15 = 8**5 and 8 generates mod 59, so every arithmetic check of
     # the worked block also holds for base 8; block 1 is scheduled base 2.

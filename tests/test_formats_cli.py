@@ -146,17 +146,27 @@ def test_int_to_text_is_str(n):
 @example("1" + "0" * 6000)
 @example("9" * 6000)
 def test_text_to_int_is_int(text):
+    # int() of a text that is str() of its value, and the text back from
+    # int_to_text; leading zeros are refused.
     with lifted_int_limit():
         expected = int(text)
-    assert text_to_int(text) == expected
+        canonical = str(expected) == text
+    if canonical:
+        assert text_to_int(text) == expected
+        assert int_to_text(expected) == text
+    else:
+        with pytest.raises(ValueError, match="not a canonical decimal"):
+            text_to_int(text)
 
 
-def _int_outcome(text):
+def _canonical_value(text):
+    """The int whose str() is ``text``, or None if there is none."""
     with lifted_int_limit():
         try:
-            return int(text)
-        except ValueError as exc:
-            return str(exc)
+            value = int(text)
+        except ValueError:
+            return None
+        return value if str(value) == text else None
 
 
 _WORKED_CERT = BlockCertificate(
@@ -185,34 +195,46 @@ _PIECES = ("0", "7", "9", "+", "-", "_", " ", "\n", "\u3000", "\x1c",
 @example([("_", 1), ("9", 5000)])
 @example([("9", 5000), ("_", 2), ("9", 1)])
 @example([("\x1c", 1), ("9", 5000)])
-def test_noncanonical_text_parses_as_int_does(parts):
-    # Only the int() oracle lifts the digit limit; the readers run under
-    # the interpreter's default and leave it as it was.
+@example([("0", 1)])
+@example([("0", 2)])
+@example([("-", 1), ("0", 1)])
+@example([("-", 1), ("0", 1), ("7", 5000)])
+def test_noncanonical_text_is_refused(parts):
+    # Each reader takes a text exactly when it is str() of its value (a
+    # digit-file line after stripping). Only the oracle lifts the digit
+    # limit; the readers run under the interpreter's default and leave it
+    # as it was.
     limit = sys.get_int_max_str_digits()
     text = "".join(piece * count for piece, count in parts)
-    expected = _int_outcome(text)
-    try:
-        got = text_to_int(text)
-    except ValueError as exc:
-        got = str(exc)
-    assert got == expected
+    expected = _canonical_value(text)
+    refusal = f"not a canonical decimal integer: {text!r:.200}"
+    if expected is None:
+        with pytest.raises(ValueError) as failed:
+            text_to_int(text)
+        assert str(failed.value) == refusal
+    else:
+        assert text_to_int(text) == expected
+        assert int_to_text(expected) == text
     # The digit-file reader strips each line and rejects values below 1.
     stripped = text.strip()
-    line_value = _int_outcome(stripped)
+    line_value = _canonical_value(stripped)
     if stripped and not stripped.startswith("#"):
-        if isinstance(line_value, str) or line_value < 1:
-            with pytest.raises(InputFormatError):
+        if line_value is None:
+            with pytest.raises(InputFormatError, match="not an integer"):
+                parse_digit_file(iter([text]))
+        elif line_value < 1:
+            with pytest.raises(InputFormatError, match="must be >= 1"):
                 parse_digit_file(iter([text]))
         else:
             assert parse_digit_file(iter([text])) == [line_value]
-    # The certificate reader turns a failed value into InputFormatError
-    # that carries int()'s message.
+    # The certificate reader refuses the same texts with text_to_int's
+    # message.
     record = _cert_to_json(_WORKED_CERT)
     record["prime"] = text
-    if isinstance(expected, str):
+    if expected is None:
         with pytest.raises(InputFormatError) as failed:
             _cert_from_json(record)
-        assert str(failed.value) == f"bad certificate record: {expected}"
+        assert str(failed.value) == f"bad certificate record: {refusal}"
     else:
         assert _cert_from_json(record).prime == expected
     assert sys.get_int_max_str_digits() == limit
@@ -258,16 +280,15 @@ def test_split_caches_are_exact():
         expected = int(other)
     assert expected != value and text_to_int(other) == expected
     assert text_to_int(text) == value
-    assert text_to_int("+" + text) == value
     assert text_to_int("-" + text) == -value
-    assert text_to_int(text + " ") == value
-    assert text_to_int(text.replace("0", "\u0660")) == value
-    # A parsed text is a rendering key only when it is str() of its value.
-    _dectext._memo.clear()
-    assert text_to_int("+" + text) == value
-    assert list(_dectext._memo) == ["+" + text]
-    parsed = text_to_int(text)
-    assert int_to_text(parsed) is text
+    # A parsed text renders as a lookup.
+    assert int_to_text(text_to_int(other)) is other
+    # A refused text leaves the memo unchanged.
+    memo = list(_dectext._memo.items())
+    for form in ("+" + text, text + " ", text.replace("0", "\u0660")):
+        with pytest.raises(ValueError, match="not a canonical decimal"):
+            text_to_int(form)
+    assert list(_dectext._memo.items()) == memo
     # Below the split thresholds nothing is memoized.
     _dectext._memo.clear()
     small = 1 << 1900  # 572 digits
@@ -279,7 +300,7 @@ def test_memo_is_safe_across_threads():
     # Four threads render and parse the same large values in different
     # orders, evicting the memo many times over: powers of two plus a
     # small part (the power path), powers of three (the bit split) and
-    # signed texts (parse-only keys).
+    # negative texts (parsed without their sign).
     values = [(1 << (TEXT_FAST_BITS + 101 * i)) + 3**i if i % 2
               else 3 ** (1_300 + 37 * i)
               for i in range(3 * _dectext.SPLIT_CACHE_SIZE)]
@@ -292,8 +313,8 @@ def test_memo_is_safe_across_threads():
             for step in range(2 * len(values)):
                 i = (offset + step * (1 + offset)) % len(values)
                 got = (int_to_text(values[i]), text_to_int(texts[i]),
-                       text_to_int("+" + texts[i]))
-                if got != (texts[i], values[i], values[i]):
+                       text_to_int("-" + texts[i]))
+                if got != (texts[i], values[i], -values[i]):
                     wrong.append(i)
         except Exception as exc:  # reported below, in the main thread
             errors.append(exc)
@@ -716,8 +737,10 @@ def _paper_files(tmp_path, seed, block_size):
     return digits, cert
 
 
-def test_cli_verify_reuses_a_parse_only_for_identical_text(tmp_path, capsys):
+def test_cli_verify_refuses_noncanonical_tail_text(tmp_path, capsys):
     # Sampler seed 1: a 5487-digit tail, parsed by halves in both files.
+    # The tail written with a sign, leading zeros or underscores is
+    # refused in either file; another value fails the report.
     digits, cert = _paper_files(tmp_path, 1, 4)
     capsys.readouterr()
     payload = json.loads(cert.read_text(encoding="utf-8"))
@@ -734,7 +757,10 @@ def test_cli_verify_reuses_a_parse_only_for_identical_text(tmp_path, capsys):
         digits.write_text("".join(lines[:at] + [digit_line + "\n"]
                                   + lines[at + 1:]), encoding="utf-8")
         code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
-        report = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        if code == 2:
+            return code, captured.out, captured.err
+        report = json.loads(captured.out)
         return code, {c["name"] for b in report["blocks"]
                       for c in b["checks"] if c["passed"] is False}
 
@@ -743,8 +769,12 @@ def test_cli_verify_reuses_a_parse_only_for_identical_text(tmp_path, capsys):
         code, failed = verify(cert_tail, digit_line)
         assert code == 1 and "inserted_digits" in failed
     for form in forms:
-        assert verify(form, tail) == (0, set()), form[:5]
-        assert verify(tail, form) == (0, set()), form[:5]
+        assert verify(form, tail) == (
+            2, "", "error: bad certificate record: not a canonical decimal "
+            f"integer: {form!r:.200}\n"), form[:5]
+        assert verify(tail, form) == (
+            2, "", f"error: line {at + 1}: not an integer: {brief(form)!r}\n"
+        ), form[:5]
     assert verify(tail, tail) == (0, set())
 
 
@@ -798,8 +828,8 @@ def split_calls(monkeypatch):
 
     monkeypatch.setattr(_dectext, "_split_text", spy(
         _dectext._split_text, rendered.append))
-    monkeypatch.setattr(_dectext, "_split_int", spy(
-        _dectext._split_int, parsed.append))
+    monkeypatch.setattr(_dectext, "_digits_to_int", spy(
+        _dectext._digits_to_int, parsed.append))
     monkeypatch.setattr(_dectext, "_to_decimal", spy(
         _dectext._to_decimal, bit_split.append))
     return rendered, parsed, bit_split
@@ -838,8 +868,9 @@ def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
         tmp_path, capsys, monkeypatch):
     # Mutated seed-36 certificates verify exactly as they do with the
     # scheduled-tail render taken out, and no render passes 4 bits per
-    # character of the record's tail field. The tail's other written
-    # forms still verify, through a parse.
+    # character of the record's tail field. A tail text that is not the
+    # render is parsed, and one that is not str() of its value is refused
+    # before any parse.
     digits, cert = _paper_files(tmp_path, 36, 6)
     capsys.readouterr()
     payload = json.loads(cert.read_text(encoding="utf-8"))
@@ -854,19 +885,20 @@ def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
         "base-5000-digits": ("base", "7" * 5000, 1),
         "mode-toy": ("mode", "toy", 0),
     }
-    # The scheduled tail in other forms int() reads: these still verify.
+    # The scheduled tail in other forms int() reads: these are refused.
     forms = {"plus-sign": "+" + tail,
              "underscores": "_".join(tail[i:i + 3]
                                      for i in range(0, len(tail), 3)),
              "arabic-indic": tail.translate(
                  {ord("0") + d: 0x660 + d for d in range(10)})}
-    mutations.update({name: ("tail", form, 0) for name, form in forms.items()})
+    mutations.update({name: ("tail", form, 2) for name, form in forms.items()})
     renders, parses = [], []
-    split_text, split_int = _dectext._split_text, _dectext._split_int
+    split_text, split_digits = _dectext._split_text, _dectext._digits_to_int
     monkeypatch.setattr(_dectext, "_split_text",
                         lambda n: renders.append(n) or split_text(n))
-    monkeypatch.setattr(_dectext, "_split_int",
-                        lambda text: parses.append(text) or split_int(text))
+    monkeypatch.setattr(_dectext, "_digits_to_int",
+                        lambda text, *rest: parses.append(text)
+                        or split_digits(text, *rest))
 
     def verify(key, value):
         block = dict(payload["blocks"][0])
@@ -888,7 +920,9 @@ def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
         field_chars = len(value if key == "tail" else tail)
         assert all(n.bit_length() <= 4 * field_chars for n in renders), name
         if name in forms:
-            assert renders and value in parses, name
+            assert renders and not parses, name
+        if name == "last-digit":
+            assert value in parses, name
         with monkeypatch.context() as no_render:
             no_render.setattr(formats, "_render_scheduled_tail",
                               lambda record: None)
