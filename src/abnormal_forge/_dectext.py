@@ -133,8 +133,10 @@ def text_to_int(text: str) -> int:
     """The int whose ``str()`` is ``text``, exact past the digit limit and
     subquadratic in length; a text :func:`is_canonical` refuses raises
     ``ValueError``."""
-    if not is_canonical(text):
-        raise ValueError(f"not a canonical decimal integer: {text!r:.200}")
+    if not is_canonical(text):  # show repr(text)[:200] without forming it
+        shown = text if len(text) <= 200 else text[:200] + "".join(
+            q for q in "'\"" if q in text)  # so repr picks text's quote
+        raise ValueError(f"not a canonical decimal integer: {shown!r:.200}")
     if len(text) <= INT_FAST_CHARS:
         return int(text)
     if text[0] == "-":

@@ -2,7 +2,9 @@
 
 Digit files are UTF-8 text, one positive decimal integer per line, with
 ``#`` comment lines allowed anywhere; the digit index is the 1-based
-order of non-comment lines. Certificate files are JSON with every
+order of non-comment lines. ``seed.parse_digit_file`` reads one, header
+and digits, in one pass over the lines, and ``write_digit_file`` writes
+it one digit at a time. Certificate files are JSON with every
 arbitrary-precision integer carried as a decimal string, so nothing is
 rounded or truncated. Both begin with a run header that echoes enough
 configuration to reproduce the run bit-exactly (set SOURCE_DATE_EPOCH
@@ -60,16 +62,15 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from ._dectext import (INT_FAST_CHARS, TEXT_FAST_LIMIT, int_to_text,
-                       text_to_int)
+                       is_canonical, text_to_int)
 from .errors import InputFormatError, ResourceBudgetExceeded
-from .seed import ListDigitSource, parse_digit_file
+from .seed import HEADER_PREFIX, ListDigitSource, parse_digit_file
 
 if TYPE_CHECKING:  # analyze cf reads digit files alone: no construction, nt
     from .construction import BlockCertificate
 
 FORMAT_VERSION = "1"
 TOOL_NAME = "abnormal-forge"
-_LINES_PER_WRITE = 4096
 
 
 def _timestamp() -> str:
@@ -95,39 +96,21 @@ def run_header(config_echo: dict, seed_descriptor: dict) -> dict:
 
 def write_digit_file(path, digits: Sequence[int], header: dict) -> None:
     head = (f"# {TOOL_NAME} digit file v{FORMAT_VERSION}\n"
-            f"# header: {json.dumps(header, sort_keys=True)}\n")
+            f"{HEADER_PREFIX} {json.dumps(header, sort_keys=True)}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
-        for start in range(0, len(digits), _LINES_PER_WRITE):
-            chunk = digits[start:start + _LINES_PER_WRITE]
-            if max(chunk) < TEXT_FAST_LIMIT:
-                fh.write("".join([f"{d}\n" for d in chunk]))
-                continue
-            for d in chunk:  # large values go out as they are, uncopied
-                if d < TEXT_FAST_LIMIT:
-                    fh.write(f"{d}\n")
-                else:
-                    fh.write(int_to_text(d))
-                    fh.write("\n")
+        for d in digits:
+            if d < TEXT_FAST_LIMIT:
+                fh.write(f"{d}\n")
+            else:  # a large value goes out as it is, uncopied
+                fh.write(int_to_text(d))
+                fh.write("\n")
 
 
 def read_digit_file(path) -> tuple[list[int], dict | None]:
     """Digits plus the parsed header comment, if one is present."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_digit_lines(fh.readlines())
-
-
-def _parse_digit_lines(lines: list[str]) -> tuple[list[int], dict | None]:
-    header = None
-    for raw in lines:
-        line = raw.strip()
-        if line.startswith("# header:"):
-            try:
-                header = json.loads(line[len("# header:"):])
-            except (ValueError, RecursionError):  # not JSON, or past a limit
-                raise InputFormatError("malformed header comment") from None
-            break
-    return parse_digit_file(iter(lines)), header
+        return parse_digit_file(fh)
 
 
 class FileDigitSource(ListDigitSource):
@@ -142,7 +125,7 @@ class FileDigitSource(ListDigitSource):
             data = fh.read()
         self._sha256 = hashlib.sha256(data).hexdigest()
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-        super().__init__(_parse_digit_lines(text.readlines())[0])
+        super().__init__(parse_digit_file(text)[0])
 
     def descriptor(self) -> dict:
         return {"kind": "file", "path": self.path, "sha256": self._sha256}
@@ -193,7 +176,8 @@ def _render_scheduled_tail(record) -> None:
         inserted = record["inserted"]
         if (record["mode"] != MODE_PAPER or type(inserted) is not list
                 or len(inserted) != 4 or type(inserted[3]) is not str
-                or len(inserted[3]) <= INT_FAST_CHARS):  # no memo below
+                or len(inserted[3]) <= INT_FAST_CHARS  # no memo below
+                or not is_canonical(inserted[3])):  # text_to_int refuses
             return
         base = _integer(record["base"])
         if not 2 <= base < 1 << 64:

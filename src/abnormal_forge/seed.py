@@ -35,8 +35,9 @@ the exact integer comparisons decide every digit.
 from __future__ import annotations
 
 import functools
+import json
 import math
-from typing import Iterator
+from typing import Iterable
 
 from ._dectext import INT_FAST_CHARS, brief, is_canonical, text_to_int
 from .cf import gauss_measure_fixed
@@ -47,6 +48,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 SAMPLER_VERSION = "splitmix64-gauss-markov-v1"
 DIGIT_CAP = 10**6
+HEADER_PREFIX = "# header:"   # a digit file's header comment, then JSON
 
 
 class SplitMix64:
@@ -160,21 +162,30 @@ class RngDigitSource:
                 "seed": str(self.seed), "digit_cap": DIGIT_CAP}
 
 
-def parse_digit_file(lines: Iterator[str]) -> list[int]:
-    """Digits from file lines: one positive decimal integer per line.
+def parse_digit_file(lines: Iterable[str]) -> tuple[list[int], object]:
+    """Digits and header from digit-file lines, read in one pass.
 
-    Each stripped line must be what ``str()`` writes for its value
-    (``_dectext.is_canonical``); blank lines and ``#`` comments are
-    skipped. Malformed or non-positive entries raise
-    :class:`InputFormatError` with the offending 1-based line number and
-    a shortened copy of the line. A short line goes to ``int()`` inline
-    after that check; a long one to ``text_to_int``, which reads it
-    exactly and in subquadratic time, under any digit limit.
+    Each stripped line must be blank, a ``#`` comment, or what ``str()``
+    writes for a positive value (``_dectext.is_canonical``). The header is
+    the JSON after ``HEADER_PREFIX`` on the first line starting with it,
+    or None; later header lines are ignored. The first bad line raises
+    :class:`InputFormatError`: a malformed header, or a malformed or
+    non-positive entry with its 1-based line number and a shortened copy.
+    A short line goes to ``int()`` inline after the grammar check; a long
+    one to ``text_to_int``, exact and subquadratic under any digit limit.
     """
     digits = []
+    header, header_seen = None, False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
+            if line.startswith(HEADER_PREFIX) and not header_seen:
+                header_seen = True
+                try:
+                    header = json.loads(line[len(HEADER_PREFIX):])
+                except (ValueError, RecursionError):  # not JSON, or too deep
+                    raise InputFormatError(
+                        "malformed header comment") from None
             continue
         try:
             value = (int(line) if len(line) <= INT_FAST_CHARS
@@ -187,7 +198,7 @@ def parse_digit_file(lines: Iterator[str]) -> list[int]:
                 f"partial quotients must be >= 1, got {brief(value)}",
                 line=lineno)
         digits.append(value)
-    return digits
+    return digits, header
 
 
 class ListDigitSource:

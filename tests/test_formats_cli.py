@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,10 @@ from abnormal_forge.construction import (TABLE_ENTRY_BYTES, BlockCertificate,
                                          ConstructionConfig, Mode, construct,
                                          verify_certificate)
 from abnormal_forge.errors import InputFormatError
-from abnormal_forge.formats import (_cert_from_json, _cert_to_json,
-                                    read_certificate_file, read_digit_file,
-                                    run_header, write_certificate_file,
-                                    write_digit_file)
+from abnormal_forge.formats import (FileDigitSource, _cert_from_json,
+                                    _cert_to_json, read_certificate_file,
+                                    read_digit_file, run_header,
+                                    write_certificate_file, write_digit_file)
 from abnormal_forge.seed import RngDigitSource, parse_digit_file
 
 from conftest import RELAXED_MODES, WORKED_SEED, lifted_int_limit
@@ -65,8 +66,8 @@ def test_digit_file_reader_rejects_bad_lines(tmp_path):
 
 
 def test_digit_file_writes_large_values_in_mixed_chunks(tmp_path):
-    # Large values sit among short ones, inside and across the 4096-line
-    # write chunks; the bytes are those of str() either way.
+    # Large values sit among short ones, next to each other and far
+    # apart; the bytes are those of str() either way.
     path = tmp_path / "mixed.cf"
     big = [(1 << TEXT_FAST_BITS) + 7, 3**5000, (1 << 40_000) + 1]
     digits = [5] * 4095 + [big[0], 2, big[1]] + [9] * 5000 + [big[2]]
@@ -78,6 +79,68 @@ def test_digit_file_writes_large_values_in_mixed_chunks(tmp_path):
     assert text == ("# abnormal-forge digit file v1\n# header: "
                     f"{json.dumps(header, sort_keys=True)}\n" + body)
     assert read_digit_file(path) == (digits, header)
+
+
+def test_digit_file_reads_in_memory_per_digit_not_per_line(tmp_path):
+    # One pass over the open file: no list of lines is built, so a read
+    # holds the digit list and little else (a list of lines costs ~60 B
+    # a line).
+    path = tmp_path / "long.cf"
+    lines = 200_000
+    write_digit_file(path, [1 + i % 12 for i in range(lines)],
+                     run_header({}, {}))
+    for read in (read_digit_file, FileDigitSource):
+        tracemalloc.start()
+        try:
+            result = read(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * lines, (read.__name__, peak / lines)
+        del result
+
+
+def test_digit_file_header_is_the_first_header_line():
+    # The first stripped line that starts with the prefix is the header,
+    # wherever it appears; it must hold JSON, even if that JSON is null,
+    # and later header lines are ignored unparsed.
+    def parse(*lines):
+        return parse_digit_file(iter(lines))
+
+    assert parse("1", "  # header: {\"a\": 1}  ", "2") == ([1, 2], {"a": 1})
+    assert parse("# header: null", "3", "# header: {bad") == ([3], None)
+    assert parse("# header: [1]", "# header: [2]") == ([], [1])
+    assert parse("#header: {bad", "# note: # header: {bad", "4") == ([4], None)
+    for lines in (["# header: {bad", "1"], ["1", "# header:", "2"],
+                  ["# header: {bad", "# header: {}"]):
+        with pytest.raises(InputFormatError) as failed:
+            parse(*lines)
+        assert str(failed.value) == "malformed header comment", lines
+        assert failed.value.line is None
+
+
+def test_digit_file_reports_its_first_bad_line(tmp_path, capsys):
+    # One pass reports whichever bad line comes first: a bad digit before
+    # a malformed header or an undecodable byte (past the first block the
+    # reader decodes), or the header before a bad digit. Either exits 2.
+    path = tmp_path / "bad.cf"
+    cases = {b"1\n0\n# header: {bad\n":
+             "line 2: partial quotients must be >= 1, got 0",
+             b"1\n# header: {bad\n0\n": "malformed header comment",
+             b"1\nx\n" + b"1\n" * 10_000 + b"\xff\n":
+             "line 2: not an integer: 'x'",
+             b"\xff\n0\n": "'utf-8' codec can't decode byte 0xff in "
+                          "position 0: invalid start byte"}
+    for data, message in cases.items():
+        path.write_bytes(data)
+        for args in (["analyze", "cf", "--digits", str(path), "--strings", "1",
+                      "--prefix", "1"],
+                     ["construct", "--seed-file", str(path), "--block-size",
+                      "4", "--blocks", "1", "--out-digits",
+                      str(tmp_path / "re.cf"), "--out-cert",
+                      str(tmp_path / "re.json")]):
+            assert main(args) == 2, (message, args)
+            assert capsys.readouterr() == ("", f"error: {message}\n"), args
 
 
 def test_certificate_round_trip_preserves_huge_integers(tmp_path, worked_number):
@@ -199,6 +262,9 @@ _PIECES = ("0", "7", "9", "+", "-", "_", " ", "\n", "\u3000", "\x1c",
 @example([("0", 2)])
 @example([("-", 1), ("0", 1)])
 @example([("-", 1), ("0", 1), ("7", 5000)])
+@example([("9", 300), ("'", 1)])
+@example([("+", 1), ("7", 250), ('"', 1), ("9", 5000)])
+@example([("x", 199), ("\\", 2), ("'", 1), ('"', 1)])
 def test_noncanonical_text_is_refused(parts):
     # Each reader takes a text exactly when it is str() of its value (a
     # digit-file line after stripping). Only the oracle lifts the digit
@@ -226,7 +292,7 @@ def test_noncanonical_text_is_refused(parts):
             with pytest.raises(InputFormatError, match="must be >= 1"):
                 parse_digit_file(iter([text]))
         else:
-            assert parse_digit_file(iter([text])) == [line_value]
+            assert parse_digit_file(iter([text])) == ([line_value], None)
     # The certificate reader refuses the same texts with text_to_int's
     # message.
     record = _cert_to_json(_WORKED_CERT)
@@ -238,6 +304,22 @@ def test_noncanonical_text_is_refused(parts):
     else:
         assert _cert_from_json(record).prime == expected
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_refusing_a_long_text_copies_none_of_it():
+    # The refusal shows the first 200 characters of the text's repr, built
+    # from a prefix: a million-character field is not copied to show them.
+    for text in ("+" + "9" * 10**6, "9" * 10**6 + "'", "\u0663" * 10**6):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as failed:
+                text_to_int(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (text[-1], peak)
+        assert str(failed.value) == (
+            f"not a canonical decimal integer: {text!r:.200}")
 
 
 def test_text_of_more_than_a_million_digits():
@@ -870,7 +952,7 @@ def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
     # scheduled-tail render taken out, and no render passes 4 bits per
     # character of the record's tail field. A tail text that is not the
     # render is parsed, and one that is not str() of its value is refused
-    # before any parse.
+    # before any render or parse.
     digits, cert = _paper_files(tmp_path, 36, 6)
     capsys.readouterr()
     payload = json.loads(cert.read_text(encoding="utf-8"))
@@ -920,7 +1002,7 @@ def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
         field_chars = len(value if key == "tail" else tail)
         assert all(n.bit_length() <= 4 * field_chars for n in renders), name
         if name in forms:
-            assert renders and not parses, name
+            assert not renders and not parses, name
         if name == "last-digit":
             assert value in parses, name
         with monkeypatch.context() as no_render:

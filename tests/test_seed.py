@@ -113,7 +113,7 @@ def test_descriptor_round_trip():
 
 def test_parse_digit_file_happy_path():
     lines = iter(["# comment", "1", "", "2", "3", "# trailing", "1"])
-    assert parse_digit_file(lines) == [1, 2, 3, 1]
+    assert parse_digit_file(lines) == ([1, 2, 3, 1], None)
 
 
 def test_parse_digit_file_errors_carry_line_numbers():
