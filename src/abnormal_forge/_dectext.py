@@ -49,6 +49,7 @@ key early, which costs a recomputation, never a wrong result.
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
 
 # Below these sizes the builtins are fast and within any digit limit
@@ -63,6 +64,9 @@ _DECIMAL_LEAF_BITS = 1_024    # leaves of the int -> Decimal split
 # with room to spare, so its own fields cannot evict its tail before the
 # digit file asks for it.
 SPLIT_CACHE_SIZE = 16
+
+# A negative canonical text; matched in place, so a refused text is not copied.
+_NEGATIVE = re.compile("-[1-9][0-9]*")
 
 # The two-way memo: int -> str and str -> int, oldest key first.
 _memo: OrderedDict = OrderedDict()
@@ -125,8 +129,7 @@ def is_canonical(text: str) -> bool:
     ``-``, then ASCII digits with no leading zero (``0`` alone for zero)."""
     if text.isdigit():
         return text.isascii() and (text[0] != "0" or text == "0")
-    return (text[:1] == "-" and text[1:].isdigit() and text.isascii()
-            and text[1] != "0")
+    return _NEGATIVE.fullmatch(text) is not None
 
 
 def text_to_int(text: str) -> int:

@@ -1,11 +1,13 @@
 """Continued-fraction mechanics.
 
-Convergents via the standard recurrence, the value of a finite digit
-sequence, cylinder intervals, the Gauss measure, and the classical
-approximation facts. All arithmetic is exact: integers and
-``fractions.Fraction`` throughout, with the Gauss measure delivered as
-a fixed-point binary value with :data:`LOG2_BITS` (64) fractional
-bits, the one precision every caller uses. :func:`gauss_measure_fixed`
+Convergents via the standard recurrence, cylinder intervals and the
+Gauss measure. The value of a finite digit sequence and the classical
+approximation bound and sign are references the tests check the
+convergents against; the pipeline does not run them, so they live with
+the tests. All arithmetic is exact: integers and ``fractions.Fraction``
+throughout, with the Gauss measure delivered as a fixed-point binary
+value with :data:`LOG2_BITS` (64) fractional bits, the one precision
+every caller uses. :func:`gauss_measure_fixed`
 is its one formula: the sampler's thresholds and ``gauss_measure``'s
 references both call it. ``fractions`` is
 imported by the helpers that build a Fraction, so the convergent walk,
@@ -45,17 +47,6 @@ def convergent_stream(digits: Iterable[int]) -> Iterator[Convergent]:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         yield Convergent(index, p_cur, q_cur)
-
-
-def cf_to_rational(digits: Sequence[int]) -> Fraction:
-    """Exact value of a finite continued fraction (digits all >= 1)."""
-    from fractions import Fraction
-    if not digits:
-        raise ValueError("empty digit sequence has no value")
-    last = None
-    for last in convergent_stream(digits):
-        pass
-    return Fraction(last.p, last.q)
 
 
 class CylinderInterval(NamedTuple):
@@ -151,18 +142,3 @@ def gauss_measure(lo: Fraction, hi: Fraction) -> Fraction:
         raise ValueError(f"need 0 <= lo < hi <= 1, got ({lo}, {hi})")
     value = gauss_measure_fixed(*lo.as_integer_ratio(), *hi.as_integer_ratio())
     return Fraction(value, 1 << LOG2_BITS)
-
-
-def approx_bound(q_n: int, a_next: int) -> Fraction:
-    """Bound 1/(a_{n+1} q_n**2) on the gap between a number and its n-th convergent."""
-    from fractions import Fraction
-    if q_n < 1 or a_next < 1:
-        raise ValueError("q_n and a_next must be positive")
-    return Fraction(1, a_next * q_n * q_n)
-
-
-def convergent_sign(n: int) -> int:
-    """Sign of (x - p_n/q_n): +1 for even n, -1 for odd n."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return 1 if n % 2 == 0 else -1

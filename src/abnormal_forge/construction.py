@@ -280,12 +280,12 @@ def plan_block(q_prev: int, q_cur: int, base: int,
     Step 1: the least multiplier making q1 = ell1*q_cur + q_prev coprime
     to both the base and q_cur - 1. Step 2: the least prime q2 in the
     class q_cur mod q1 with the base as a primitive root (the class is
-    prime-rich: q1's coprimality is exactly what the finiteness
-    screening needs). Step 3: the discrete log of q1 mod q2, lifted
-    until the power clears 2*q2; the recurrence then forces
-    ell3 = (base**k - q1)/q2 exactly. The power is refused with
-    :class:`ResourceBudgetExceeded` before it is formed when its size
-    estimate passes ``budget.tail_bits``. Step 2 is refused the same way
+    prime-rich on GRH: q1's coprimality is exactly what
+    ``nt.corollary_hypotheses`` needs, the pipeline's one class screen).
+    Step 3: the discrete log of q1 mod q2, lifted until the power clears
+    2*q2; the recurrence then forces ell3 = (base**k - q1)/q2 exactly.
+    The power is refused with :class:`ResourceBudgetExceeded` before it
+    is formed when its size estimate passes ``budget.tail_bits``. Step 2 is refused the same way
     before it scans when the discrete-log table of its least candidate,
     q1 + 1, would pass ``budget.bsgs_entries``; otherwise it scans no
     candidate past bsgs_entries**2 + 1, the largest prime that table
@@ -701,28 +701,3 @@ def verify_certificate(cert: BlockCertificate, digits: Sequence[int],
             "needs a larger tail", required=False)
 
     return report()
-
-
-class InsertionDensity(NamedTuple):
-    inserted: int
-    bound: int
-
-    @property
-    def within_bound(self) -> bool:
-        return self.inserted <= self.bound
-
-
-def insertion_density(positions: Sequence[int], prefix_len: int,
-                      block_size: int) -> InsertionDensity:
-    """Count insertions within a prefix and check the logarithmic bound.
-
-    Blocks double in length, so a prefix of n digits spans at most
-    log2(n/N) + 2 blocks of four insertions each; the explicit bound is
-    4 * (floor(log2(max(n, N)/N)) + 2).
-    """
-    if prefix_len < 1:
-        raise ValueError("prefix length must be positive")
-    inserted = sum(1 for p in positions if p <= prefix_len)
-    ratio = max(prefix_len, block_size) // block_size
-    bound = 4 * ((ratio.bit_length() - 1) + 2)
-    return InsertionDensity(inserted=inserted, bound=bound)

@@ -125,7 +125,10 @@ class FileDigitSource(ListDigitSource):
             data = fh.read()
         self._sha256 = hashlib.sha256(data).hexdigest()
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-        super().__init__(parse_digit_file(text)[0])
+        # parse_digit_file checks every digit and builds a fresh list, so it
+        # is kept as is: ListDigitSource.__init__ would copy it.
+        self._digits = parse_digit_file(text)[0]
+        self.position = 0
 
     def descriptor(self) -> dict:
         return {"kind": "file", "path": self.path, "sha256": self._sha256}

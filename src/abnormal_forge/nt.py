@@ -1,9 +1,11 @@
 """Arbitrary-precision number theory kernel.
 
 Primality testing, integer factorization, primitive-root and
-discrete-log computations, Kronecker symbols, and the finiteness
-tests that decide whether a residue class can keep supplying primes
-with a prescribed primitive root (Lenstra's criterion, assuming GRH).
+discrete-log computations, and the coprimality hypotheses under which a
+residue class keeps supplying primes with a prescribed primitive root
+(assuming GRH). Lenstra's full finiteness criterion, which those
+hypotheses imply, is a reference the tests check them against; the
+pipeline does not run it.
 
 Primality follows one deterministic rule: a sieve and trial division,
 then Miller-Rabin with the first thirteen prime bases, a proof below
@@ -90,11 +92,6 @@ def is_perfect_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def is_perfect_power(n: int, k: int) -> bool:
-    """True iff n = m**k for some integer m."""
-    return iroot(n, k) ** k == n
-
-
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
     """True if base a certifies n composite."""
     x = pow(a, d, n)
@@ -107,22 +104,6 @@ def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
         if x == 1:
             return True
     return True
-
-
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def is_prime(n: int) -> bool:
@@ -233,51 +214,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def squarefree_kernel(g: int) -> int:
-    """Product of the distinct primes dividing g (its largest squarefree divisor)."""
-    if g < 2:
-        raise ValueError(f"squarefree_kernel requires g >= 2, got {g}")
-    return math.prod(p for p, _ in factorize(g))
-
-
-def field_discriminant(g: int) -> int:
-    """Discriminant of the quadratic field generated by a square root of g.
-
-    With g' the squarefree kernel of g: g' when g' = 1 mod 4, else 4g'.
-    Perfect squares are rejected (the field would be trivial).
-    """
-    if g < 2:
-        raise ValueError(f"field_discriminant requires g >= 2, got {g}")
-    if is_perfect_square(g):
-        raise ValueError(f"{g} is a perfect square; its square root generates no quadratic field")
-    kernel = squarefree_kernel(g)
-    return kernel if kernel % 4 == 1 else 4 * kernel
-
-
-def kronecker_symbol(d: int, n: int) -> int:
-    """Standard Kronecker symbol (d/n) for n >= 0.
-
-    Completely multiplicative in n, equal to the Legendre symbol for odd
-    prime n, with the usual conventions at n = 0, 1 and 2.
-    """
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    if n == 0:
-        return 1 if d in (1, -1) else 0
-    result = 1
-    twos = 0
-    while n % 2 == 0:
-        n //= 2
-        twos += 1
-    if twos:
-        if d % 2 == 0:
-            return 0
-        if twos % 2 == 1 and d % 8 in (3, 5):
-            result = -result
-    # For odd n the symbol is periodic in d mod n, which absorbs signs.
-    return result * _jacobi(d % n, n)
-
-
 def is_primitive_root(g: int, p: int) -> bool:
     """True iff g generates the full multiplicative group mod prime p.
 
@@ -322,63 +258,12 @@ def coprimizing_multiplier(q: int, q_prev: int, avoid: int) -> int:
         "preconditions violated?")
 
 
-class LenstraVerdict(NamedTuple):
-    """Outcome of the finiteness test for primes p = a mod f with g a primitive root.
-
-    ``condition`` is the structural condition that fired, 1, 2 or 3
-    (None when infinite under GRH), and ``prime_witness`` carries the
-    prime q for condition 1.
-    """
-
-    condition: int | None
-    prime_witness: int | None
-    discriminant: int
-
-    @property
-    def finite(self) -> bool:
-        return self.condition is not None
-
-
-def lenstra_finiteness(g: int, f: int, a: int) -> LenstraVerdict:
-    """Decide whether only finitely many primes p = a (mod f) have g as a primitive root.
-
-    Evaluates, in order:
-      1. some prime q divides f with a = 1 (mod q) and g a perfect q-th power;
-      2. d divides f and (d/a) = 1, d the quadratic field discriminant of g;
-      3. d divides 3f, 3 divides d, (-d/3 over a) = -1, and g is a perfect cube.
-
-    Requires gcd(a, f) = 1 (otherwise the class holds at most one prime)
-    and non-square g >= 2 (a square is never a primitive root mod p > 2,
-    and its quadratic field degenerates).
-    """
-    if g < 1 or f < 1 or a < 1:
-        raise ValueError("g, f, a must be positive")
-    if math.gcd(a, f) != 1:
-        raise ValueError(f"gcd(a, f) = {math.gcd(a, f)} != 1: "
-                         "the residue class contains at most one prime")
-    if g < 2 or is_perfect_square(g):
-        raise ValueError(f"g = {g} must be >= 2 and not a perfect square")
-    d = field_discriminant(g)
-    # Condition 1: q-th powers need q <= log2(g), so only small primes matter.
-    for q in SMALL_PRIMES:
-        if q > g.bit_length():
-            break
-        if f % q == 0 and a % q == 1 and is_perfect_power(g, q):
-            return LenstraVerdict(1, q, d)
-    if f % d == 0 and kronecker_symbol(d, a) == 1:
-        return LenstraVerdict(2, None, d)
-    if (3 * f) % d == 0 and d % 3 == 0 \
-            and kronecker_symbol(-(d // 3), a) == -1 and is_perfect_power(g, 3):
-        return LenstraVerdict(3, None, d)
-    return LenstraVerdict(None, None, d)
-
-
 def corollary_hypotheses(g: int, f: int, a: int) -> bool:
     """Sufficient conditions for the residue class to stay prime-rich.
 
     True iff f is coprime to both g and a - 1, and g >= 2 is not a
-    perfect square. Whenever this holds, none of the finiteness
-    conditions can fire.
+    perfect square. Whenever this holds, none of the conditions of
+    Lenstra's finiteness criterion can fire (the tests sweep this).
     """
     if g < 1 or f < 1 or a < 1:
         raise ValueError("g, f, a must be positive")
@@ -398,22 +283,18 @@ def find_artin_prime(g: int, f: int, a: int,
                      search_limit: int = ARTIN_LIMIT) -> ArtinPrime:
     """Least ell >= 1 with ell*f + a prime and g a primitive root mod it.
 
-    The class is first screened with :func:`lenstra_finiteness`; a
-    provably finite class is rejected since the scan could never be
-    trusted to terminate. (On GRH an unscreened class yields infinitely
-    many hits; ``search_limit`` protects desk-scale runs regardless.)
-    A limit below 1 allows no candidate and is refused, and a candidate
-    past :func:`is_prime`'s bound raises :class:`ResourceBudgetExceeded`.
+    The class is not screened here: ``plan_block`` asks only for classes
+    that meet :func:`corollary_hypotheses`, which are prime-rich on GRH,
+    and any other class, finite ones included, is scanned like it.
+    ``search_limit`` bounds every scan; one that finds no prime raises
+    :class:`SearchExhausted`. A limit below 1 allows no candidate and is
+    refused, and a candidate past :func:`is_prime`'s bound raises
+    :class:`ResourceBudgetExceeded`.
     """
     if search_limit < 1:
         raise ValueError(f"search limit must be >= 1, got {search_limit}")
     if not 1 <= a < f:
         raise ValueError(f"need 1 <= a < f, got a={a}, f={f}")
-    verdict = lenstra_finiteness(g, f, a)
-    if verdict.finite:
-        raise ValueError(
-            f"residue class {a} mod {f} admits only finitely many primes with "
-            f"{g} as a primitive root (condition {verdict.condition})")
     for ell in range(1, search_limit + 1):
         candidate = ell * f + a
         if g % candidate == 0:

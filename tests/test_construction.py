@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import abnormal_forge
@@ -19,8 +19,7 @@ from abnormal_forge.construction import (BlockCertificate, ConstructionAborted,
                                          ConstructionConfig, Mode,
                                          SearchBudget, base_schedule,
                                          block_boundary, construct,
-                                         ilog_floor, insertion_density,
-                                         plan_block, tail_digit,
+                                         ilog_floor, plan_block, tail_digit,
                                          verify_certificate)
 from abnormal_forge.errors import ResourceBudgetExceeded, SearchExhausted
 from abnormal_forge.nt import is_perfect_square
@@ -28,7 +27,9 @@ from abnormal_forge.radix import (NON_TERMINATING, base_expansion,
                                   count_occurrences)
 from abnormal_forge.seed import ListDigitSource, RngDigitSource
 
+import paper_reference
 from conftest import RELAXED_MODES, WORKED_SEED
+from paper_reference import insertion_density
 
 
 def test_base_schedule_opening_sequence():
@@ -65,6 +66,24 @@ def test_plan_block_base_three_example():
     assert (plan.ell1, plan.q1) == (2, 5)
     assert (plan.ell2, plan.q2) == (1, 7)
     assert (plan.exponent, plan.ell3, plan.q3) == (5, 34, 243)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4999).flatmap(
+           lambda q_cur: st.tuples(st.integers(1, q_cur - 1), st.just(q_cur))),
+       st.sampled_from([2, 3, 5]), st.integers(1, 200),
+       st.sampled_from(["paper", "toy"]))
+def test_plan_block_and_tail_digit_match_the_paper_reference(pair, base,
+                                                             exponent, mode):
+    # The least choices, against a literal reading of plan_block's steps
+    # on sympy. A plan's own k makes base**(k**2) too large to form in a
+    # test, so the tail is compared at a drawn exponent instead.
+    q_prev, q_cur = pair
+    assume(math.gcd(q_prev, q_cur) == 1)
+    assert (tuple(plan_block(q_prev, q_cur, base))
+            == paper_reference.plan_block(q_prev, q_cur, base))
+    assert (tail_digit(exponent, base, Mode(mode))
+            == paper_reference.tail_digit(exponent, base, mode))
 
 
 def test_plan_block_rejects_square_base():

@@ -96,7 +96,7 @@ def test_digit_file_reads_in_memory_per_digit_not_per_line(tmp_path):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 * lines, (read.__name__, peak / lines)
+        assert peak < 12 * lines, (read.__name__, peak / lines)
         del result
 
 
@@ -320,6 +320,20 @@ def test_refusing_a_long_text_copies_none_of_it():
         assert peak < 64 * 1024, (text[-1], peak)
         assert str(failed.value) == (
             f"not a canonical decimal integer: {text!r:.200}")
+
+
+def test_refusing_a_long_negative_text_copies_none_of_it():
+    # A leading '-' is checked in place: the digits after it are not
+    # sliced off into a copy.
+    for text in ("-" + "x" * 10**6, "-" + "٣" * 10**6):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                text_to_int(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 1024, (text[-1], peak)
 
 
 def test_text_of_more_than_a_million_digits():

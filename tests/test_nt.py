@@ -9,11 +9,11 @@ from abnormal_forge._dectext import brief
 from abnormal_forge.errors import ResourceBudgetExceeded, SearchExhausted
 from abnormal_forge.nt import (SMALL_PRIMES, ArtinPrime, baby_step_entries,
                                coprimizing_multiplier, corollary_hypotheses,
-                               discrete_log, factorize, field_discriminant,
-                               find_artin_prime, iroot, is_perfect_square,
-                               is_prime, is_primitive_root, kronecker_symbol,
-                               lenstra_finiteness, lift_exponent, pow_exceeds,
-                               squarefree_kernel)
+                               discrete_log, factorize, find_artin_prime, iroot,
+                               is_perfect_square, is_prime, is_primitive_root,
+                               lift_exponent, pow_exceeds)
+from paper_reference import (field_discriminant, kronecker_symbol,
+                             lenstra_finiteness, squarefree_kernel)
 
 
 def test_is_prime_examples():
@@ -249,8 +249,12 @@ def test_find_artin_prime_invariants():
 
 
 def test_find_artin_prime_rejects_finite_class():
-    with pytest.raises(ValueError):
-        find_artin_prime(8, 3, 1)  # 8 is a cube and 1 = 1 mod 3
+    # No class screen: a class the finiteness criterion proves finite is
+    # scanned like any other, and the search limit ends the scan.
+    assert lenstra_finiteness(8, 3, 1).finite  # 8 is a cube, 1 = 1 mod 3
+    with pytest.raises(SearchExhausted) as info:
+        find_artin_prime(8, 3, 1, search_limit=1_000)
+    assert info.value.candidates_tested == 1_000
 
 
 def test_find_artin_prime_search_exhausted():
