@@ -33,18 +33,18 @@ garbage collector runs.
 
 Both converters share one two-way memo of their split conversions: each
 stores its result under the int and under the text, so a value rendered
-once reads back as a lookup and a value parsed once renders as one, and
-a CLI process that meets a large value in both of its files converts it
-once. The keys are the full int and the full ``str``, so a hit is
-exact; values below the split thresholds never enter the memo. It holds
-at most ``2 * SPLIT_CACHE_SIZE`` keys, so at least the latest
-``SPLIT_CACHE_SIZE`` pairs, which in the CLI are the large fields of the
-certificates it handles (the tail digit, and past 2**2000 bits the
-inserted digits and denominators too); each keeps its int and its text
-alive until it is evicted or the process ends. It is safe across
-threads: each lookup, key store and eviction is one call on an
-``OrderedDict``, and a race between them can only tear a pair or drop a
-key early, which costs a recomputation, never a wrong result.
+once reads back as a lookup, with no grammar scan, and a value parsed
+once renders as one, and a CLI process that meets a large value in both
+of its files converts it once. The keys are the full int and the full
+``str``, so a hit is exact; values below the split thresholds never
+enter the memo. It holds at most ``2 * SPLIT_CACHE_SIZE`` keys, so at
+least the latest ``SPLIT_CACHE_SIZE`` pairs, which in the CLI are the
+large fields of the certificates it handles (the tail digit, and past
+2**2000 bits the inserted digits and denominators too); each keeps its
+int and its text alive until it is evicted or the process ends. It is
+safe across threads: each lookup, key store and eviction is one call on
+an ``OrderedDict``, and a race between them can only tear a pair or drop
+a key early, which costs a recomputation, never a wrong result.
 """
 
 from __future__ import annotations
@@ -136,6 +136,9 @@ def text_to_int(text: str) -> int:
     """The int whose ``str()`` is ``text``, exact past the digit limit and
     subquadratic in length; a text :func:`is_canonical` refuses raises
     ``ValueError``."""
+    value = _memo.get(text)
+    if value is not None:  # a memo text is str() output: skip the scan
+        return value
     if not is_canonical(text):  # show repr(text)[:200] without forming it
         shown = text if len(text) <= 200 else text[:200] + "".join(
             q for q in "'\"" if q in text)  # so repr picks text's quote
@@ -144,10 +147,8 @@ def text_to_int(text: str) -> int:
         return int(text)
     if text[0] == "-":
         return -text_to_int(text[1:])
-    value = _memo.get(text)
-    if value is None:
-        value = _digits_to_int(text, 0, len(text), {})
-        _remember(value, text)
+    value = _digits_to_int(text, 0, len(text), {})
+    _remember(value, text)
     return value
 
 

@@ -7,15 +7,17 @@ residue class keeps supplying primes with a prescribed primitive root
 hypotheses imply, is a reference the tests check them against; the
 pipeline does not run it.
 
-Primality follows one deterministic rule: a sieve and trial division,
-then Miller-Rabin with the first thirteen prime bases, a proof below
-psi_13 ~ 3.3e24; a number past that which trial division does not settle
-is refused. Size comes before search: the constructor and the verifier
-apply the discrete-log table cap to every prime they test, which bounds
-each operand by bsgs_entries**2 + 1, and ``SearchBudget`` refuses a cap
-that would reach psi_13. Factoring follows one rule too: trial division,
-then Brent rho, which gives up after :data:`FACTOR_EFFORT` iterations
-per number.
+Small primes follow one rule: trial division by :data:`SMALL_PRIMES`,
+the 64 primes below 312, which is complete below 311**2. Primality is
+that, then Miller-Rabin with the first thirteen prime bases, a proof
+below psi_13 ~ 3.3e24; a number past that which trial division does not
+settle is refused. Size comes before search: the constructor and the
+verifier apply the discrete-log table cap to every prime they test,
+which bounds each operand by bsgs_entries**2 + 1, and ``SearchBudget``
+refuses a cap that would reach psi_13. Factoring is the same trial
+division, then Brent rho for every composite cofactor, prime powers
+included, which gives up after :data:`FACTOR_EFFORT` iterations per
+number.
 
 Everything here is a pure function of its arguments; values are plain
 Python ints and immutable named tuples. The one piece of state,
@@ -30,7 +32,6 @@ sets) and the verifier before it tests the block prime at all.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from typing import NamedTuple
@@ -38,22 +39,13 @@ from typing import NamedTuple
 from ._dectext import brief, brief_bits
 from .errors import ResourceBudgetExceeded, SearchExhausted
 
-_SMALL_PRIME_LIMIT = 1 << 16
-
-
-def _sieve(limit: int) -> bytearray:
-    """Flags ``f`` with ``f[n] == 1`` exactly for the primes n below limit."""
-    flags = bytearray([1]) * limit
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit - 1) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return flags
-
-
-_SMALL_PRIME_FLAGS = _sieve(_SMALL_PRIME_LIMIT)
-SMALL_PRIMES: tuple[int, ...] = tuple(
-    itertools.compress(range(_SMALL_PRIME_LIMIT), _SMALL_PRIME_FLAGS))
+# The 64 primes below 312: trial division by them is complete below
+# 311**2 = 96721.
+SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
+    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
+    233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311)
 
 # Miller-Rabin with the first thirteen prime bases is deterministic below
 # psi_13, the least strong pseudoprime to all of them (Sorenson & Webster,
@@ -67,25 +59,6 @@ FACTOR_EFFORT = 1 << 22
 # Cap on find_artin_prime's candidates in plan_block, which reads it at
 # each call; the run header echoes it as artin_limit.
 ARTIN_LIMIT = 100_000
-
-
-def iroot(n: int, k: int) -> int:
-    """Largest r with r**k <= n (integer k-th root), for n >= 0, k >= 1."""
-    if n < 0 or k < 1:
-        raise ValueError("iroot requires n >= 0 and k >= 1")
-    if k == 1 or n < 2:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    r = 1 << -(-n.bit_length() // k)  # upper bound: 2**ceil(bits/k)
-    while True:
-        candidate = ((k - 1) * r + n // r ** (k - 1)) // k
-        if candidate >= r:
-            break
-        r = candidate
-    while r**k > n:
-        r -= 1
-    return r
 
 
 def is_perfect_square(n: int) -> bool:
@@ -109,22 +82,23 @@ def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test, refused at or past psi_13 ~ 3.3e24.
 
-    A sieve settles n below 2**16, and trial division by the first 64
-    primes settles every n they divide, of any size. Otherwise
-    Miller-Rabin with the first thirteen prime bases proves the answer
-    below :data:`_MR_DETERMINISTIC_BOUND` (psi_13, the least composite
-    passing them all); past it nothing is proven, so n is refused with
+    Trial division by :data:`SMALL_PRIMES`, the 64 primes below 312,
+    settles every n one of them divides, of any size, and every n below
+    311**2, where it is complete. Otherwise Miller-Rabin with the first
+    thirteen prime bases proves the answer below
+    :data:`_MR_DETERMINISTIC_BOUND` (psi_13, the least composite passing
+    them all); past it nothing is proven, so n is refused with
     :class:`ResourceBudgetExceeded`. The pipeline never asks past
     bsgs_entries**2 + 1 (2**48 + 1 by default), which ``SearchBudget``
     keeps below the bound.
     """
     if n < 2:
         return False
-    if n < _SMALL_PRIME_LIMIT:
-        return _SMALL_PRIME_FLAGS[n] == 1
-    for p in SMALL_PRIMES[:64]:
+    for p in SMALL_PRIMES:
         if n % p == 0:
-            return False
+            return n == p
+    if n < 96_721:  # 311**2: no factor below 312 means none at all
+        return True
     if n >= _MR_DETERMINISTIC_BOUND:
         raise ResourceBudgetExceeded(
             f"{brief(n)} is past the deterministic Miller-Rabin bound "
@@ -174,7 +148,9 @@ def _brent_rho(n: int, budget: list[int]) -> int:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Complete factorization as (prime, exponent) pairs sorted by prime.
 
-    Trial division, then Brent-cycle rho.
+    Trial division by :data:`SMALL_PRIMES`, the 64 primes below 312;
+    :func:`is_prime` then settles each cofactor, and Brent-cycle rho
+    splits every composite one, prime powers included.
 
     :data:`FACTOR_EFFORT` bounds the total number of rho iterations; a
     hard composite raises :class:`ResourceBudgetExceeded` rather than
@@ -193,20 +169,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
-            continue
-        # Perfect powers first: rho behaves poorly on them.
-        reduced = False
-        for k in range(2, m.bit_length()):
-            root = iroot(m, k)
-            if root > 1 and root**k == m:
-                stack.extend([root] * k)
-                reduced = True
-                break
-        if reduced:
             continue
         f = _brent_rho(m, budget)
         stack.append(f)

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from abnormal_forge.cf import convergent_stream
 from abnormal_forge.cli import main
@@ -21,9 +22,8 @@ from abnormal_forge.construction import (ConstructionAborted,
                                          ConstructionConfig, Mode,
                                          SearchBudget, construct,
                                          verify_certificate)
-from abnormal_forge.nt import (SMALL_PRIMES, corollary_hypotheses,
-                               discrete_log, is_perfect_square,
-                               is_primitive_root)
+from abnormal_forge.nt import (corollary_hypotheses, discrete_log,
+                               is_perfect_square, is_primitive_root)
 from abnormal_forge.radix import (NON_TERMINATING, base_expansion,
                                   cf_normality_report)
 from abnormal_forge.seed import RngDigitSource
@@ -234,7 +234,7 @@ def test_criterion_6_number_theory_oracles(capsys):
     # Discrete log against exhaustive enumeration: every generator pair
     # with p < 1000 and every exponent.
     dlog_calls = 0
-    for p in [q for q in SMALL_PRIMES if 2 < q < 1000]:
+    for p in sympy.primerange(3, 1000):
         for g in range(2, p):
             if not is_primitive_root(g, p):
                 continue
@@ -246,14 +246,14 @@ def test_criterion_6_number_theory_oracles(capsys):
                 dlog_calls += 1
 
     # Kronecker symbol against the Euler criterion for odd primes < 500.
-    for p in [q for q in SMALL_PRIMES if q % 2 and q < 500]:
+    for p in sympy.primerange(3, 500):
         for d in range(-50, 51):
             euler = pow(d % p, (p - 1) // 2, p)
             expected = 0 if d % p == 0 else (1 if euler == 1 else -1)
             assert kronecker_symbol(d, p) == expected, (d, p)
 
     # Primitive-root test against brute-force order computation, p < 500.
-    for p in [q for q in SMALL_PRIMES if q < 500]:
+    for p in sympy.primerange(500):
         for g in range(1, p):
             order, e = 1, g % p
             while e != 1:

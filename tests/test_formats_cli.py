@@ -960,6 +960,26 @@ def test_cli_converts_each_large_value_once(tmp_path, capsys, split_calls,
     assert sorted(text_to_int(text) for text in parsed) == others
 
 
+def test_reading_a_rendered_tail_runs_no_grammar_scan(tmp_path, capsys,
+                                                     monkeypatch):
+    # The certificate reader renders the scheduled tail, so both files'
+    # copies of its text are memo hits, and a text in the memo is str()
+    # output already: text_to_int returns it before the grammar scan.
+    digits, cert = _paper_files(tmp_path, 1, 4)
+    capsys.readouterr()
+    scanned = []
+    is_canonical = _dectext.is_canonical
+    monkeypatch.setattr(_dectext, "is_canonical",
+                        lambda text: scanned.append(len(text))
+                        or is_canonical(text))
+    _dectext._memo.clear()
+    certs, _ = formats.read_certificate_file(cert)
+    values, _ = formats.read_digit_file(digits)
+    tail = certs[0].inserted[3]
+    assert len(int_to_text(tail)) > INT_FAST_CHARS and tail in values
+    assert [n for n in scanned if n > INT_FAST_CHARS] == []
+
+
 def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
         tmp_path, capsys, monkeypatch):
     # Mutated seed-36 certificates verify exactly as they do with the
@@ -1642,7 +1662,7 @@ def test_cli_verify_loads_no_fraction_decimal_datetime_or_radix(tmp_path,
 
 def test_cli_analyze_cf_loads_no_construction_or_number_theory(tmp_path):
     # analyze cf reads a digit file and counts patterns: certificate records,
-    # the prime sieve and the constructor stay unloaded.
+    # the number-theory kernel and the constructor stay unloaded.
     path = tmp_path / "digits.cf"
     path.write_text("1\n2\n1\n1\n", encoding="utf-8")
     argv = ["analyze", "cf", "--digits", str(path), "--strings", "1;1,1",

@@ -9,7 +9,7 @@ from abnormal_forge._dectext import brief
 from abnormal_forge.errors import ResourceBudgetExceeded, SearchExhausted
 from abnormal_forge.nt import (SMALL_PRIMES, ArtinPrime, baby_step_entries,
                                coprimizing_multiplier, corollary_hypotheses,
-                               discrete_log, factorize, find_artin_prime, iroot,
+                               discrete_log, factorize, find_artin_prime,
                                is_perfect_square, is_prime, is_primitive_root,
                                lift_exponent, pow_exceeds)
 from paper_reference import (field_discriminant, kronecker_symbol,
@@ -33,6 +33,17 @@ def test_is_prime_small_exhaustive():
 
     for n in range(0, 20_000):
         assert is_prime(n) == trial(n), n
+
+
+def test_is_prime_matches_sympy_across_the_trial_division_bound():
+    # Both sides of 2**16 and of 311**2, where trial division by the 64
+    # primes below 312 stops being complete and Miller-Rabin takes over.
+    assert SMALL_PRIMES == tuple(sympy.primerange(312))
+    assert len(SMALL_PRIMES) == 64
+    limit = 2 * 311**2
+    primes = set(sympy.primerange(limit))
+    for n in range(limit):
+        assert is_prime(n) == (n in primes), n
 
 
 def test_is_prime_known_large():
@@ -108,8 +119,14 @@ def test_factorize_random_vs_sympy():
 
 
 def test_factorize_handles_perfect_powers():
-    p = sympy.nextprime(10**7)
-    assert factorize(p**3) == ((p, 3),)
+    # Squares and cubes of primes past the 64 trial primes, just past 311
+    # and just past 2**16 among them, have no factor trial division
+    # finds; rho splits them.
+    for p in (313, 317, 331, 65537, 65539, sympy.nextprime(10**7)):
+        for k in (2, 3):
+            assert factorize(p**k) == ((p, k),), (p, k)
+    for n in (313 * 317, 313**2 * 317, 2**5 * 313**3, 65537**2 * 3**4):
+        assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
 
 
 def test_factorize_budget_error(monkeypatch):
@@ -134,18 +151,15 @@ def test_not_prime_messages_render_large_moduli_by_size(no_kept_table):
         assert str(info.value) == "<1495-bit integer> is not prime"
 
 
-def test_iroot_and_squares():
-    assert iroot(0, 3) == 0
-    assert iroot(26, 3) == 2
-    assert iroot(27, 3) == 3
-    assert iroot(2**90 - 1, 2) == 2**45 - 1
+def test_is_perfect_square():
     assert is_perfect_square(49) and not is_perfect_square(48)
+    assert is_perfect_square(0) and not is_perfect_square(-1)
     rng = random.Random(5)
     for _ in range(200):
-        n = rng.randint(1, 10**18)
-        k = rng.randint(1, 12)
-        r = iroot(n, k)
-        assert r**k <= n < (r + 1) ** k
+        r = rng.randint(2, 10**18)
+        assert is_perfect_square(r * r)
+        assert not is_perfect_square(r * r - 1)
+        assert not is_perfect_square(r * r + 1)
 
 
 def test_is_primitive_root_examples():
@@ -181,7 +195,7 @@ def test_a_primitive_root_hit_is_tested_for_primality_once(
 
 
 def test_is_primitive_root_matches_order_computation():
-    for p in [q for q in SMALL_PRIMES if q < 100]:
+    for p in sympy.primerange(100):
         for g in range(1, p):
             order = 1
             e = g % p
@@ -296,7 +310,7 @@ def test_discrete_log_errors():
 
 def test_discrete_log_random_roundtrip():
     rng = random.Random(3)
-    primes = [p for p in SMALL_PRIMES if 100 < p < 3000]
+    primes = list(sympy.primerange(101, 3000))
     for _ in range(200):
         p = rng.choice(primes)
         g = rng.randint(2, p - 1)
@@ -508,7 +522,7 @@ def test_kronecker_conventions():
 
 
 def test_kronecker_euler_criterion():
-    for p in [q for q in SMALL_PRIMES if q % 2 and q < 200]:
+    for p in sympy.primerange(3, 200):
         for d in range(-50, 51):
             euler = pow(d % p, (p - 1) // 2, p)
             expected = 0 if d % p == 0 else (1 if euler == 1 else -1)
