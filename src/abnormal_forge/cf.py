@@ -16,18 +16,17 @@ imported by the helpers that build a Fraction, so the convergent walk,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class Convergent(NamedTuple):
+class Convergent(namedtuple("Convergent", "index p q")):
     """Lowest-terms truncation p/q of a continued fraction after ``index`` digits."""
 
-    index: int
-    p: int
-    q: int
+    __slots__ = ()
 
 
 def convergent_stream(digits: Iterable[int]) -> Iterator[Convergent]:
@@ -49,11 +48,11 @@ def convergent_stream(digits: Iterable[int]) -> Iterator[Convergent]:
         yield Convergent(index, p_cur, q_cur)
 
 
-class CylinderInterval(NamedTuple):
-    """Interval of numbers whose expansion starts with a given digit string."""
+class CylinderInterval(namedtuple("CylinderInterval", "lo hi")):
+    """Interval of numbers whose expansion starts with a given digit string,
+    from Fraction ``lo`` to Fraction ``hi``."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
 
 def cylinder_interval(digits: Sequence[int]) -> CylinderInterval:

@@ -23,7 +23,8 @@ hanging. The budgets below make those failures fast and diagnosable.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 from . import nt
 from ._dectext import brief
@@ -34,37 +35,21 @@ MODE_PAPER = "paper"
 MODE_TOY = "toy"
 
 
-class _Checked:
-    """Base of the records that check their values in ``__new__``.
-
-    NamedTuple refuses a class body's own ``__new__`` or ``_make``, so each
-    such record subclasses this base and a NamedTuple of its fields.
-    ``_replace`` builds through ``_make``, whose ``tuple.__new__`` would skip
-    the checks, so ``_make`` calls the class; a copy or an unpickled record
-    calls ``__new__`` itself.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-class _ModeFields(NamedTuple):
-    kind: str
-
-
-class Mode(_Checked, _ModeFields):
-    """Tail-digit policy.
+class Mode(namedtuple("Mode", "kind")):
+    """Tail-digit policy, named by ``kind``.
 
     ``paper`` - full bound: the tail is base**(k**2) + 1, the least tail
                 exceeding base**(k**2), pinning the number's first k**2
                 base digits to the convergent's repeating tail.
     ``toy``   - tail is 2; structural checks only.
+
+    Mode, SearchBudget and ConstructionConfig check their values in
+    ``__new__``, which copies and unpickling (protocol 2 on) call too, and
+    route ``_make``, so ``_replace`` and ``copy.replace``, through the class.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, *args, **kwargs) -> Mode:
         self = super().__new__(cls, *args, **kwargs)
@@ -102,12 +87,8 @@ def _mem_caps(mem: int) -> tuple[int, int]:
     return max(1024, mem // TABLE_ENTRY_BYTES), mem * 8 // TAIL_BYTE_BYTES
 
 
-class _BudgetFields(NamedTuple):
-    bsgs_entries: int = _mem_caps(DEFAULT_MEM_BYTES)[0]
-    tail_bits: int = _mem_caps(DEFAULT_MEM_BYTES)[1]
-
-
-class SearchBudget(_Checked, _BudgetFields):
+class SearchBudget(namedtuple("SearchBudget", "bsgs_entries tail_bits",
+                              defaults=_mem_caps(DEFAULT_MEM_BYTES))):
     """Memory caps for the per-block searches.
 
     ``tail_bits`` caps every materialized power of the base (the
@@ -124,6 +105,7 @@ class SearchBudget(_Checked, _BudgetFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, *args, **kwargs) -> SearchBudget:
         self = super().__new__(cls, *args, **kwargs)
@@ -146,15 +128,14 @@ class SearchBudget(_Checked, _BudgetFields):
 DEFAULT_BUDGET = SearchBudget()
 
 
-class _ConfigFields(NamedTuple):
-    block_size: int
-    blocks: int
-    mode: Mode
-    budget: SearchBudget = DEFAULT_BUDGET  # immutable, so safe to share
+class ConstructionConfig(namedtuple(
+        "ConstructionConfig", "block_size blocks mode budget",
+        defaults=(DEFAULT_BUDGET,))):
+    """``blocks`` blocks of ``block_size`` seed digits, built in ``mode``
+    under ``budget`` (by default the one immutable ``DEFAULT_BUDGET``)."""
 
-
-class ConstructionConfig(_Checked, _ConfigFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, *args, **kwargs) -> ConstructionConfig:
         self = super().__new__(cls, *args, **kwargs)
@@ -261,16 +242,11 @@ def tail_digit(bound_exponent: int, base: int, mode: Mode, *,
     return power + 1
 
 
-class BlockPlan(NamedTuple):
-    """The three computed insertions for one block, with their denominators."""
+class BlockPlan(namedtuple("BlockPlan", "ell1 ell2 ell3 exponent q1 q2 q3")):
+    """The three computed insertions for one block, with their denominators:
+    ``ell1``..``ell3`` give ``q1``..``q3``, and q3 = base**``exponent``."""
 
-    ell1: int
-    ell2: int
-    ell3: int
-    exponent: int
-    q1: int
-    q2: int
-    q3: int
+    __slots__ = ()
 
 
 def plan_block(q_prev: int, q_cur: int, base: int,
@@ -333,19 +309,19 @@ def plan_block(q_prev: int, q_cur: int, base: int,
                      q1=q1, q2=q2, q3=q3)
 
 
-class BlockCertificate(NamedTuple):
-    """Everything chosen for one block, checkable from the digit stream alone."""
+class BlockCertificate(namedtuple(
+        "BlockCertificate", "index base block_end inserted denoms_before "
+        "denoms_after prime exponent digit_bound mode")):
+    """Everything chosen for one block, checkable from the digit stream alone.
 
-    index: int
-    base: int
-    block_end: int            # stream index of the block's last seed digit
-    inserted: tuple[int, int, int, int]
-    denoms_before: tuple[int, int]   # q at block_end - 1 and block_end
-    denoms_after: tuple[int, int, int]
-    prime: int                # = denoms_after[1], the residue-class prime
-    exponent: int             # denoms_after[2] = base ** exponent
-    digit_bound: int          # = exponent: p3 / base**k has k base digits
-    mode: str
+    ``block_end`` is the stream index of the block's last seed digit and
+    ``denoms_before`` the q at block_end - 1 and block_end. ``prime`` is
+    denoms_after[1], the residue-class prime, denoms_after[2] is
+    base**exponent, and ``digit_bound`` = exponent: p3 / base**k has k
+    base digits. ``mode`` is a :class:`Mode`'s kind.
+    """
+
+    __slots__ = ()
 
 
 class ConstructionAborted(RuntimeError):
@@ -450,16 +426,18 @@ def construct(config: ConstructionConfig, source) -> ConstructedNumber:
     return ConstructedNumber(config, source, digits, certificates)
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool | None       # None = not applicable at this scale/mode
-    required: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed required detail",
+                             defaults=("",))):
+    """One named check; ``passed`` is None where it does not apply at this
+    scale or mode."""
+
+    __slots__ = ()
 
 
-class VerificationReport(NamedTuple):
-    index: int
-    checks: tuple[CheckResult, ...]
+class VerificationReport(namedtuple("VerificationReport", "index checks")):
+    """The :class:`CheckResult` ``checks`` of block ``index``."""
+
+    __slots__ = ()
 
     @property
     def tail_bound_met(self) -> bool:

@@ -50,7 +50,10 @@ interpreter's recursion limit, in a certificate file or a digit file's
 header, is refused with :class:`InputFormatError` too. A certificate
 integer field is a JSON integer or a decimal string in the grammar
 above; a JSON float or boolean there is refused with
-:class:`InputFormatError`, never truncated.
+:class:`InputFormatError`, never truncated. The n-th record of a
+certificate file must have index n, as ``construct`` writes them; a
+record numbered otherwise is refused with :class:`InputFormatError`
+before it is converted.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import os
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from ._dectext import (INT_FAST_CHARS, TEXT_FAST_LIMIT, int_to_text,
+from ._dectext import (INT_FAST_CHARS, TEXT_FAST_LIMIT, brief, int_to_text,
                        is_canonical, text_to_int)
 from .errors import InputFormatError, ResourceBudgetExceeded
 from .seed import HEADER_PREFIX, ListDigitSource, parse_digit_file
@@ -241,5 +244,16 @@ def read_certificate_file(path) -> tuple[list[BlockCertificate], dict]:
         raise InputFormatError("not a certificate file")
     if payload.get("format_version") != FORMAT_VERSION:
         raise InputFormatError(f"format_version must be {FORMAT_VERSION!r}")
-    certs = [_cert_from_json(rec) for rec in payload["blocks"]]
+    certs = []
+    for place, record in enumerate(payload["blocks"], 1):
+        # A malformed index is left to _cert_from_json, which reports the
+        # record's first malformed field.
+        try:
+            index = _integer(record["index"])
+        except (KeyError, ValueError, TypeError, OverflowError):
+            index = place
+        if index != place:
+            raise InputFormatError(f"certificate block {place} is numbered "
+                                   f"{brief(index)}, not {place}")
+        certs.append(_cert_from_json(record))
     return certs, payload.get("header", {})

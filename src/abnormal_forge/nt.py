@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._dectext import brief, brief_bits
 from .errors import ResourceBudgetExceeded, SearchExhausted
@@ -235,12 +235,11 @@ def corollary_hypotheses(g: int, f: int, a: int) -> bool:
             and math.gcd(f, g) == 1 and math.gcd(f, a - 1) == 1)
 
 
-class ArtinPrime(NamedTuple):
-    """A prime p = ell*f + a for which g is a primitive root."""
+class ArtinPrime(namedtuple("ArtinPrime", "ell prime candidates_tested")):
+    """A prime p = ell*f + a for which g is a primitive root, found after
+    ``candidates_tested`` candidates."""
 
-    ell: int
-    prime: int
-    candidates_tested: int
+    __slots__ = ()
 
 
 def find_artin_prime(g: int, f: int, a: int,

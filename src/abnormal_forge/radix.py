@@ -8,8 +8,9 @@ convention under which frequency limits define normality.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .cf import cylinder_interval, digits_of_int, gauss_measure
 
@@ -45,21 +46,17 @@ def base_expansion(x: Fraction, base: int, places: int,
     return digits_of_int(prefix, base, places)
 
 
-class DigitStats(NamedTuple):
-    """Occurrence count of one pattern within a digit prefix.
+class DigitStats(namedtuple("DigitStats", "pattern count prefix_len ratio "
+                                          "reference discrepancy")):
+    """Occurrence ``count`` of a digit tuple ``pattern`` in a digit prefix.
 
-    ``ratio`` is count/prefix_len exactly; ``reference`` is the Gauss
-    measure of the pattern's cylinder, the limiting frequency in a
-    typical partial-quotient stream, with ``discrepancy`` their absolute
+    ``ratio`` is count/``prefix_len`` exactly, a Fraction; ``reference`` is
+    the Gauss measure of the pattern's cylinder, the limiting frequency in
+    a typical partial-quotient stream, with ``discrepancy`` their absolute
     difference.
     """
 
-    pattern: tuple[int, ...]
-    count: int
-    prefix_len: int
-    ratio: Fraction
-    reference: Fraction
-    discrepancy: Fraction
+    __slots__ = ()
 
 
 def count_occurrences(digits: Sequence[int], pattern: Sequence[int],

@@ -1,4 +1,5 @@
 import ast
+import copy
 import math
 import pickle
 import sys
@@ -735,14 +736,16 @@ def test_construct_never_multiplies_the_tail(monkeypatch, ell3_shift):
 def test_certificate_is_frozen(worked_number):
     # Every record refuses assignment and new attributes: the certificate,
     # the verifier's report and checks, the block plan, and the validated
-    # config and mode, whose subclasses declare empty __slots__.
+    # config, budget and mode. Each record class subclasses a generated
+    # namedtuple and declares empty __slots__.
     cert = worked_number.certificates[0]
     report = verify_certificate(cert, worked_number.digits_through_blocks)
     plan = plan_block(10, 13, 2)
     config = worked_number.config
     for record, field in ((cert, "prime"), (report, "tail_bound_met"),
                           (report.checks[0], "passed"), (plan, "ell3"),
-                          (config, "blocks"), (config.mode, "kind")):
+                          (config, "blocks"), (config.mode, "kind"),
+                          (config.budget, "tail_bits")):
         with pytest.raises(AttributeError):
             setattr(record, field, 61)
         with pytest.raises(AttributeError):
@@ -752,6 +755,14 @@ def test_certificate_is_frozen(worked_number):
 def _forged(cls, *values):
     # A record built past cls.__new__, as only tuple.__new__ can build one.
     return tuple.__new__(cls, values)
+
+
+def _copy_replaced(record, **changes):
+    # copy.replace (Python 3.13 on) builds through the class's __replace__.
+    return pytest.param(lambda: copy.replace(record, **changes),
+                        marks=pytest.mark.skipif(
+                            not hasattr(copy, "replace"),
+                            reason="copy.replace is new in Python 3.13"))
 
 
 _BAD_RECORDS = {
@@ -771,6 +782,14 @@ _BAD_RECORDS = {
     "budget-replace": lambda: SearchBudget()._replace(bsgs_entries=1 << 41),
     "budget-pickle": lambda: pickle.loads(pickle.dumps(
         _forged(SearchBudget, 1 << 41, 1))),
+    "budget-positional": lambda: SearchBudget(1 << 41),
+    "budget-make": lambda: SearchBudget._make([1 << 41, 1]),
+    "config-make": lambda: ConstructionConfig._make([4, -1, Mode("toy")]),
+    "mode-copy-replace": _copy_replaced(Mode("toy"), kind="fast"),
+    "config-copy-replace": _copy_replaced(
+        ConstructionConfig(4, 1, Mode("toy")), block_size=5),
+    "budget-copy-replace": _copy_replaced(SearchBudget(),
+                                          bsgs_entries=1 << 41),
 }
 
 

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -642,6 +644,158 @@ def test_cli_verify_fails_a_certificate_file_with_no_block(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
     assert json.loads(captured.out) == {"all_passed": False, "blocks": []}
+
+
+def _with_records(cert, indices):
+    """Rewrite ``cert`` to hold copies of its one record numbered ``indices``."""
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    record = payload["blocks"][0]
+    payload["blocks"] = [dict(record, index=i) for i in indices]
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("indices", [
+    [1, 1], [2, 1], [0], [1, 3], [2], ["2"], [1] * 2000],
+    ids=["repeated", "reordered", "renumbered", "renumbered-second",
+         "first-missing", "first-missing-text", "2000-copies"])
+def test_cli_verify_refuses_records_out_of_file_order(tmp_path, capsys,
+                                                      monkeypatch, indices):
+    # construct numbers its blocks 1, 2, ... in file order, and a partial
+    # file holds the first j of them. The first record numbered otherwise
+    # ends the read with exit 2 before it is converted, so before its tail
+    # is rendered or parsed, and verify prints no report.
+    digits, cert = _construct_worked(tmp_path)
+    _with_records(cert, indices)
+    converted = []
+    real = formats._cert_from_json
+    monkeypatch.setattr(formats, "_cert_from_json",
+                        lambda record: converted.append(1) or real(record))
+    capsys.readouterr()
+    code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
+    captured = capsys.readouterr()
+    place = next(n for n, i in enumerate(indices, 1) if int(i) != n)
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: certificate block {place} is numbered "
+                            f"{indices[place - 1]}, not {place}\n")
+    assert len(converted) == place - 1
+
+
+def test_cli_verify_checks_a_second_record_numbered_2(tmp_path, capsys):
+    # A copy of block 1 numbered 2 passes the list rule and fails its own
+    # checks.
+    digits, cert = _construct_worked(tmp_path)
+    _with_records(cert, [1, 2])
+    capsys.readouterr()
+    code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [b["passed"] for b in report["blocks"]] == [True, False]
+
+
+@pytest.fixture(scope="module")
+def worked_paper_files(tmp_path_factory):
+    """The worked example's paper-mode digit file and certificate payload."""
+    tmp_path = tmp_path_factory.mktemp("worked")
+    digits, cert = tmp_path / "y.cf", tmp_path / "y.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["construct", "--seed-file", str(_write_seed(tmp_path)),
+                     "--block-size", "4", "--blocks", "1", "--mode", "paper",
+                     "--out-digits", str(digits),
+                     "--out-cert", str(cert)]) == 0
+    return digits, json.loads(cert.read_text(encoding="utf-8"))
+
+
+# Each field of a certificate record, and each item of its list fields.
+_RECORD_PATHS = [("index",), ("base",), ("block_end",), ("prime",),
+                 ("exponent",), ("digit_bound",), ("mode",), ("inserted",),
+                 ("denoms_before",), ("denoms_after",),
+                 *[("inserted", j) for j in range(4)],
+                 *[("denoms_before", j) for j in range(2)],
+                 *[("denoms_after", j) for j in range(3)]]
+
+# Ways to write a decimal text that str() does not write.
+_NONCANONICAL = [lambda t: "+" + t, lambda t: "0" + t, lambda t: f" {t}",
+                 lambda t: f"{t}\n", lambda t: t[:1] + "_" + t[1:],
+                 lambda t: t + ".0", lambda t: t + "e0",
+                 lambda t: t.translate(str.maketrans("0123456789",
+                                                     "\u0660\u0661\u0662"
+                                                     "\u0663\u0664\u0665"
+                                                     "\u0666\u0667\u0668"
+                                                     "\u0669"))]
+
+
+def _json_values(original):
+    """JSON values for a field whose honest value is ``original``: its type
+    swapped, its sign flipped, sizes up to 10**5000, non-canonical text,
+    and other JSON types."""
+    others = st.one_of(
+        st.sampled_from(["", "-", "-0", "toy", "paper", "relaxed:2"]),
+        st.none(), st.booleans(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.lists(st.integers(0, 3), max_size=2),
+        st.dictionaries(st.sampled_from(["a", "index"]), st.integers(0, 2),
+                        max_size=1))
+    if type(original) is list:
+        return st.one_of(
+            st.just(original[::-1]), st.just(original + original[-1:]),
+            st.just([int(v) for v in original]),
+            st.lists(st.integers(-3, 10**70).map(str), max_size=5), others)
+    number = int(original) if original != "paper" else 1
+    sizes = st.builds(lambda e, d: 10**e + d, st.integers(0, 5000),
+                      st.integers(-1, 1))
+    integers = st.one_of(st.just(-number), st.just(number + 1), sizes,
+                         sizes.map(lambda n: -n), st.integers(-2, 2))
+    return st.one_of(
+        st.just(number), st.just(str(number)), integers,
+        integers.map(str),
+        st.tuples(st.sampled_from(_NONCANONICAL),
+                  integers).map(lambda f: f[0](str(f[1]))),
+        others)
+
+
+def _denoted(value):
+    """What a certificate field's JSON value reads as, for comparison."""
+    if type(value) in (int, str):
+        return str(value)
+    if type(value) is list:
+        return [_denoted(v) for v in value]
+    return (type(value).__name__, repr(value))
+
+
+# Record lists: the honest one, and lists construct never writes.
+_RECORD_LISTS = {"unchanged": [1], "empty": [], "repeated": [1, 1],
+                 "renumbered": [1, 2], "reordered": [2, 1],
+                 "first-missing": [2], "tripled": [1, 1, 1]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_verify_ends_in_a_contracted_exit_on_hostile_records(
+        worked_paper_files, tmp_path_factory, data):
+    # The verifier passes the worked certificate only as construct wrote
+    # it: any other record list, or one field's JSON value changed to
+    # another type, sign, size or text, exits 1 or 2 and raises nothing.
+    digits, payload = worked_paper_files
+    record = json.loads(json.dumps(payload["blocks"][0]))
+    path = data.draw(st.sampled_from(_RECORD_PATHS), label="field")
+    holder = record if len(path) == 1 else record[path[0]]
+    original = holder[path[-1]]
+    listing = data.draw(st.sampled_from(sorted(_RECORD_LISTS)), label="list")
+    indices = _RECORD_LISTS[listing]
+    cert = tmp_path_factory.getbasetemp() / "hostile.json"
+    with lifted_int_limit():  # str() and json of values up to 10**5000
+        value = data.draw(_json_values(original), label="value")
+        holder[path[-1]] = value
+        blocks = [record if i == 1 else dict(record, index=i)
+                  for i in indices]
+        cert.write_text(json.dumps(dict(payload, blocks=blocks)),
+                        encoding="utf-8")
+        unchanged = (listing == "unchanged"
+                     and _denoted(value) == _denoted(original))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
+    assert code in ((0,) if unchanged else (1, 2)), (code, err.getvalue())
 
 
 def test_json_numbers_past_the_digit_limit_are_refused(tmp_path):
@@ -1402,6 +1556,7 @@ def test_cli_construct_toy_multi_block_flushes_partial(tmp_path, capsys):
     certs, cert_header = read_certificate_file(cert)
     assert cert_header["partial"] is True
     assert len(certs) == 1  # block 1 completed and is preserved
+    assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 0
 
 
 def _cap_address_space(limit=1 << 30):
@@ -1687,6 +1842,43 @@ def test_cli_construct_generates_no_record_code(tmp_path):
         f"assert main({argv!r}) == 0")
     assert "abnormal_forge.construction" in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+_COUNT_COMPILES = """
+import builtins, contextlib, io, json, os, sys, sysconfig
+stdlib = os.path.realpath(sysconfig.get_paths()["stdlib"])
+compiled = []
+real = builtins.compile
+def counting(source, filename, *args, **kwargs):
+    compiled.append(str(filename))
+    return real(source, filename, *args, **kwargs)
+builtins.compile = counting
+from abnormal_forge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--cert", sys.argv[1], "--digits", sys.argv[2]])
+print(json.dumps([code, [os.path.basename(name) for name in compiled
+                         if not os.path.realpath(name).startswith(stdlib)]]))
+"""
+
+
+def test_cli_verify_compiles_no_record_field(tmp_path):
+    # Each record is one class built from a generated namedtuple, with no
+    # annotation string for class creation to compile. With every module
+    # compiled from source, verifying the worked files in a fresh process
+    # calls compile() once per package module it loads: nine, where string
+    # annotations on NamedTuple fields made it 47. Standard-library modules
+    # are not counted.
+    digits, cert = _construct_worked(tmp_path)
+    result = subprocess.run(
+        [sys.executable, "-c", _COUNT_COMPILES, str(cert), str(digits)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                 PYTHONPYCACHEPREFIX=str(tmp_path / "pycache")))
+    assert result.returncode == 0, result.stderr
+    code, compiled = json.loads(result.stdout)
+    assert code == 0
+    assert len(compiled) <= 12, compiled
+    assert all(name.endswith(".py") for name in compiled), compiled
 
 
 @pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999999999",
