@@ -107,10 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_source(args):
+    from .seed import FileDigitSource, RngDigitSource
     if args.seed_file is not None:
-        from .formats import FileDigitSource
         return FileDigitSource(args.seed_file)
-    from .seed import RngDigitSource
     return RngDigitSource(args.seed_rng)
 
 

@@ -44,12 +44,13 @@ class Mode(namedtuple("Mode", "kind")):
     ``toy``   - tail is 2; structural checks only.
 
     Mode, SearchBudget and ConstructionConfig check their values in
-    ``__new__``, which copies and unpickling (protocol 2 on) call too, and
-    route ``_make``, so ``_replace`` and ``copy.replace``, through the class.
+    ``__new__``, and route ``_make`` (so ``_replace`` and ``copy.replace``)
+    and ``__reduce__`` (so copies and unpickling at any protocol) through it.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
+    __reduce__ = lambda self: (type(self), tuple(self))
 
     def __new__(cls, *args, **kwargs) -> Mode:
         self = super().__new__(cls, *args, **kwargs)
@@ -106,6 +107,7 @@ class SearchBudget(namedtuple("SearchBudget", "bsgs_entries tail_bits",
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
+    __reduce__ = lambda self: (type(self), tuple(self))
 
     def __new__(cls, *args, **kwargs) -> SearchBudget:
         self = super().__new__(cls, *args, **kwargs)
@@ -136,6 +138,7 @@ class ConstructionConfig(namedtuple(
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
+    __reduce__ = lambda self: (type(self), tuple(self))
 
     def __new__(cls, *args, **kwargs) -> ConstructionConfig:
         self = super().__new__(cls, *args, **kwargs)

@@ -1,14 +1,15 @@
 """Stable on-disk formats: digit files and certificate files.
 
-Digit files are UTF-8 text, one positive decimal integer per line, with
-``#`` comment lines allowed anywhere; the digit index is the 1-based
-order of non-comment lines. ``seed.parse_digit_file`` reads one, header
-and digits, in one pass over the lines, and ``write_digit_file`` writes
-it one digit at a time. Certificate files are JSON with every
-arbitrary-precision integer carried as a decimal string, so nothing is
-rounded or truncated. Both begin with a run header that echoes enough
-configuration to reproduce the run bit-exactly (set SOURCE_DATE_EPOCH
-to pin the timestamp for byte-identical reruns).
+This module reads and writes both. Digit files are UTF-8 text, one
+positive decimal integer per line, with ``#`` comment lines allowed
+anywhere; the digit index is the 1-based order of non-comment lines.
+``parse_digit_file`` reads one, header and digits, in one pass over the
+lines (``seed.FileDigitSource`` reads its seed digits through it), and
+``write_digit_file`` writes it one digit at a time. Certificate files are
+JSON with every arbitrary-precision integer carried as a decimal string,
+so nothing is rounded or truncated. Both begin with a run header that
+echoes enough configuration to reproduce the run bit-exactly (set
+SOURCE_DATE_EPOCH to pin the timestamp for byte-identical reruns).
 
 Decimal text: every integer value of both formats is written and read
 through one pair of converters, ``_dectext.int_to_text`` and
@@ -58,22 +59,21 @@ before it is converted.
 
 from __future__ import annotations
 
-import io
 import json
 import os
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import __version__
 from ._dectext import (INT_FAST_CHARS, TEXT_FAST_LIMIT, brief, int_to_text,
                        is_canonical, text_to_int)
 from .errors import InputFormatError, ResourceBudgetExceeded
-from .seed import HEADER_PREFIX, ListDigitSource, parse_digit_file
 
 if TYPE_CHECKING:  # analyze cf reads digit files alone: no construction, nt
     from .construction import BlockCertificate
 
 FORMAT_VERSION = "1"
 TOOL_NAME = "abnormal-forge"
+HEADER_PREFIX = "# header:"   # a digit file's header comment, then JSON
 
 
 def _timestamp() -> str:
@@ -110,31 +110,49 @@ def write_digit_file(path, digits: Sequence[int], header: dict) -> None:
                 fh.write("\n")
 
 
+def parse_digit_file(lines: Iterable[str]) -> tuple[list[int], object]:
+    """Digits and header from digit-file lines, read in one pass.
+
+    Each stripped line must be blank, a ``#`` comment, or what ``str()``
+    writes for a positive value (``_dectext.is_canonical``). The header is
+    the JSON after ``HEADER_PREFIX`` on the first line starting with it,
+    or None; later header lines are ignored. The first bad line raises
+    :class:`InputFormatError`: a malformed header, or a malformed or
+    non-positive entry with its 1-based line number and a shortened copy.
+    A short line goes to ``int()`` inline after the grammar check; a long
+    one to ``text_to_int``, exact and subquadratic under any digit limit.
+    """
+    digits = []
+    header, header_seen = None, False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            if line.startswith(HEADER_PREFIX) and not header_seen:
+                header_seen = True
+                try:
+                    header = json.loads(line[len(HEADER_PREFIX):])
+                except (ValueError, RecursionError):  # not JSON, or too deep
+                    raise InputFormatError(
+                        "malformed header comment") from None
+            continue
+        try:
+            value = (int(line) if len(line) <= INT_FAST_CHARS
+                     and is_canonical(line) else text_to_int(line))
+        except ValueError:
+            raise InputFormatError(f"not an integer: {brief(line)!r}",
+                                   line=lineno) from None
+        if value < 1:
+            raise InputFormatError(
+                f"partial quotients must be >= 1, got {brief(value)}",
+                line=lineno)
+        digits.append(value)
+    return digits, header
+
+
 def read_digit_file(path) -> tuple[list[int], dict | None]:
     """Digits plus the parsed header comment, if one is present."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_digit_file(fh)
-
-
-class FileDigitSource(ListDigitSource):
-    """Seed digits from a digit file, read once and parsed as read_digit_file
-    parses it (universal newlines); ``sha256`` hashes the bytes read."""
-
-    def __init__(self, path):
-        import hashlib
-        self.path = str(path)
-        self._name = f"digit file {self.path}"
-        with open(path, "rb") as fh:
-            data = fh.read()
-        self._sha256 = hashlib.sha256(data).hexdigest()
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-        # parse_digit_file checks every digit and builds a fresh list, so it
-        # is kept as is: ListDigitSource.__init__ would copy it.
-        self._digits = parse_digit_file(text)[0]
-        self.position = 0
-
-    def descriptor(self) -> dict:
-        return {"kind": "file", "path": self.path, "sha256": self._sha256}
 
 
 def _cert_to_json(cert: BlockCertificate) -> dict:

@@ -1,4 +1,4 @@
-"""Seed digit sources: a reproducible Gauss-measure sampler and a digit list.
+"""Seed digit sources: a Gauss-measure sampler, a digit list and a digit file.
 
 The sampler stands in for a statistically typical partial-quotient
 stream. Independent draws from the single-digit law would get pair
@@ -35,20 +35,18 @@ the exact integer comparisons decide every digit.
 from __future__ import annotations
 
 import functools
-import json
+import io
 import math
-from typing import Iterable
 
-from ._dectext import INT_FAST_CHARS, brief, is_canonical, text_to_int
 from .cf import gauss_measure_fixed
 from .errors import InputFormatError
+from .formats import parse_digit_file
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 SAMPLER_VERSION = "splitmix64-gauss-markov-v1"
 DIGIT_CAP = 10**6
-HEADER_PREFIX = "# header:"   # a digit file's header comment, then JSON
 
 
 class SplitMix64:
@@ -162,45 +160,6 @@ class RngDigitSource:
                 "seed": str(self.seed), "digit_cap": DIGIT_CAP}
 
 
-def parse_digit_file(lines: Iterable[str]) -> tuple[list[int], object]:
-    """Digits and header from digit-file lines, read in one pass.
-
-    Each stripped line must be blank, a ``#`` comment, or what ``str()``
-    writes for a positive value (``_dectext.is_canonical``). The header is
-    the JSON after ``HEADER_PREFIX`` on the first line starting with it,
-    or None; later header lines are ignored. The first bad line raises
-    :class:`InputFormatError`: a malformed header, or a malformed or
-    non-positive entry with its 1-based line number and a shortened copy.
-    A short line goes to ``int()`` inline after the grammar check; a long
-    one to ``text_to_int``, exact and subquadratic under any digit limit.
-    """
-    digits = []
-    header, header_seen = None, False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            if line.startswith(HEADER_PREFIX) and not header_seen:
-                header_seen = True
-                try:
-                    header = json.loads(line[len(HEADER_PREFIX):])
-                except (ValueError, RecursionError):  # not JSON, or too deep
-                    raise InputFormatError(
-                        "malformed header comment") from None
-            continue
-        try:
-            value = (int(line) if len(line) <= INT_FAST_CHARS
-                     and is_canonical(line) else text_to_int(line))
-        except ValueError:
-            raise InputFormatError(f"not an integer: {brief(line)!r}",
-                                   line=lineno) from None
-        if value < 1:
-            raise InputFormatError(
-                f"partial quotients must be >= 1, got {brief(value)}",
-                line=lineno)
-        digits.append(value)
-    return digits, header
-
-
 class ListDigitSource:
     """In-memory digit source, mainly for tests and library use."""
 
@@ -224,3 +183,24 @@ class ListDigitSource:
         out = self._digits[self.position:self.position + count]
         self.position += count
         return out
+
+
+class FileDigitSource(ListDigitSource):
+    """Seed digits from a digit file, read once and parsed as read_digit_file
+    parses it (universal newlines); ``sha256`` hashes the bytes read."""
+
+    def __init__(self, path):
+        import hashlib
+        self.path = str(path)
+        self._name = f"digit file {self.path}"
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self._sha256 = hashlib.sha256(data).hexdigest()
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        # parse_digit_file checks every digit and builds a fresh list, so it
+        # is kept as is: ListDigitSource.__init__ would copy it.
+        self._digits = parse_digit_file(text)[0]
+        self.position = 0
+
+    def descriptor(self) -> dict:
+        return {"kind": "file", "path": self.path, "sha256": self._sha256}

@@ -757,6 +757,13 @@ def _forged(cls, *values):
     return tuple.__new__(cls, values)
 
 
+def _pickled(protocol, cls, *values):
+    # Protocols 0 and 1 rebuild a tuple subclass with tuple.__new__ unless
+    # the class's __reduce__ says otherwise.
+    return lambda: pickle.loads(pickle.dumps(_forged(cls, *values),
+                                             protocol=protocol))
+
+
 def _copy_replaced(record, **changes):
     # copy.replace (Python 3.13 on) builds through the class's __replace__.
     return pytest.param(lambda: copy.replace(record, **changes),
@@ -790,6 +797,14 @@ _BAD_RECORDS = {
         ConstructionConfig(4, 1, Mode("toy")), block_size=5),
     "budget-copy-replace": _copy_replaced(SearchBudget(),
                                           bsgs_entries=1 << 41),
+    "mode-pickle-0": _pickled(0, Mode, "fast"),
+    "mode-pickle-1": _pickled(1, Mode, "fast"),
+    "config-pickle-0": _pickled(0, ConstructionConfig, 4, -1, Mode("toy"),
+                                SearchBudget()),
+    "config-pickle-1": _pickled(1, ConstructionConfig, 4, -1, Mode("toy"),
+                                SearchBudget()),
+    "budget-pickle-0": _pickled(0, SearchBudget, 1 << 41, 1),
+    "budget-pickle-1": _pickled(1, SearchBudget, 1 << 41, 1),
 }
 
 
@@ -797,3 +812,15 @@ _BAD_RECORDS = {
 def test_validated_records_refuse_bad_values_however_built(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_validated_records_survive_pickling_and_copying(protocol):
+    # A good record comes back equal and of its own class at every
+    # protocol, and from copy.copy and copy.deepcopy.
+    for record in (Mode("toy"), SearchBudget(bsgs_entries=1 << 12),
+                   ConstructionConfig(4, 1, Mode("paper"), SearchBudget())):
+        for again in (pickle.loads(pickle.dumps(record, protocol=protocol)),
+                      copy.copy(record), copy.deepcopy(record)):
+            assert again == record and type(again) is type(record)
+            assert type(again[-1]) is type(record[-1])  # a nested record too

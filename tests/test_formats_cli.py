@@ -27,11 +27,11 @@ from abnormal_forge.construction import (TABLE_ENTRY_BYTES, BlockCertificate,
                                          ConstructionConfig, Mode, construct,
                                          verify_certificate)
 from abnormal_forge.errors import InputFormatError
-from abnormal_forge.formats import (FileDigitSource, _cert_from_json,
-                                    _cert_to_json, read_certificate_file,
+from abnormal_forge.formats import (_cert_from_json, _cert_to_json,
+                                    parse_digit_file, read_certificate_file,
                                     read_digit_file, run_header,
                                     write_certificate_file, write_digit_file)
-from abnormal_forge.seed import RngDigitSource, parse_digit_file
+from abnormal_forge.seed import FileDigitSource, RngDigitSource
 
 from conftest import RELAXED_MODES, WORKED_SEED, lifted_int_limit
 
@@ -796,6 +796,107 @@ def test_cli_verify_ends_in_a_contracted_exit_on_hostile_records(
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
     assert code in ((0,) if unchanged else (1, 2)), (code, err.getvalue())
+
+
+# Digit-file lines construct never writes, beside blank and comment lines.
+_LINE_NOISE = ["", "   ", "#", "# note", "# header: {}", "# header: [",
+               "# header:", "header: {}", "1 2", "x"]
+
+
+def _line_texts():
+    """Digit-file line texts: values up to 10**5000 as str() writes them,
+    signed, zero-padded, in non-ASCII digits or otherwise non-canonical,
+    and noise lines."""
+    sizes = st.builds(lambda e, d: 10**e + d, st.integers(0, 5000),
+                      st.integers(-1, 1))
+    values = st.one_of(st.integers(-2, 600), sizes, sizes.map(lambda n: -n))
+    return st.one_of(values.map(str),
+                     st.tuples(st.sampled_from(_NONCANONICAL),
+                               values).map(lambda f: f[0](str(f[1]))),
+                     st.sampled_from(_LINE_NOISE))
+
+
+def _mutated_digit_file(data, lines, tail):
+    """The worked digit file's ``lines`` (title, header, then the seed and
+    inserted digits, tail last) with one mutation drawn from ``data``."""
+    lines = list(lines)
+    kind = data.draw(st.sampled_from(
+        ["value", "insert", "append", "delete", "duplicate", "swap",
+         "header", "tail"]), label="mutation")
+    where = st.integers(0, len(lines) - 1)
+    if kind == "value":  # a seed digit or one of the first three inserts
+        lines[data.draw(st.integers(2, len(lines) - 2))] = data.draw(
+            _line_texts())
+    elif kind == "insert":
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(_line_texts()))
+    elif kind == "append":
+        lines += data.draw(st.lists(_line_texts(), min_size=1, max_size=3))
+    elif kind == "delete":
+        del lines[data.draw(where)]
+    elif kind == "duplicate":
+        i = data.draw(where)
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        i, j = data.draw(where), data.draw(where)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "header":  # delete, cut or overwrite the header line
+        cut = data.draw(st.integers(0, len(lines[1])))
+        lines[1] = data.draw(st.sampled_from(
+            ["", lines[1][:cut], lines[1][:cut] + "x" + lines[1][cut + 1:],
+             lines[1][:cut] + "}" + lines[1][cut + 1:]]))
+    else:  # a lowered tail
+        lines[-1] = str(data.draw(st.one_of(st.just(tail - 1),
+                                            st.integers(1, tail - 1))))
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _reference_digits(text):
+    """The digits of a digit file's ``text``, or None if the grammar refuses
+    it: after stripping, each line is blank, a comment, or an ASCII decimal
+    with no sign or leading zero; the first ``# header:`` line holds JSON."""
+    digits, header_seen = [], False
+    for raw in text.split("\n"):
+        line = raw.strip()
+        if line.startswith("# header:") and not header_seen:
+            header_seen = True
+            try:
+                json.loads(line[len("# header:"):])
+            except ValueError:
+                return None
+        elif line and not line.startswith("#"):
+            if not re.fullmatch("[1-9][0-9]*", line):
+                return None
+            digits.append(int(line))
+    return digits
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_verify_ends_in_a_contracted_exit_on_hostile_digit_files(
+        worked_paper_files, tmp_path_factory, data):
+    # The verifier passes the worked certificate exactly when the digit file
+    # parses and its first block_end + 4 digits are the ones construct wrote:
+    # a refused file exits 2, a short one 2 and any other change 1. Raising
+    # the tail is left out: verify passes some raised tails.
+    digits_path, payload = worked_paper_files
+    honest = digits_path.read_text(encoding="utf-8")
+    needed = payload["blocks"][0]["block_end"] + 4
+    lines = honest.splitlines()
+    assert len(lines) == 2 + needed  # title, header, digits through the tail
+    path = tmp_path_factory.getbasetemp() / "hostile.cf"
+    with lifted_int_limit():  # str() and int() of values up to 10**5000
+        text = _mutated_digit_file(data, lines, int(lines[-1]))
+        path.write_text(text, encoding="utf-8")
+        digits = _reference_digits(text)
+        expected = (2 if digits is None or len(digits) < needed else
+                    0 if digits[:needed] == _reference_digits(honest) else 1)
+    cert = tmp_path_factory.getbasetemp() / "honest.json"
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--cert", str(cert), "--digits", str(path)])
+    assert code == expected, (code, err.getvalue())
 
 
 def test_json_numbers_past_the_digit_limit_are_refused(tmp_path):
@@ -1793,7 +1894,7 @@ def test_cli_import_loads_only_what_every_subcommand_needs():
 def test_cli_verify_loads_no_fraction_decimal_datetime_or_radix(tmp_path,
                                                                  capsys):
     # A verify process parses and checks with integers alone: it loads no
-    # module that builds a Fraction or stamps a time. A paper tail past
+    # module that builds a Fraction or stamps a time, and no sampler. A paper tail past
     # 2**2000 is rendered rather than parsed, which loads decimal (about
     # 1.3 ms, against ~130 ms of parsing for seed 36's tail); a toy
     # certificate loads no decimal either.
@@ -1811,13 +1912,14 @@ def test_cli_verify_loads_no_fraction_decimal_datetime_or_radix(tmp_path,
             f"assert main({argv!r}) == 0")
         assert "abnormal_forge.construction" in loaded
         for name in ("dataclasses", "inspect", "fractions", "datetime",
-                     "abnormal_forge.radix") + unloaded:
+                     "abnormal_forge.radix", "abnormal_forge.seed") + unloaded:
             assert name not in loaded, (paths[0].name, name)
 
 
 def test_cli_analyze_cf_loads_no_construction_or_number_theory(tmp_path):
     # analyze cf reads a digit file and counts patterns: certificate records,
-    # the number-theory kernel and the constructor stay unloaded.
+    # the number-theory kernel, the constructor and the sampler stay
+    # unloaded.
     path = tmp_path / "digits.cf"
     path.write_text("1\n2\n1\n1\n", encoding="utf-8")
     argv = ["analyze", "cf", "--digits", str(path), "--strings", "1;1,1",
@@ -1828,6 +1930,7 @@ def test_cli_analyze_cf_loads_no_construction_or_number_theory(tmp_path):
     assert "abnormal_forge.formats" in loaded
     assert "abnormal_forge.construction" not in loaded
     assert "abnormal_forge.nt" not in loaded
+    assert "abnormal_forge.seed" not in loaded
 
 
 def test_cli_construct_generates_no_record_code(tmp_path):
@@ -1865,7 +1968,7 @@ def test_cli_verify_compiles_no_record_field(tmp_path):
     # Each record is one class built from a generated namedtuple, with no
     # annotation string for class creation to compile. With every module
     # compiled from source, verifying the worked files in a fresh process
-    # calls compile() once per package module it loads: nine, where string
+    # calls compile() once per package module it loads: eight, where string
     # annotations on NamedTuple fields made it 47. Standard-library modules
     # are not counted.
     digits, cert = _construct_worked(tmp_path)

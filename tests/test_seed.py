@@ -6,11 +6,11 @@ import pytest
 
 from abnormal_forge.cf import cylinder_interval, gauss_measure, log2_fixed
 from abnormal_forge.errors import InputFormatError
-from abnormal_forge.formats import FileDigitSource
-from abnormal_forge.seed import (DIGIT_CAP, ListDigitSource,
+from abnormal_forge.formats import parse_digit_file
+from abnormal_forge.seed import (DIGIT_CAP, FileDigitSource, ListDigitSource,
                                  RngDigitSource, SplitMix64, _tail_weight,
                                  _threshold, conditional_digit,
-                                 digit_from_unit, parse_digit_file)
+                                 digit_from_unit)
 
 # Frozen stream prefix for the documented sampler (version
 # splitmix64-gauss-markov-v1). Any change to the generator breaks
