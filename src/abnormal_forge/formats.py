@@ -32,14 +32,16 @@ with no line-sized copy, which offsets that text in the writer's peak
 memory.
 
 Tails by recognition: reading a paper-mode certificate parses no tail.
-Before converting a record, the reader renders the tail its base and
-exponent schedule, base**(exponent**2) + 1, which costs far less than
-parsing its text (a base-2 tail renders through one libmpdec power), so
-a tail field or digit-file line holding that text converts as a memo
-hit. The render is capped at 4 bits per character of the field it could
-match, so it never costs more than parsing that field; any other text
-is parsed or refused as before, and a record the render cannot use
-fails exactly as it would without it.
+Once a record's single fields are converted, and before its lists are,
+the reader renders the tail its base and exponent schedule,
+base**(exponent**2) + 1, which costs far less than parsing its text (a
+base-2 tail renders through one libmpdec power), so a tail field or
+digit-file line holding that text converts as a memo hit. The render
+runs only for a long canonical tail text and 2 <= base < 2**64, and is
+capped at 4 bits per character of the field it could match, so it
+never costs more than parsing that field; any other text is parsed or
+refused as before, and a record the render cannot use fails exactly as
+it would without it.
 
 JSON numbers (the certificates' ``index`` and ``block_end``, the
 header's config echo) go through :mod:`json` under the interpreter's
@@ -51,10 +53,17 @@ interpreter's recursion limit, in a certificate file or a digit file's
 header, is refused with :class:`InputFormatError` too. A certificate
 integer field is a JSON integer or a decimal string in the grammar
 above; a JSON float or boolean there is refused with
-:class:`InputFormatError`, never truncated. The n-th record of a
-certificate file must have index n, as ``construct`` writes them; a
-record numbered otherwise is refused with :class:`InputFormatError`
-before it is converted.
+:class:`InputFormatError`, never truncated.
+
+Each certificate record is read in one pass, each field converted
+once: the index first, then ``mode`` (a string), ``base``,
+``exponent``, ``block_end``, ``prime`` and ``digit_bound``, then the
+tail render, then the lists ``inserted``, ``denoms_before`` and
+``denoms_after``. The n-th record of a certificate file must have
+index n, as ``construct`` writes them; a record numbered otherwise is
+refused with :class:`InputFormatError` before any other field is read.
+Any other malformed record is refused as a ``bad certificate record``,
+with the message of its first malformed field in that order.
 """
 
 from __future__ import annotations
@@ -183,56 +192,50 @@ def _integer(value) -> int:
 def _integers(record: dict, key: str, arity: int) -> tuple[int, ...]:
     values = record[key]
     if type(values) is not list or len(values) != arity:
-        raise InputFormatError(f"{key} must be a list of {arity} integers")
+        raise ValueError(f"{key} must be a list of {arity} integers")
     return tuple(_integer(v) for v in values)
 
 
-def _render_scheduled_tail(record) -> None:
-    """Render the tail a paper record schedules, so that a tail field
-    holding its text reads as a memo hit; raises nothing.
-
-    The render is capped at 4 bits per character of the record's tail
-    field (an L-character decimal text is below 2**(3.33 * L)), so it
-    costs no more than parsing that field would.
-    """
-    from .construction import DEFAULT_BUDGET, MODE_PAPER, Mode, tail_digit
+def _cert_from_json(record: dict, place: int) -> BlockCertificate:
+    """The ``place``-th certificate record, read in one pass (see above)."""
+    from .construction import (DEFAULT_BUDGET, MODE_PAPER, BlockCertificate,
+                               Mode, tail_digit)
     try:
+        index = _integer(record["index"])
+        if index != place:
+            raise InputFormatError(f"certificate block {place} is numbered "
+                                   f"{brief(index)}, not {place}")
+        mode = record["mode"]
+        if type(mode) is not str:
+            raise TypeError(
+                f"mode must be a string, got {type(mode).__name__}")
+        base, exponent, block_end, prime, digit_bound = (
+            _integer(record[key]) for key in
+            ("base", "exponent", "block_end", "prime", "digit_bound"))
         inserted = record["inserted"]
-        if (record["mode"] != MODE_PAPER or type(inserted) is not list
-                or len(inserted) != 4 or type(inserted[3]) is not str
-                or len(inserted[3]) <= INT_FAST_CHARS  # no memo below
-                or not is_canonical(inserted[3])):  # text_to_int refuses
-            return
-        base = _integer(record["base"])
-        if not 2 <= base < 1 << 64:
-            return
-        max_bits = min(4 * len(inserted[3]), DEFAULT_BUDGET.tail_bits)
-        int_to_text(tail_digit(_integer(record["exponent"]), base,
-                               Mode(MODE_PAPER), max_bits=max_bits))
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError,
-            ResourceBudgetExceeded):
-        pass  # the conversion below reports what is wrong, if anything
-
-
-def _cert_from_json(record: dict) -> BlockCertificate:
-    from .construction import BlockCertificate
-    _render_scheduled_tail(record)
-    try:
-        inserted = _integers(record, "inserted", 4)
-        before = _integers(record, "denoms_before", 2)
-        after = _integers(record, "denoms_after", 3)
-        if type(record["mode"]) is not str:
-            raise TypeError("mode must be a string, got "
-                            f"{type(record['mode']).__name__}")
+        tail = (inserted[3] if type(inserted) is list and len(inserted) == 4
+                else None)
+        if (mode == MODE_PAPER and type(tail) is str
+                and len(tail) > INT_FAST_CHARS  # no memo below
+                and is_canonical(tail) and 2 <= base < 1 << 64):
+            # Capped at 4 bits per character of the tail field (an
+            # L-character decimal is below 2**(3.33 * L)), so the render
+            # costs no more than parsing that field would.
+            try:
+                int_to_text(tail_digit(
+                    exponent, base, Mode(MODE_PAPER),
+                    max_bits=min(4 * len(tail), DEFAULT_BUDGET.tail_bits)))
+            except (ValueError, ResourceBudgetExceeded):
+                pass  # the tail field is parsed or refused below
         return BlockCertificate(
-            index=_integer(record["index"]),
-            base=_integer(record["base"]),
-            block_end=_integer(record["block_end"]), inserted=inserted,
-            denoms_before=before, denoms_after=after,
-            prime=_integer(record["prime"]),
-            exponent=_integer(record["exponent"]),
-            digit_bound=_integer(record["digit_bound"]),
-            mode=record["mode"])
+            index=index, base=base, block_end=block_end,
+            inserted=_integers(record, "inserted", 4),
+            denoms_before=_integers(record, "denoms_before", 2),
+            denoms_after=_integers(record, "denoms_after", 3),
+            prime=prime, exponent=exponent, digit_bound=digit_bound,
+            mode=mode)
+    except InputFormatError:
+        raise  # the misnumbered record's own message
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad certificate record: {exc}") from None
 
@@ -262,16 +265,6 @@ def read_certificate_file(path) -> tuple[list[BlockCertificate], dict]:
         raise InputFormatError("not a certificate file")
     if payload.get("format_version") != FORMAT_VERSION:
         raise InputFormatError(f"format_version must be {FORMAT_VERSION!r}")
-    certs = []
-    for place, record in enumerate(payload["blocks"], 1):
-        # A malformed index is left to _cert_from_json, which reports the
-        # record's first malformed field.
-        try:
-            index = _integer(record["index"])
-        except (KeyError, ValueError, TypeError, OverflowError):
-            index = place
-        if index != place:
-            raise InputFormatError(f"certificate block {place} is numbered "
-                                   f"{brief(index)}, not {place}")
-        certs.append(_cert_from_json(record))
+    certs = [_cert_from_json(record, place)
+             for place, record in enumerate(payload["blocks"], 1)]
     return certs, payload.get("header", {})

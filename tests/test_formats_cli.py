@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abnormal_forge import _dectext, formats, nt
+from abnormal_forge import _dectext, construction, formats, nt
 from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS, brief,
                                      int_to_text, text_to_int)
 from abnormal_forge.cli import _build_parser, main
@@ -301,10 +301,10 @@ def test_noncanonical_text_is_refused(parts):
     record["prime"] = text
     if expected is None:
         with pytest.raises(InputFormatError) as failed:
-            _cert_from_json(record)
+            _cert_from_json(record, 1)
         assert str(failed.value) == f"bad certificate record: {refusal}"
     else:
-        assert _cert_from_json(record).prime == expected
+        assert _cert_from_json(record, 1).prime == expected
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -662,22 +662,31 @@ def test_cli_verify_refuses_records_out_of_file_order(tmp_path, capsys,
                                                       monkeypatch, indices):
     # construct numbers its blocks 1, 2, ... in file order, and a partial
     # file holds the first j of them. The first record numbered otherwise
-    # ends the read with exit 2 before it is converted, so before its tail
-    # is rendered or parsed, and verify prints no report.
+    # ends the read with exit 2 once its index is converted, before any
+    # other field: its long paper tail is neither rendered nor parsed, and
+    # verify prints no report.
     digits, cert = _construct_worked(tmp_path)
     _with_records(cert, indices)
-    converted = []
-    real = formats._cert_from_json
-    monkeypatch.setattr(formats, "_cert_from_json",
-                        lambda record: converted.append(1) or real(record))
+    place = next(n for n, i in enumerate(indices, 1) if int(i) != n)
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    misnumbered = payload["blocks"][place - 1]
+    misnumbered["inserted"] = misnumbered["inserted"][:3] + ["9" * 5000]
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    events = []
+    for module, name in [(formats, "_integer"), (construction, "tail_digit"),
+                         (_dectext, "_digits_to_int")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name,
+                            **kwargs: events.append(name)
+                            or real(*args, **kwargs))
     capsys.readouterr()
     code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
     captured = capsys.readouterr()
-    place = next(n for n, i in enumerate(indices, 1) if int(i) != n)
     assert (code, captured.out) == (2, "")
     assert captured.err == (f"error: certificate block {place} is numbered "
                             f"{indices[place - 1]}, not {place}\n")
-    assert len(converted) == place - 1
+    # Each honest record before it converts its 15 integers; then one.
+    assert events == ["_integer"] * (15 * (place - 1) + 1)
 
 
 def test_cli_verify_checks_a_second_record_numbered_2(tmp_path, capsys):
@@ -773,25 +782,29 @@ _RECORD_LISTS = {"unchanged": [1], "empty": [], "repeated": [1, 1],
 def test_cli_verify_ends_in_a_contracted_exit_on_hostile_records(
         worked_paper_files, tmp_path_factory, data):
     # The verifier passes the worked certificate only as construct wrote
-    # it: any other record list, or one field's JSON value changed to
-    # another type, sign, size or text, exits 1 or 2 and raises nothing.
+    # it: any other record list, or the JSON values of one or two fields
+    # changed to another type, sign, size or text, exits 1 or 2 and raises
+    # nothing, whichever fault the reader meets first.
     digits, payload = worked_paper_files
     record = json.loads(json.dumps(payload["blocks"][0]))
-    path = data.draw(st.sampled_from(_RECORD_PATHS), label="field")
-    holder = record if len(path) == 1 else record[path[0]]
-    original = holder[path[-1]]
+    paths = data.draw(st.lists(st.sampled_from(_RECORD_PATHS), min_size=1,
+                               max_size=2, unique_by=lambda p: p[0]),
+                      label="fields")
     listing = data.draw(st.sampled_from(sorted(_RECORD_LISTS)), label="list")
     indices = _RECORD_LISTS[listing]
     cert = tmp_path_factory.getbasetemp() / "hostile.json"
     with lifted_int_limit():  # str() and json of values up to 10**5000
-        value = data.draw(_json_values(original), label="value")
-        holder[path[-1]] = value
+        unchanged = listing == "unchanged"
+        for path in paths:
+            holder = record if len(path) == 1 else record[path[0]]
+            original = holder[path[-1]]
+            value = data.draw(_json_values(original), label="value")
+            holder[path[-1]] = value
+            unchanged = unchanged and _denoted(value) == _denoted(original)
         blocks = [record if i == 1 else dict(record, index=i)
                   for i in indices]
         cert.write_text(json.dumps(dict(payload, blocks=blocks)),
                         encoding="utf-8")
-        unchanged = (listing == "unchanged"
-                     and _denoted(value) == _denoted(original))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
@@ -1237,8 +1250,8 @@ def test_reading_a_rendered_tail_runs_no_grammar_scan(tmp_path, capsys,
 
 def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
         tmp_path, capsys, monkeypatch):
-    # Mutated seed-36 certificates verify exactly as they do with the
-    # scheduled-tail render taken out, and no render passes 4 bits per
+    # Mutated seed-36 certificates verify exactly as they do when every
+    # scheduled-tail render fails, and no render passes 4 bits per
     # character of the record's tail field. A tail text that is not the
     # render is parsed, and one that is not str() of its value is refused
     # before any render or parse.
@@ -1271,6 +1284,9 @@ def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
                         lambda text, *rest: parses.append(text)
                         or split_digits(text, *rest))
 
+    def refuse_render(*args, **kwargs):
+        raise ValueError("no render")  # a failed render, which is swallowed
+
     def verify(key, value):
         block = dict(payload["blocks"][0])
         if key == "tail":
@@ -1295,9 +1311,54 @@ def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
         if name == "last-digit":
             assert value in parses, name
         with monkeypatch.context() as no_render:
-            no_render.setattr(formats, "_render_scheduled_tail",
-                              lambda record: None)
+            no_render.setattr(construction, "tail_digit", refuse_render)
             assert verify(key, value) == outcome, name
+
+
+# One malformed single field of a seed-36 record, and its refusal.
+_SINGLE_FIELD_FAULTS = {
+    "index": ("01", "not a canonical decimal integer: '01'"),
+    "mode": (7, "mode must be a string, got int"),
+    "base": ("x", "not a canonical decimal integer: 'x'"),
+    "exponent": (1.5, "expected an integer or a decimal string, got 1.5"),
+    "block_end": (True, "expected an integer or a decimal string, got True"),
+    "prime": ("-", "not a canonical decimal integer: '-'"),
+    "digit_bound": ("1_5", "not a canonical decimal integer: '1_5'"),
+}
+
+
+def test_cli_verify_converts_each_certificate_field_once(tmp_path, capsys,
+                                                         monkeypatch):
+    # The reader converts each of a record's 15 integers once, and converts
+    # its single fields before its lists: a record refused for one single
+    # field exits 2 without rendering or parsing its 437k-character tail.
+    digits, cert = _paper_files(tmp_path, 36, 6)
+    capsys.readouterr()
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    integers, renders, parses = [], [], []
+    for module, name, calls in [(formats, "_integer", integers),
+                                (construction, "tail_digit", renders),
+                                (_dectext, "_digits_to_int", parses)]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, calls=calls,
+                            **kwargs: calls.append(1) or real(*args, **kwargs))
+
+    def verify(block):
+        cert.write_text(json.dumps(dict(payload, blocks=[block])),
+                        encoding="utf-8")
+        _dectext._memo.clear()  # as a fresh process starts
+        for calls in (integers, renders, parses):
+            calls.clear()
+        code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
+        return (code, *capsys.readouterr())
+
+    assert verify(payload["blocks"][0])[0] == 0
+    assert (len(integers), len(renders), len(parses)) == (15, 1, 0)
+    for key, (value, refusal) in _SINGLE_FIELD_FAULTS.items():
+        outcome = verify(dict(payload["blocks"][0], **{key: value}))
+        assert outcome == (2, "",
+                           f"error: bad certificate record: {refusal}\n"), key
+        assert (renders, parses) == ([], []), key
 
 
 def test_cli_verify_exit_2_on_truncated_digits(tmp_path, capsys):

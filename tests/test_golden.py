@@ -1,9 +1,10 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from abnormal_forge import nt
-from abnormal_forge.cli import main
+from abnormal_forge import _dectext, nt
+from abnormal_forge.cli import MEM_BUDGET_ENV, main
 
 from conftest import WORKED_SEED
 
@@ -50,6 +51,23 @@ def test_construct_and_verify_bytes_are_pinned(seed_args, mode, expected,
                _sha256((tmp_path / "out.json").read_bytes()),
                _sha256(report))
     assert digests == expected
+
+
+# The frozen format-v1 corpus (tests/data/v1/README.md): files construct
+# once wrote, by name, with the exit code verify gives for each.
+V1_CORPUS = {"worked-paper": 0, "worked-toy": 0, "rng1-paper": 0,
+             "rng42-toy-partial": 0}
+
+
+@pytest.mark.parametrize("name", sorted(V1_CORPUS))
+def test_v1_corpus_verifies_as_frozen(name, monkeypatch, capsys):
+    data = Path(__file__).parent / "data" / "v1"
+    monkeypatch.delenv(MEM_BUDGET_ENV, raising=False)
+    _dectext._memo.clear()  # as a fresh process starts
+    assert main(["verify", "--cert", str(data / f"{name}.json"),
+                 "--digits", str(data / f"{name}.cf")]) == V1_CORPUS[name]
+    expected = (data / f"{name}.verify.out").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
 
 
 # (argv, exit code, sha256 of stdout, sha256 of stderr when the code is
