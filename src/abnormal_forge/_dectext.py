@@ -22,6 +22,17 @@ Vol. 2, section 4.4; the method of CPython 3.12's ``Lib/_pylong.py``):
   text raises ``ValueError``. It parses a text of more than
   ``INT_FAST_CHARS`` characters by halves, ``(hi * 5**k << k) + lo``
   with k the length of the low half.
+* Recognition: before that parse, :func:`text_to_int` guesses a long
+  text as 2**e with its last ``INT_FAST_CHARS`` digits replaced by the
+  text's, e from the text's length and leading digits, and keeps the
+  guess if its render by :func:`int_to_text`'s own split is the text,
+  which is then ``str()`` output, so it needs no grammar scan, and is
+  memoized under that text as a parse would be.
+  A base-2 paper tail, 2**(k*k) + 1, thus reads through one libmpdec
+  power, at a fraction of the cost of parsing it, and a text far from
+  every power of two costs no render. Every other text is parsed:
+  base-3 tails too, which are first scheduled at block 3, a block no
+  run reaches.
 
 Every builtin ``str()``/``int()`` call made here sees fewer than 640
 digits, so no limit the interpreter allows can refuse one, and the two
@@ -49,6 +60,7 @@ a key early, which costs a recomputation, never a wrong result.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import OrderedDict
 
@@ -60,6 +72,8 @@ TEXT_FAST_LIMIT = 1 << TEXT_FAST_BITS
 INT_FAST_CHARS = 600          # also the leaves of the text -> int split
 
 _DECIMAL_LEAF_BITS = 1_024    # leaves of the int -> Decimal split
+_LOW_MODULUS = 10 ** INT_FAST_CHARS  # the digits _near_power reads exactly
+_LOG2_10 = math.log2(10)
 # Pairs in the memo: the thirteen decimal fields of a certificate fit
 # with room to spare, so its own fields cannot evict its tail before the
 # digit file asks for it.
@@ -137,7 +151,11 @@ def text_to_int(text: str) -> int:
     subquadratic in length; a text :func:`is_canonical` refuses raises
     ``ValueError``."""
     value = _memo.get(text)
-    if value is not None:  # a memo text is str() output: skip the scan
+    if value is None and len(text) > INT_FAST_CHARS:
+        value = _near_power(text)
+        if value is not None:
+            _remember(value, text)
+    if value is not None:  # a memo or render text is str() output: no scan
         return value
     if not is_canonical(text):  # show repr(text)[:200] without forming it
         shown = text if len(text) <= 200 else text[:200] + "".join(
@@ -150,6 +168,28 @@ def text_to_int(text: str) -> int:
     value = _digits_to_int(text, 0, len(text), {})
     _remember(value, text)
     return value
+
+
+def _near_power(text: str) -> int | None:
+    """The int whose ``str()`` is ``text``, guessed as 2**e with its last
+    ``INT_FAST_CHARS`` digits replaced by the text's, or None.
+
+    e >= TEXT_FAST_BITS is guessed from the text's length and first 17
+    digits, which must put its log2 within 2**-20 of e, so a text far
+    from every power of two costs no render. The guess is kept only if
+    its render is ``text``, so a match is ``str()`` output.
+    """
+    head = text[:17]
+    if not (text.isascii() and head.isdigit() and head[0] != "0"
+            and text[-INT_FAST_CHARS:].isdigit()):
+        return None
+    log = math.log2(int(head)) + (len(text) - len(head)) * _LOG2_10
+    e = round(log)
+    if e < TEXT_FAST_BITS or abs(log - e) > 2 ** -20:
+        return None
+    value = ((1 << e) - pow(2, e, _LOW_MODULUS)
+             + int(text[-INT_FAST_CHARS:]))
+    return value if _split_text(value) == text else None
 
 
 def _digits_to_int(text: str, start: int, stop: int, powers: dict) -> int:

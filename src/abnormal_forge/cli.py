@@ -28,7 +28,7 @@ import json
 import os
 import sys
 
-from ._dectext import brief, brief_bits
+from ._dectext import brief, brief_bits, text_to_int
 from .errors import InputFormatError, ResourceBudgetExceeded, SearchExhausted
 
 MEM_BUDGET_ENV = "ABNORMAL_FORGE_MEM_BUDGET"
@@ -215,7 +215,7 @@ def _parse_patterns(text: str) -> list[list[int]]:
         if not chunk:
             continue
         try:
-            pattern = [int(part) for part in chunk.split(",")]
+            pattern = [text_to_int(part.strip()) for part in chunk.split(",")]
         except ValueError:
             raise InputFormatError(f"bad pattern {brief(chunk)!r}") from None
         if not pattern or any(d < 1 for d in pattern):

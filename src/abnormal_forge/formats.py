@@ -31,17 +31,9 @@ memoized. ``write_digit_file`` writes each large value's text as it is,
 with no line-sized copy, which offsets that text in the writer's peak
 memory.
 
-Tails by recognition: reading a paper-mode certificate parses no tail.
-Once a record's single fields are converted, and before its lists are,
-the reader renders the tail its base and exponent schedule,
-base**(exponent**2) + 1, which costs far less than parsing its text (a
-base-2 tail renders through one libmpdec power), so a tail field or
-digit-file line holding that text converts as a memo hit. The render
-runs only for a long canonical tail text and 2 <= base < 2**64, and is
-capped at 4 bits per character of the field it could match, so it
-never costs more than parsing that field; any other text is parsed or
-refused as before, and a record the render cannot use fails exactly as
-it would without it.
+``text_to_int`` reads a long text near a power of two, such as a
+base-2 paper tail, from one render rather than a parse, so neither
+file's copy of such a tail is parsed.
 
 JSON numbers (the certificates' ``index`` and ``block_end``, the
 header's config echo) go through :mod:`json` under the interpreter's
@@ -58,10 +50,10 @@ above; a JSON float or boolean there is refused with
 Each certificate record is read in one pass, each field converted
 once: the index first, then ``mode`` (a string), ``base``,
 ``exponent``, ``block_end``, ``prime`` and ``digit_bound``, then the
-tail render, then the lists ``inserted``, ``denoms_before`` and
-``denoms_after``. The n-th record of a certificate file must have
-index n, as ``construct`` writes them; a record numbered otherwise is
-refused with :class:`InputFormatError` before any other field is read.
+lists ``inserted``, ``denoms_before`` and ``denoms_after``. The n-th
+record of a certificate file must have index n, as ``construct``
+writes them; a record numbered otherwise is refused with
+:class:`InputFormatError` before any other field is read.
 Any other malformed record is refused as a ``bad certificate record``,
 with the message of its first malformed field in that order.
 """
@@ -75,7 +67,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from . import __version__
 from ._dectext import (INT_FAST_CHARS, TEXT_FAST_LIMIT, brief, int_to_text,
                        is_canonical, text_to_int)
-from .errors import InputFormatError, ResourceBudgetExceeded
+from .errors import InputFormatError
 
 if TYPE_CHECKING:  # analyze cf reads digit files alone: no construction, nt
     from .construction import BlockCertificate
@@ -198,8 +190,7 @@ def _integers(record: dict, key: str, arity: int) -> tuple[int, ...]:
 
 def _cert_from_json(record: dict, place: int) -> BlockCertificate:
     """The ``place``-th certificate record, read in one pass (see above)."""
-    from .construction import (DEFAULT_BUDGET, MODE_PAPER, BlockCertificate,
-                               Mode, tail_digit)
+    from .construction import BlockCertificate
     try:
         index = _integer(record["index"])
         if index != place:
@@ -212,21 +203,6 @@ def _cert_from_json(record: dict, place: int) -> BlockCertificate:
         base, exponent, block_end, prime, digit_bound = (
             _integer(record[key]) for key in
             ("base", "exponent", "block_end", "prime", "digit_bound"))
-        inserted = record["inserted"]
-        tail = (inserted[3] if type(inserted) is list and len(inserted) == 4
-                else None)
-        if (mode == MODE_PAPER and type(tail) is str
-                and len(tail) > INT_FAST_CHARS  # no memo below
-                and is_canonical(tail) and 2 <= base < 1 << 64):
-            # Capped at 4 bits per character of the tail field (an
-            # L-character decimal is below 2**(3.33 * L)), so the render
-            # costs no more than parsing that field would.
-            try:
-                int_to_text(tail_digit(
-                    exponent, base, Mode(MODE_PAPER),
-                    max_bits=min(4 * len(tail), DEFAULT_BUDGET.tail_bits)))
-            except (ValueError, ResourceBudgetExceeded):
-                pass  # the tail field is parsed or refused below
         return BlockCertificate(
             index=index, base=base, block_end=block_end,
             inserted=_integers(record, "inserted", 4),

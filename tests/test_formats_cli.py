@@ -187,9 +187,28 @@ def _digit_strings(draw):
     return "0" * draw(st.integers(0, 3)) + body
 
 
+# 2**5000 + r for r around the last INT_FAST_CHARS digits, the only ones
+# text_to_int may change in 2**e when it recognises a near power of two:
+# r = 0, 1 and -1 are recognised, and r = 10**600 - 1, -(10**600 - 1) and
+# _CARRY reach past those digits, so they are parsed.
+_POWER = 1 << 5000
+_LOW = 10 ** INT_FAST_CHARS
+_CARRY = _LOW - _POWER % _LOW + 3
+_NEAR_POWERS = [_POWER + r for r in (0, 1, -1, _LOW - 1, 1 - _LOW, _CARRY)]
+# 2**5000 + 1 with its 701st digit, a 4, made a 7: its length and leading
+# digits match the power, but its render does not, so it is parsed.
+_MIDDLE_DIFFERS = str(_NEAR_POWERS[1])[:700] + "7" + str(_NEAR_POWERS[1])[701:]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_big_ints())
 @example(0)
+@example(_NEAR_POWERS[0])
+@example(_NEAR_POWERS[1])
+@example(_NEAR_POWERS[2])
+@example(_NEAR_POWERS[3])
+@example(_NEAR_POWERS[4])
+@example(_NEAR_POWERS[5])
 @example(10**3010 - 1)
 @example(10**3010)
 @example(10**3011)
@@ -210,9 +229,21 @@ def test_int_to_text_is_str(n):
 @example("0" * 7 + "1" * INT_FAST_CHARS)
 @example("1" + "0" * 6000)
 @example("9" * 6000)
+@example(str(_NEAR_POWERS[0]))
+@example(str(_NEAR_POWERS[1]))
+@example(str(_NEAR_POWERS[2]))
+@example(str(_NEAR_POWERS[3]))
+@example(str(_NEAR_POWERS[4]))
+@example(str(_NEAR_POWERS[5]))
+@example("1" + "0" * INT_FAST_CHARS)
+@example("9" * (INT_FAST_CHARS + 1))
+@example(_MIDDLE_DIFFERS)
 def test_text_to_int_is_int(text):
     # int() of a text that is str() of its value, and the text back from
-    # int_to_text; leading zeros are refused.
+    # int_to_text; leading zeros are refused. Each text is read as a fresh
+    # process reads it: a near power of two from its render, any other
+    # long text by halves.
+    _dectext._memo.clear()
     with lifted_int_limit():
         expected = int(text)
         canonical = str(expected) == text
@@ -377,15 +408,24 @@ def test_split_caches_are_exact():
     with lifted_int_limit():
         expected = int(other)
     assert expected != value and text_to_int(other) == expected
+    # A text with the power's length and leading digits but another
+    # middle is parsed, exactly.
+    middle = text[:700] + ("1" if text[700] != "1" else "2") + text[701:]
+    with lifted_int_limit():
+        expected = int(middle)
+    assert text_to_int(middle) == expected
     assert text_to_int(text) == value
     assert text_to_int("-" + text) == -value
     # A parsed text renders as a lookup.
     assert int_to_text(text_to_int(other)) is other
     # A refused text leaves the memo unchanged.
     memo = list(_dectext._memo.items())
-    for form in ("+" + text, text + " ", text.replace("0", "\u0660")):
-        with pytest.raises(ValueError, match="not a canonical decimal"):
+    for form in ("+" + text, text + " ", text.replace("0", "\u0660"),
+                 text[:999] + "_" + text[1000:]):
+        with pytest.raises(ValueError) as failed:
             text_to_int(form)
+        assert str(failed.value) == (
+            f"not a canonical decimal integer: {form!r:.200}")
     assert list(_dectext._memo.items()) == memo
     # Below the split thresholds nothing is memoized.
     _dectext._memo.clear()
@@ -674,6 +714,7 @@ def test_cli_verify_refuses_records_out_of_file_order(tmp_path, capsys,
     cert.write_text(json.dumps(payload), encoding="utf-8")
     events = []
     for module, name in [(formats, "_integer"), (construction, "tail_digit"),
+                         (_dectext, "_split_text"),
                          (_dectext, "_digits_to_int")]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name,
@@ -1205,17 +1246,20 @@ def split_calls(monkeypatch):
 ])
 def test_cli_converts_each_large_value_once(tmp_path, capsys, split_calls,
                                             seed, block_size, large_fields):
-    # construct renders each large value once. verify parses no tail: it
-    # renders the scheduled tail once, through the power path, so both
-    # files' copies of it read as memo hits, and it parses each other
-    # large field once.
+    # construct renders each large value once. verify parses no near power
+    # of two: it reads the tail, and seed 12's q3 = 2**2102, from one
+    # power render each, so both files' copies of the tail read as memo
+    # hits, and it parses each other large field (seed 12's ell3) once.
     rendered, parsed, bit_split = split_calls
     digits, cert = _paper_files(tmp_path, seed, block_size)
     tail_bits = int(capsys.readouterr().out.split("tail_bits=")[1].split()[0])
     assert len(rendered) == len(set(rendered)) == large_fields
     tail = max(rendered)
-    others = sorted(rendered)[:-1]
     assert tail.bit_length() == tail_bits
+    # 2**e + r with r < 2**TEXT_FAST_BITS: the tail, and seed 12's q3.
+    powers = [v for v in rendered if (v >> TEXT_FAST_BITS).bit_count() == 1]
+    assert tail in powers and len(powers) == (2 if seed == 12 else 1)
+    others = sorted(set(rendered) - set(powers))
 
     # verify in a fresh process: clear the memo as an exit would.
     _dectext._memo.clear()
@@ -1223,16 +1267,16 @@ def test_cli_converts_each_large_value_once(tmp_path, capsys, split_calls,
     bit_split.clear()
     assert main(["verify", "--cert", str(cert), "--digits", str(digits)]) == 0
     capsys.readouterr()
-    assert rendered == [tail] and bit_split == []
-    assert len(parsed) == len(set(parsed)) == large_fields - 1
+    assert sorted(rendered) == sorted(powers) and bit_split == []
+    assert len(parsed) == len(set(parsed)) == len(others)
     assert sorted(text_to_int(text) for text in parsed) == others
 
 
 def test_reading_a_rendered_tail_runs_no_grammar_scan(tmp_path, capsys,
                                                      monkeypatch):
-    # The certificate reader renders the scheduled tail, so both files'
-    # copies of its text are memo hits, and a text in the memo is str()
-    # output already: text_to_int returns it before the grammar scan.
+    # text_to_int reads the tail's text in the first file from its render
+    # and the copy in the second as a memo hit; a text that matches a
+    # render or the memo is str() output already, so neither is scanned.
     digits, cert = _paper_files(tmp_path, 1, 4)
     capsys.readouterr()
     scanned = []
@@ -1250,11 +1294,12 @@ def test_reading_a_rendered_tail_runs_no_grammar_scan(tmp_path, capsys,
 
 def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
         tmp_path, capsys, monkeypatch):
-    # Mutated seed-36 certificates verify exactly as they do when every
-    # scheduled-tail render fails, and no render passes 4 bits per
-    # character of the record's tail field. A tail text that is not the
-    # render is parsed, and one that is not str() of its value is refused
-    # before any render or parse.
+    # Mutated seed-36 certificates verify exactly as they do when no text
+    # is recognised as a near power of two, and no render passes 4 bits
+    # per character of the record's tail field. A tail one off in its last
+    # digit is still 2**e + r: it is read from its render, with no parse.
+    # A tail text that is not str() of its value is refused before any
+    # render or parse.
     digits, cert = _paper_files(tmp_path, 36, 6)
     capsys.readouterr()
     payload = json.loads(cert.read_text(encoding="utf-8"))
@@ -1262,7 +1307,7 @@ def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
     mutations = {
         "exponent-15000": ("exponent", "15000", 1),
         "exponent-1206": ("exponent", "1206", 1),
-        "exponent-1400": ("exponent", "1400", 1),  # 4.5 bits a character
+        "exponent-1400": ("exponent", "1400", 1),
         "exponent--Infinity": ("exponent", float("-inf"), 2),
         "last-digit": ("tail", tail[:-1] + ("1" if tail[-1] != "1" else "2"),
                        1),
@@ -1283,9 +1328,6 @@ def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
     monkeypatch.setattr(_dectext, "_digits_to_int",
                         lambda text, *rest: parses.append(text)
                         or split_digits(text, *rest))
-
-    def refuse_render(*args, **kwargs):
-        raise ValueError("no render")  # a failed render, which is swallowed
 
     def verify(key, value):
         block = dict(payload["blocks"][0])
@@ -1309,9 +1351,10 @@ def test_verify_renders_within_the_tail_field_and_falls_back_to_parsing(
         if name in forms:
             assert not renders and not parses, name
         if name == "last-digit":
-            assert value in parses, name
-        with monkeypatch.context() as no_render:
-            no_render.setattr(construction, "tail_digit", refuse_render)
+            # its render, and that of the digit file's own tail
+            assert len(renders) == 2 and not parses, name
+        with monkeypatch.context() as no_recognition:
+            no_recognition.setattr(_dectext, "_near_power", lambda text: None)
             assert verify(key, value) == outcome, name
 
 
@@ -1329,15 +1372,16 @@ _SINGLE_FIELD_FAULTS = {
 
 def test_cli_verify_converts_each_certificate_field_once(tmp_path, capsys,
                                                          monkeypatch):
-    # The reader converts each of a record's 15 integers once, and converts
-    # its single fields before its lists: a record refused for one single
-    # field exits 2 without rendering or parsing its 437k-character tail.
+    # The reader converts each of a record's 15 integers once, the tail
+    # by one render and no parse, and converts its single fields before
+    # its lists: a record refused for one single field exits 2 without
+    # rendering or parsing its 437k-character tail.
     digits, cert = _paper_files(tmp_path, 36, 6)
     capsys.readouterr()
     payload = json.loads(cert.read_text(encoding="utf-8"))
     integers, renders, parses = [], [], []
     for module, name, calls in [(formats, "_integer", integers),
-                                (construction, "tail_digit", renders),
+                                (_dectext, "_split_text", renders),
                                 (_dectext, "_digits_to_int", parses)]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, calls=calls,
@@ -1790,7 +1834,12 @@ def test_cli_analyze_cf_bad_prefix(tmp_path, capsys):
                  "--strings", "1", "--prefix", "50"]) == 2
     # Patterns that do not parse, hold a digit below 1, or are all empty.
     # Long patterns are shortened as every other message shortens text.
+    # An entry is read as a digit-file line is: stripped, then str()'s
+    # text alone, so a sign, an underscore or a fullwidth digit is refused.
     for strings, message in [("1,x", "bad pattern '1,x'"),
+                             ("+1", "bad pattern '+1'"),
+                             ("1_0", "bad pattern '1_0'"),
+                             ("\uff11", "bad pattern '\uff11'"),
                              ("0", "patterns need digits >= 1: '0'"),
                              (";", "no patterns given"),
                              ("x" * 5000,
@@ -1955,10 +2004,11 @@ def test_cli_import_loads_only_what_every_subcommand_needs():
 def test_cli_verify_loads_no_fraction_decimal_datetime_or_radix(tmp_path,
                                                                  capsys):
     # A verify process parses and checks with integers alone: it loads no
-    # module that builds a Fraction or stamps a time, and no sampler. A paper tail past
-    # 2**2000 is rendered rather than parsed, which loads decimal (about
-    # 1.3 ms, against ~130 ms of parsing for seed 36's tail); a toy
-    # certificate loads no decimal either.
+    # module that builds a Fraction or stamps a time, and no sampler.
+    # text_to_int reads a base-2 paper tail past 2**2000 from its render
+    # rather than a parse, which loads decimal (about 1.3 ms, far less
+    # than parsing seed 36's tail); a toy certificate holds no text that
+    # long and loads no decimal either.
     digits, cert = _paper_files(tmp_path, 1, 4)
     toy_digits, toy_cert = tmp_path / "toy.cf", tmp_path / "toy.json"
     assert main(["construct", "--seed-rng", "1", "--block-size", "4",
