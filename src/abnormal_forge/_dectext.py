@@ -19,20 +19,21 @@ Vol. 2, section 4.4; the method of CPython 3.12's ``Lib/_pylong.py``):
 * :func:`text_to_int` reads back exactly the texts ``str()`` writes:
   an optional ``-``, then ASCII digits with no leading zero (``0``
   alone for zero), the grammar :func:`is_canonical` holds; any other
-  text raises ``ValueError``. It parses a text of more than
-  ``INT_FAST_CHARS`` characters by halves, ``(hi * 5**k << k) + lo``
-  with k the length of the low half.
+  text raises ``ValueError``. It is the program's one reader of
+  integer text: digit-file lines, certificate strings, the CLI's
+  integer flags and its two environment variables. A text of at most
+  ``INT_FAST_CHARS`` characters, which the memo never holds, goes to
+  ``int()`` after the grammar check; a longer one is parsed by halves,
+  ``(hi * 5**k << k) + lo`` with k the length of the low half.
 * Recognition: before that parse, :func:`text_to_int` guesses a long
   text as 2**e with its last ``INT_FAST_CHARS`` digits replaced by the
-  text's, e from the text's length and leading digits, and keeps the
-  guess if its render by :func:`int_to_text`'s own split is the text,
-  which is then ``str()`` output, so it needs no grammar scan, and is
-  memoized under that text as a parse would be.
-  A base-2 paper tail, 2**(k*k) + 1, thus reads through one libmpdec
-  power, at a fraction of the cost of parsing it, and a text far from
-  every power of two costs no render. Every other text is parsed:
-  base-3 tails too, which are first scheduled at block 3, a block no
-  run reaches.
+  text's (e from its length and leading digits), and keeps the guess,
+  memoized as a parse would be, if its render by :func:`int_to_text`'s
+  own split is the text: a match is ``str()`` output and needs no
+  grammar scan. A base-2 paper tail, 2**(k*k) + 1, thus reads through
+  one libmpdec power, at a fraction of the cost of parsing it, and a
+  text far from every power of two costs no render. Base-3 tails, first
+  scheduled at block 3, a block no run reaches, are parsed.
 
 Every builtin ``str()``/``int()`` call made here sees fewer than 640
 digits, so no limit the interpreter allows can refuse one, and the two
@@ -150,13 +151,14 @@ def text_to_int(text: str) -> int:
     """The int whose ``str()`` is ``text``, exact past the digit limit and
     subquadratic in length; a text :func:`is_canonical` refuses raises
     ``ValueError``."""
-    value = _memo.get(text)
-    if value is None and len(text) > INT_FAST_CHARS:
-        value = _near_power(text)
-        if value is not None:
-            _remember(value, text)
-    if value is not None:  # a memo or render text is str() output: no scan
-        return value
+    if len(text) > INT_FAST_CHARS:  # the memo holds no shorter text
+        value = _memo.get(text)
+        if value is None:
+            value = _near_power(text)
+            if value is not None:
+                _remember(value, text)
+        if value is not None:  # a memo or render text is str() output
+            return value
     if not is_canonical(text):  # show repr(text)[:200] without forming it
         shown = text if len(text) <= 200 else text[:200] + "".join(
             q for q in "'\"" if q in text)  # so repr picks text's quote

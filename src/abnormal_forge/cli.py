@@ -14,7 +14,10 @@ the discrete-log table (which ``verify`` holds each block prime to as
 well) and, with an rng seed, the digits ``construct`` writes:
 ``--total-digits``, or block 1's N + 4 when larger. Each cap is the
 budget over a measured unit price in ``construction``. It counts the
-data a command builds, not the interpreter's own ~16.5 MiB.
+data a command builds, not the interpreter's own ~16.5 MiB. That
+variable, the integer flags and ``SOURCE_DATE_EPOCH`` take the one
+integer grammar, only the text ``str()`` writes (``_dectext.text_to_int``),
+so ``1_0``, `` 4``, ``+4``, ``04`` or a fullwidth digit is a usage error.
 
 Each process runs one subcommand, so each handler imports the modules it
 runs: importing this module, or running ``verify``, loads no more of the
@@ -44,7 +47,7 @@ def _budget_from_env():
     from .construction import DEFAULT_MEM_BYTES, SearchBudget
     raw = os.environ.get(MEM_BUDGET_ENV)
     try:
-        mem = DEFAULT_MEM_BYTES if raw is None else int(raw)
+        mem = DEFAULT_MEM_BYTES if raw is None else text_to_int(raw)
         return mem, SearchBudget.from_mem_bytes(mem)
     except ValueError as exc:
         raise InputFormatError(f"bad {MEM_BUDGET_ENV}: {exc}") from None
@@ -65,6 +68,10 @@ def _digits_short(total: int, block_size: int, blocks: int) -> str | None:
     return brief(needed) if total < needed else None
 
 
+def integer(text: str) -> int:  # argparse says "invalid integer value"
+    return text_to_int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abnormal-forge",
@@ -75,17 +82,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     con = sub.add_parser("construct", help="run the construction pipeline")
     seed_group = con.add_mutually_exclusive_group(required=True)
-    seed_group.add_argument("--seed-rng", type=int, metavar="U64",
+    seed_group.add_argument("--seed-rng", type=integer, metavar="U64",
                             help="seed for the reproducible digit sampler")
     seed_group.add_argument("--seed-file", metavar="PATH",
                             help="digit file supplying seed partial quotients")
-    con.add_argument("--block-size", type=int, required=True, metavar="N",
+    con.add_argument("--block-size", type=integer, required=True, metavar="N",
                      help="even length of the first block")
-    con.add_argument("--blocks", type=int, required=True, metavar="B",
+    con.add_argument("--blocks", type=integer, required=True, metavar="B",
                      help="number of blocks to plan")
     con.add_argument("--mode", default="paper", metavar="MODE",
                      help="paper | toy")
-    con.add_argument("--total-digits", type=int, default=None, metavar="M",
+    con.add_argument("--total-digits", type=integer, default=None, metavar="M",
                      help="digits to write (default: through the last tail)")
     con.add_argument("--out-digits", required=True, metavar="PATH")
     con.add_argument("--out-cert", required=True, metavar="PATH")
@@ -101,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cf_p.add_argument("--digits", required=True, metavar="PATH")
     cf_p.add_argument("--strings", required=True, metavar="S",
                       help="semicolon-separated patterns, e.g. '1;2;1,1'")
-    cf_p.add_argument("--prefix", type=int, required=True, metavar="N")
+    cf_p.add_argument("--prefix", type=integer, required=True, metavar="N")
 
     return parser
 
@@ -232,8 +239,8 @@ def _cmd_analyze_cf(args) -> int:
     from .radix import cf_normality_report
     digits, _ = read_digit_file(args.digits)
     if args.prefix > len(digits):
-        raise InputFormatError(
-            f"prefix {args.prefix} exceeds the {len(digits)} digits on file")
+        raise InputFormatError(f"prefix {brief(args.prefix)} exceeds the "
+                               f"{len(digits)} digits on file")
     report = cf_normality_report(digits, _parse_patterns(args.strings),
                                  args.prefix)
     records = [{"string": list(s.pattern), "count": s.count,

@@ -11,29 +11,22 @@ so nothing is rounded or truncated. Both begin with a run header that
 echoes enough configuration to reproduce the run bit-exactly (set
 SOURCE_DATE_EPOCH to pin the timestamp for byte-identical reruns).
 
-Decimal text: every integer value of both formats is written and read
-through one pair of converters, ``_dectext.int_to_text`` and
-``_dectext.text_to_int``, exact for integers of any size under the
-interpreter's int<->str digit limit, which nothing here changes. Short
-values stay on plain ``str()`` and ``int()``, inline in the digit-file
-loops, where a short line costs one grammar check more; larger values
-are converted by halves in subquadratic time. The bytes written
-are exactly those of ``str()``, and only those read back: an integer
-text is an optional ``-`` and ASCII digits with no leading zero (``0``
-alone for zero), after the surrounding whitespace of a digit-file line
-is stripped; any other text is refused with :class:`InputFormatError`.
-A large value that appears in both files (a tail digit is a digit-file
-line and the certificate's ``inserted[3]``) is converted once per
-process: the converters share one two-way memo of their large results,
-keyed on the full int and the full text, so the second file reuses the
-first file's conversion, and the value's text stays alive while it is
-memoized. ``write_digit_file`` writes each large value's text as it is,
-with no line-sized copy, which offsets that text in the writer's peak
-memory.
-
-``text_to_int`` reads a long text near a power of two, such as a
-base-2 paper tail, from one render rather than a parse, so neither
-file's copy of such a tail is parsed.
+Decimal text: every integer value of both formats is written by
+``_dectext.int_to_text`` and read by ``_dectext.text_to_int``, the
+program's one integer grammar, exact for integers of any size under the
+interpreter's int<->str digit limit, which nothing here changes. The
+bytes written are exactly those of ``str()``, and only those read back
+(after a digit-file line's surrounding whitespace is stripped); any
+other text is refused with :class:`InputFormatError`. A large value
+that appears in both files (a tail digit is a digit-file line and the
+certificate's ``inserted[3]``) is converted once per process: the
+converters share one two-way memo of their large results, keyed on the
+full int and the full text, so the second file reuses the first file's
+conversion, and the value's text stays alive while it is memoized; a
+text near a power of two, such as a base-2 paper tail, is read from one
+render rather than a parse. ``write_digit_file`` writes each large
+value's text as it is, with no line-sized copy, which offsets that text
+in the writer's peak memory.
 
 JSON numbers (the certificates' ``index`` and ``block_end``, the
 header's config echo) go through :mod:`json` under the interpreter's
@@ -65,8 +58,7 @@ import os
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import __version__
-from ._dectext import (INT_FAST_CHARS, TEXT_FAST_LIMIT, brief, int_to_text,
-                       is_canonical, text_to_int)
+from ._dectext import TEXT_FAST_LIMIT, brief, int_to_text, text_to_int
 from .errors import InputFormatError
 
 if TYPE_CHECKING:  # analyze cf reads digit files alone: no construction, nt
@@ -84,7 +76,7 @@ def _timestamp() -> str:
         moment = datetime.now(tz=timezone.utc)
     else:
         try:
-            moment = datetime.fromtimestamp(int(pinned), tz=timezone.utc)
+            moment = datetime.fromtimestamp(text_to_int(pinned), timezone.utc)
         except (ValueError, OverflowError, OSError) as exc:
             raise InputFormatError(f"bad SOURCE_DATE_EPOCH: {exc}") from None
     return moment.replace(microsecond=0).isoformat()
@@ -120,8 +112,8 @@ def parse_digit_file(lines: Iterable[str]) -> tuple[list[int], object]:
     or None; later header lines are ignored. The first bad line raises
     :class:`InputFormatError`: a malformed header, or a malformed or
     non-positive entry with its 1-based line number and a shortened copy.
-    A short line goes to ``int()`` inline after the grammar check; a long
-    one to ``text_to_int``, exact and subquadratic under any digit limit.
+    Every entry is read by ``text_to_int``, exact and subquadratic under
+    any digit limit.
     """
     digits = []
     header, header_seen = None, False
@@ -137,8 +129,7 @@ def parse_digit_file(lines: Iterable[str]) -> tuple[list[int], object]:
                         "malformed header comment") from None
             continue
         try:
-            value = (int(line) if len(line) <= INT_FAST_CHARS
-                     and is_canonical(line) else text_to_int(line))
+            value = text_to_int(line)
         except ValueError:
             raise InputFormatError(f"not an integer: {brief(line)!r}",
                                    line=lineno) from None

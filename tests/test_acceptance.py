@@ -139,40 +139,50 @@ def test_criterion_3_multi_block_structural_run(capsys):
         _report(3, True, f"{time.time() - started:.1f}s")
 
 
-def test_criterion_4_abnormality_evidence(worked_number, capsys):
-    """Worked block: parity, exact gap inequality, repeating tail, digit window."""
-    started = time.time()
-    cert = worked_number.certificates[0]
-    digits = worked_number.digits_through_blocks
-    tail = cert.inserted[3]
+# Sampler seeds whose paper-mode block of four ends in a power 2**k with
+# k*k <= 400 (k from 9 to 17), beside the worked block's k = 15.
+SMALL_PAPER_SEEDS = [34, 39, 44, 73, 84, 92, 124, 131, 154, 178, 182, 257]
+
+
+def _abnormality_evidence(number):
+    """Criterion 4's real-number check of a one-block paper number: parity,
+    the exact gap bound, the repeating tail and the pinched digit window.
+    Returns the places pinned and how many of the first k*k differ from 1.
+    """
+    cert = number.certificates[0]
+    digits = number.digits_through_blocks
+    tail, k = cert.inserted[3], cert.exponent
+    q1, _, q3 = cert.denoms_after
+    assert cert.base == 2 and q3 == 2**k and tail == 2**(k * k) + 1
+    assert k * k <= 400
 
     # (a) parity: the index after the third insertion is odd, so every
     # continuation sits below that convergent.
     n3 = cert.block_end + 3
-    assert n3 == 7 and n3 % 2 == 1
-    assert convergent_sign(n3) == -1
+    assert n3 % 2 == 1 and convergent_sign(n3) == -1
     convs = {c.index: c for c in convergent_stream(digits)}
-    r = Fraction(convs[7].p, convs[7].q)
-    e1 = Fraction(convs[8].p, convs[8].q)
-    e2 = Fraction(convs[8].p + convs[7].p, convs[8].q + convs[7].q)
+    r = Fraction(convs[n3].p, convs[n3].q)
+    e1 = Fraction(convs[n3 + 1].p, convs[n3 + 1].q)
+    e2 = Fraction(convs[n3 + 1].p + convs[n3].p,
+                  convs[n3 + 1].q + convs[n3].q)
     assert max(e1, e2) < r
 
-    # (b) exact rational gap bound: |y - r| <= 1/(tail * q7^2) < 2^-225.
-    bound = approx_bound(convs[7].q, tail)
+    # (b) exact rational gap bound: |y - r| <= 1/(tail * q^2) < 2^-(k*k).
+    bound = approx_bound(convs[n3].q, tail)
     assert r - e1 <= bound and r - e2 <= bound
-    assert bound < Fraction(1, 2**225)
+    assert bound < Fraction(1, 2**(k * k))
 
-    # (c) the non-terminating expansion of 23/32768 (and of the actual
-    # convergent 22771/32768) has digits 16..225 all equal to 1.
-    assert (convs[7].p, convs[7].q) == (22771, 32768)
-    for numerator in (23, convs[7].p):
-        expansion = base_expansion(Fraction(numerator, 32768), 2, 225,
+    # (c) the non-terminating expansions of q1/2^k and of the convergent
+    # p/2^k have digits k+1..k*k all equal to 1.
+    assert convs[n3].q == q3
+    for numerator in (q1, convs[n3].p):
+        expansion = base_expansion(Fraction(numerator, q3), 2, k * k,
                                    NON_TERMINATING)
-        assert set(expansion[15:]) == {1}
+        assert set(expansion[k:]) == {1}
 
-    # (d) stream digits pinched between cylinder endpoints: at least 225
-    # places are determined within the first 10^4, and at most 15 of the
-    # first 225 differ from digit 1.
+    # (d) stream digits pinched between cylinder endpoints: at least k*k
+    # places are determined within the first 10^4, and at most k of the
+    # first k*k differ from digit 1.
     window = 10_000
     lo, hi = min(e1, e2), max(e1, e2)
     lo_digits = base_expansion(lo, 2, window)
@@ -182,15 +192,38 @@ def test_criterion_4_abnormality_evidence(worked_number, capsys):
         if a != b:
             break
         agreed += 1
-    assert agreed >= 225
-    differing = sum(1 for d in lo_digits[:225] if d != 1)
-    assert differing <= 15
+    assert agreed >= k * k
+    differing = sum(1 for d in lo_digits[:k * k] if d != 1)
+    assert differing <= k
+    return agreed, differing
+
+
+def test_criterion_4_abnormality_evidence(worked_number, capsys):
+    """Worked block and small paper seeds: parity, exact gap inequality,
+    repeating tail, digit window."""
+    started = time.time()
+    cert = worked_number.certificates[0]
+    assert (cert.block_end + 3, cert.exponent) == (7, 15)
+    assert cert.denoms_after == (23, 59, 32768)
+    p7 = next(c.p for c in convergent_stream(
+        worked_number.digits_through_blocks) if c.index == 7)
+    assert p7 == 22771
+    agreed, differing = _abnormality_evidence(worked_number)
+    config = ConstructionConfig(block_size=4, blocks=1,
+                                mode=Mode.parse("paper"))
+    exponents = []
+    for seed in SMALL_PAPER_SEEDS:
+        number = construct(config, RngDigitSource(seed))
+        _abnormality_evidence(number)
+        exponents.append(number.certificates[0].exponent)
+    assert len(set(exponents)) >= 4  # k from 9 to 17
     elapsed = time.time() - started
     assert elapsed < 60.0
     with capsys.disabled():
         _report(4, True,
                 f"{elapsed:.2f}s, {agreed} digits pinned, {differing} of "
-                f"first 225 differ from 1")
+                f"first 225 differ from 1; {len(SMALL_PAPER_SEEDS)} seeds "
+                f"with k in {sorted(set(exponents))} pass too")
 
 
 def test_criterion_5_cf_statistics_preserved(capsys):

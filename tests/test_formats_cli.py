@@ -14,6 +14,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from abnormal_forge import _dectext, construction, formats, nt
 from abnormal_forge._dectext import (INT_FAST_CHARS, TEXT_FAST_BITS, brief,
                                      int_to_text, text_to_int)
-from abnormal_forge.cli import _build_parser, main
+from abnormal_forge.cli import MEM_BUDGET_ENV, _build_parser, main
 from abnormal_forge.construction import (TABLE_ENTRY_BYTES, BlockCertificate,
                                          ConstructionConfig, Mode, construct,
                                          verify_certificate)
@@ -31,7 +32,8 @@ from abnormal_forge.formats import (_cert_from_json, _cert_to_json,
                                     parse_digit_file, read_certificate_file,
                                     read_digit_file, run_header,
                                     write_certificate_file, write_digit_file)
-from abnormal_forge.seed import FileDigitSource, RngDigitSource
+from abnormal_forge.seed import (FileDigitSource, ListDigitSource,
+                                 RngDigitSource)
 
 from conftest import RELAXED_MODES, WORKED_SEED, lifted_int_limit
 
@@ -817,37 +819,88 @@ _RECORD_LISTS = {"unchanged": [1], "empty": [], "repeated": [1, 1],
                  "renumbered": [1, 2], "reordered": [2, 1],
                  "first-missing": [2], "tripled": [1, 1, 1]}
 
+# The worked example's certificate record, as construct writes it.
+_WORKED_RECORD = _cert_to_json(construct(
+    ConstructionConfig(block_size=4, blocks=1, mode=Mode.parse("paper")),
+    ListDigitSource(WORKED_SEED)).certificates[0])
+
+
+def _field(record, path):
+    return record[path[0]] if len(path) == 1 else record[path[0]][path[1]]
+
+
+def _record_edits():
+    """One or two fields of the worked record, each with a JSON value drawn
+    for it by ``_json_values``."""
+    paths = st.lists(st.sampled_from(_RECORD_PATHS), min_size=1, max_size=2,
+                     unique_by=lambda p: p[0])
+    return paths.flatmap(lambda chosen: st.tuples(*(
+        st.tuples(st.just(path), _json_values(_field(_WORKED_RECORD, path)))
+        for path in chosen)))
+
+
+# q2 values the drawn sizes miss: psi_12 (OEIS A014233), the least strong
+# pseudoprime to the first 12 prime bases; 2**64 + 1 = 274177 *
+# 67280421310721, a composite past the default table cap; and the prime
+# 2**61 - 1, past it too.
+_PSI12 = 318665857834031151167461
+# A budget whose table cap admits psi_12, below the cap that
+# SearchBudget refuses.
+_PSI12_BUDGET = str(TABLE_ENTRY_BYTES * (math.isqrt(_PSI12 - 2) + 1))
+_TEXT_5000 = "1" + "0" * 4998 + "7"  # a 5,000-digit text
+
+
+def _q2_edits(q2):
+    return ((("prime",), str(q2)), (("denoms_after", 1), str(q2)))
+
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
+@given(edits=_record_edits(),
+       listing=st.sampled_from(sorted(_RECORD_LISTS)),
+       budget=st.sampled_from([None, _PSI12_BUDGET]))
+@example(edits=_q2_edits(_PSI12), listing="unchanged", budget=None)
+@example(edits=_q2_edits(_PSI12), listing="unchanged", budget=_PSI12_BUDGET)
+@example(edits=_q2_edits(2**64 + 1), listing="unchanged", budget=None)
+@example(edits=_q2_edits(2**61 - 1), listing="unchanged", budget=None)
+@example(edits=((("inserted", 0), _TEXT_5000),), listing="unchanged",
+         budget=None)
+@example(edits=((("inserted", 1), _TEXT_5000),), listing="unchanged",
+         budget=None)
+@example(edits=((("exponent",), _TEXT_5000),), listing="unchanged",
+         budget=None)
+@example(edits=((("block_end",), 0),), listing="unchanged", budget=None)
+@example(edits=((("block_end",), -1),), listing="unchanged", budget=None)
+@example(edits=((("index",), 0),), listing="unchanged", budget=None)
+@example(edits=((("index",), -1),), listing="unchanged", budget=None)
 def test_cli_verify_ends_in_a_contracted_exit_on_hostile_records(
-        worked_paper_files, tmp_path_factory, data):
+        worked_paper_files, tmp_path_factory, edits, listing, budget):
     # The verifier passes the worked certificate only as construct wrote
     # it: any other record list, or the JSON values of one or two fields
     # changed to another type, sign, size or text, exits 1 or 2 and raises
-    # nothing, whichever fault the reader meets first.
+    # nothing, whichever fault the reader meets first, under the default
+    # budget or one whose table cap admits psi_12.
     digits, payload = worked_paper_files
     record = json.loads(json.dumps(payload["blocks"][0]))
-    paths = data.draw(st.lists(st.sampled_from(_RECORD_PATHS), min_size=1,
-                               max_size=2, unique_by=lambda p: p[0]),
-                      label="fields")
-    listing = data.draw(st.sampled_from(sorted(_RECORD_LISTS)), label="list")
+    assert record == _WORKED_RECORD
     indices = _RECORD_LISTS[listing]
     cert = tmp_path_factory.getbasetemp() / "hostile.json"
     with lifted_int_limit():  # str() and json of values up to 10**5000
         unchanged = listing == "unchanged"
-        for path in paths:
+        for path, value in edits:
             holder = record if len(path) == 1 else record[path[0]]
-            original = holder[path[-1]]
-            value = data.draw(_json_values(original), label="value")
+            unchanged = unchanged and (_denoted(value)
+                                       == _denoted(holder[path[-1]]))
             holder[path[-1]] = value
-            unchanged = unchanged and _denoted(value) == _denoted(original)
         blocks = [record if i == 1 else dict(record, index=i)
                   for i in indices]
         cert.write_text(json.dumps(dict(payload, blocks=blocks)),
                         encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != MEM_BUDGET_ENV}
+    if budget is not None:
+        env[MEM_BUDGET_ENV] = budget
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, env, clear=True), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--cert", str(cert), "--digits", str(digits)])
     assert code in ((0,) if unchanged else (1, 2)), (code, err.getvalue())
 
@@ -1537,6 +1590,52 @@ def test_cli_verify_refuses_a_huge_composite_prime_claim_in_bounded_time(
     assert checks["primitive_root"]["detail"] == refused
 
 
+def test_cli_verify_does_bounded_work_on_hostile_file_pairs(tmp_path):
+    # Bounded work checked rather than assumed: each verify child runs
+    # under a 1 GiB address-space cap and a 60 s timeout.
+    digits, cert = _construct_worked(tmp_path)
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    record = payload["blocks"][0]
+
+    def pair(name, records, tail=None):
+        hostile = tmp_path / f"{name}.json"
+        hostile.write_text(json.dumps(dict(payload, blocks=records)),
+                           encoding="utf-8")
+        if tail is None:
+            return hostile, digits
+        lines = digits.read_text(encoding="utf-8").splitlines()
+        lines[-1] = tail
+        path = tmp_path / f"{name}.cf"
+        path.write_text("".join(f"{line}\n" for line in lines),
+                        encoding="utf-8")
+        return hostile, path
+
+    k = str(2**64)  # base**(k*k) would have 2**128 bits
+    tail = "1" + "2" * (10**5 - 1)  # 10**5 digits, far from any 2**e
+    cases = [
+        # A huge claimed k fails the power checks without forming a power.
+        (pair("k", [dict(record, exponent=k, digit_bound=k)]), 1, [False]),
+        # The same 10**5-digit tail in both files, parsed by halves: a
+        # raised tail only tightens the gap bound, so the block verifies.
+        (pair("tail", [dict(record, inserted=record["inserted"][:3]
+                            + [tail])], tail), 0, [True]),
+        # 2,000 copies of the record, numbered as construct numbers blocks:
+        # the first verifies, and each later one fails.
+        (pair("copies", [dict(record, index=i) for i in range(1, 2001)]),
+         1, [True] + [False] * 1999),
+    ]
+    for (hostile, path), code, passed in cases:
+        result = subprocess.run(
+            [sys.executable, "-m", "abnormal_forge.cli", "verify",
+             "--cert", str(hostile), "--digits", str(path)],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=_cap_address_space)
+        assert result.returncode == code, (hostile.name, result.stderr)
+        assert "Traceback" not in result.stderr
+        report = json.loads(result.stdout)["blocks"]
+        assert [b["passed"] for b in report] == passed, hostile.name
+
+
 @pytest.mark.parametrize("key,value", [
     ("block_end", 4.7), ("base", 2.5), ("index", True)])
 def test_cli_verify_refuses_non_integer_numbers(tmp_path, capsys, key, value):
@@ -1832,6 +1931,12 @@ def test_cli_analyze_cf_bad_prefix(tmp_path, capsys):
     path.write_text("1\n2\n", encoding="utf-8")
     assert main(["analyze", "cf", "--digits", str(path),
                  "--strings", "1", "--prefix", "50"]) == 2
+    # A prefix past the int<->str digit limit is named by its size.
+    capsys.readouterr()
+    assert main(["analyze", "cf", "--digits", str(path),
+                 "--strings", "1", "--prefix", "9" * 5000]) == 2
+    assert capsys.readouterr().err == (
+        "error: prefix <16610-bit integer> exceeds the 2 digits on file\n")
     # Patterns that do not parse, hold a digit below 1, or are all empty.
     # Long patterns are shortened as every other message shortens text.
     # An entry is read as a digit-file line is: stripped, then str()'s
@@ -1893,11 +1998,44 @@ def _leaf_commands(parser, path=()):
     return {path}
 
 
-def test_cli_usage_error_exit_code(capsys):
+# Spellings int() reads as an integer and str() never writes: an
+# underscore, a space before or after, a plus sign, a leading zero and a
+# fullwidth digit.
+_INT_ONLY_SPELLINGS = ["1_0", " 4", "4 ", "+4", "04", "\uff14"]
+
+
+def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert main(["construct", "--blocks", "1"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["analyze", "base", "--num", "1", "--den", "3",
                  "--base", "2", "--places", "4"]) == 2
+    # Each integer flag takes only the text str() writes: any other
+    # spelling exits 2 naming the flag and quoting the text, and construct
+    # writes no file; the canonical spelling runs.
+    path = _write_seed(tmp_path, [1, 2, 1, 1], name="digits.cf")
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    construct_argv = ["construct", "--seed-rng", "1", "--block-size", "4",
+                      "--blocks", "1", "--mode", "toy", "--total-digits",
+                      "20", "--out-digits", str(digits), "--out-cert",
+                      str(cert)]
+    analyze_argv = ["analyze", "cf", "--digits", str(path), "--strings", "1",
+                    "--prefix", "4"]
+    for argv, flags in [(analyze_argv, ["--prefix"]),
+                        (construct_argv, ["--seed-rng", "--block-size",
+                                          "--blocks", "--total-digits"])]:
+        for flag in flags:
+            for text in _INT_ONLY_SPELLINGS:
+                int(text)  # a spelling int() reads
+                edited = list(argv)
+                edited[edited.index(flag) + 1] = text
+                capsys.readouterr()
+                assert main(edited) == 2, (flag, text)
+                err = capsys.readouterr().err
+                assert f"argument {flag}: " in err and repr(text) in err
+                assert "Traceback" not in err
+                assert not digits.exists() and not cert.exists()
+        assert main(argv) == 0
+    assert len(read_digit_file(digits)[0]) == 20
 
 
 def test_cli_rng_needs_total_digits_for_zero_blocks(tmp_path, capsys):
@@ -1943,12 +2081,22 @@ def test_console_entry_point_runs(tmp_path):
 def test_mem_budget_env_is_honored(tmp_path, monkeypatch, capsys):
     # The budget caps plan_block's baby-step table: 200 KiB allows 1280
     # entries, and this seed's first candidate prime needs far more.
-    monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", str(200 * 1024))
     seed = _write_seed(tmp_path, digits=[1000, 1000, 1000, 1000])
-    code = main(["construct", "--seed-file", str(seed), "--block-size", "4",
-                 "--blocks", "1", "--mode", "toy",
-                 "--out-digits", str(tmp_path / "d.cf"),
-                 "--out-cert", str(tmp_path / "c.json")])
+    digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
+    argv = ["construct", "--seed-file", str(seed), "--block-size", "4",
+            "--blocks", "1", "--mode", "toy",
+            "--out-digits", str(digits), "--out-cert", str(cert)]
+    # The budget takes only the text str() writes: any other spelling
+    # exits 2 naming the variable and quoting the text, and writes no file.
+    for text in _INT_ONLY_SPELLINGS:
+        monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", text)
+        assert main(argv) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ABNORMAL_FORGE_MEM_BUDGET: ")
+        assert repr(text) in err and "Traceback" not in err
+        assert not digits.exists() and not cert.exists()
+    monkeypatch.setenv("ABNORMAL_FORGE_MEM_BUDGET", str(200 * 1024))
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
     assert "baby-step table would need 1000502 entries (limit 1280)" in err
@@ -2096,8 +2244,11 @@ def test_cli_verify_compiles_no_record_field(tmp_path):
 
 
 @pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999999999",
-                                   "253402300800", "-62135596801"])
+                                   "253402300800", "-62135596801",
+                                   *_INT_ONLY_SPELLINGS])
 def test_bad_source_date_epoch_is_a_usage_error(epoch, tmp_path):
+    # SOURCE_DATE_EPOCH takes only the text str() writes (what date +%s
+    # prints), and a time datetime can hold.
     digits, cert = tmp_path / "d.cf", tmp_path / "c.json"
     result = subprocess.run(
         [sys.executable, "-m", "abnormal_forge.cli", "construct",
@@ -2108,6 +2259,8 @@ def test_bad_source_date_epoch_is_a_usage_error(epoch, tmp_path):
         env=dict(os.environ, SOURCE_DATE_EPOCH=epoch))
     assert result.returncode == 2
     assert result.stderr.startswith("error: bad SOURCE_DATE_EPOCH: ")
+    if epoch in _INT_ONLY_SPELLINGS:
+        assert repr(epoch) in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
     assert not digits.exists() and not cert.exists()
 
