@@ -776,6 +776,12 @@ _NONCANONICAL = [lambda t: "+" + t, lambda t: "0" + t, lambda t: f" {t}",
                                                      "\u0669"))]
 
 
+def _text(n):
+    """str() of a drawn value up to 10**5000, under any int<->str limit."""
+    with lifted_int_limit():
+        return str(n)
+
+
 def _json_values(original):
     """JSON values for a field whose honest value is ``original``: its type
     swapped, its sign flipped, sizes up to 10**5000, non-canonical text,
@@ -799,9 +805,9 @@ def _json_values(original):
                          sizes.map(lambda n: -n), st.integers(-2, 2))
     return st.one_of(
         st.just(number), st.just(str(number)), integers,
-        integers.map(str),
+        integers.map(_text),
         st.tuples(st.sampled_from(_NONCANONICAL),
-                  integers).map(lambda f: f[0](str(f[1]))),
+                  integers).map(lambda f: f[0](_text(f[1]))),
         others)
 
 
